@@ -4,7 +4,8 @@ Subcommands: forward | dn | reduce | invert | walk | limits.
 Every command reads a JSON config (schema fraccond-config-v1, shipped as
 config_schema_v1.json next to this module), writes CSV outputs with 17
 significant digits and an atomically written manifest.json that echoes the
-config and records per-check pass/fail values.
+config, records per-check pass/fail values and, under "diagnostics", how
+the run went (the inversion's stop reason, the BLAS thread cap).
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
 Re-running a command with identical config and seed reproduces every data
@@ -165,7 +166,8 @@ def _read_csv(path: str) -> np.ndarray:
 
 
 def _write_manifest(outdir: str, command: str, cfg: dict, seed: int,
-                    checks: dict, outputs: list, t0: float) -> str:
+                    checks: dict, diagnostics: dict, outputs: list,
+                    t0: float) -> str:
     manifest = {
         "artifact": "fraccond",
         "version": __version__,
@@ -174,6 +176,7 @@ def _write_manifest(outdir: str, command: str, cfg: dict, seed: int,
         "seed": seed,
         "wall_clock_s": time.time() - t0,
         "checks": checks,
+        "diagnostics": diagnostics,
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
     path = os.path.join(outdir, "manifest.json")
@@ -199,6 +202,8 @@ def _exterior_set(grid: Grid, selector, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- commands
+# Each command returns (files, checks, diagnostics): the files it wrote,
+# pass/fail checks, and facts about the run that carry no verdict.
 
 def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
     task = cfg.get("task", {})
@@ -226,7 +231,7 @@ def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
                         (grid.nodes, u))]
     checks = {"interior_residual": {"value": rel, "pass": bool(rel <= 1e-10),
                                     "criterion": "<= 1e-10 relative"}}
-    return files, checks
+    return files, checks, {}
 
 
 def cmd_dn(cfg, grid, fp, gamma, seed, outdir):
@@ -251,7 +256,7 @@ def cmd_dn(cfg, grid, fp, gamma, seed, outdir):
                      / max(np.max(np.abs(M.matrix)), 1e-300))
         checks["dn_symmetry"] = {"value": asym, "pass": bool(asym <= 1e-10),
                                  "criterion": "<= 1e-10 relative"}
-    return files, checks
+    return files, checks, {}
 
 
 def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
@@ -272,7 +277,7 @@ def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
         "dn_gap_identity": {"value": gap_err, "pass": bool(gap_err <= 1e-9),
                             "criterion": "left = right to 1e-9 relative"},
     }
-    return files, checks
+    return files, checks, {}
 
 
 def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
@@ -295,13 +300,23 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
         step_damping=float(task.get("step_damping", 0.5)),
     )
     report = reconstruct_gamma(observed, grid, fp, inv_cfg)
+    its = report.iterations
     files = [
         _write_csv(os.path.join(outdir, "recovered_gamma.csv"), "x,gamma,m,q",
                    (grid.nodes, report.gamma.values, report.m, report.q.values)),
-        _write_csv(os.path.join(outdir, "iterations.csv"), "iteration,residual",
-                   (np.arange(len(report.residual_history), dtype=float),
-                    np.array(report.residual_history))),
+        _write_csv(os.path.join(outdir, "iterations.csv"),
+                   "iteration,residual,step_length,trials,lambda,objective,"
+                   "data_residual",
+                   (np.arange(len(its), dtype=float),
+                    report.residual_history,
+                    [it.step_length for it in its],
+                    [float(it.trials) for it in its],
+                    np.full(len(its), report.lambda_used),
+                    [it.objective for it in its],
+                    [it.data_residual for it in its])),
     ]
+    hist = report.residual_history
+    monotone = all(a >= b for a, b in zip(hist, hist[1:]))
     checks = {
         "converged": {"value": bool(report.converged),
                       "pass": bool(report.converged),
@@ -309,14 +324,8 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
         "data_residual": {"value": report.data_residual,
                           "pass": bool(report.data_residual <= 1e-6),
                           "criterion": "<= 1e-6 relative (noiseless data)"},
-        "monotone_residuals": {
-            "value": bool(all(a >= b for a, b in
-                              zip(report.residual_history,
-                                  report.residual_history[1:]))),
-            "pass": bool(all(a >= b for a, b in
-                             zip(report.residual_history,
-                                 report.residual_history[1:]))),
-            "criterion": "damped objective non-increasing"},
+        "monotone_residuals": {"value": monotone, "pass": monotone,
+                               "criterion": "damped objective non-increasing"},
     }
     truth_path = task.get("truth_gamma")
     if truth_path is not None:
@@ -325,7 +334,7 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
                     / np.max(np.abs(truth)))
         checks["recovery_error"] = {"value": err, "pass": bool(err <= 0.01),
                                     "criterion": "<= 1% Linf vs truth"}
-    return files, checks
+    return files, checks, {"stop_reason": report.stop_reason}
 
 
 def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
@@ -370,7 +379,7 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
             checks["mc_master_tv"] = {"value": tv, "pass": bool(tv <= 0.02),
                                       "criterion": "total variation <= 0.02 "
                                                    "(constant gamma)"}
-    return files, checks
+    return files, checks, {}
 
 
 def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
@@ -430,7 +439,7 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
             "value": float(mags[-1] / mags[0]) if mags[0] else 0.0,
             "pass": dec,
             "criterion": "final pairing magnitude <= 0.5 x first"}
-    return files, checks
+    return files, checks, {}
 
 
 _COMMANDS = {
@@ -457,7 +466,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the config seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread cap (best effort, recorded in manifest)")
+                   help="BLAS thread cap; applied only when threadpoolctl "
+                        "is installed, and the manifest records whether it was")
     return p
 
 
@@ -479,15 +489,20 @@ def run(argv=None) -> int:
         return 2
 
     limiter = None
+    diagnostics = {}
     if args.threads is not None:
         try:
             from threadpoolctl import threadpool_limits
             limiter = threadpool_limits(limits=args.threads)
         except ImportError:
             pass
+        diagnostics["threads"] = {"requested": args.threads,
+                                  "applied": limiter is not None}
     try:
         os.makedirs(outdir, exist_ok=True)
-        files, checks = _COMMANDS[args.command](cfg, grid, fp, gamma, seed, outdir)
+        files, checks, run_info = _COMMANDS[args.command](
+            cfg, grid, fp, gamma, seed, outdir)
+        diagnostics.update(run_info)
     except ConfigError as exc:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
         return 2
@@ -502,11 +517,8 @@ def run(argv=None) -> int:
         if limiter is not None:
             limiter.unregister()
 
-    if args.threads is not None:
-        checks["threads"] = {"value": args.threads, "pass": True,
-                             "criterion": "requested BLAS thread cap"}
     files.append(_write_manifest(outdir, args.command, cfg, seed, checks,
-                                 files, t0))
+                                 diagnostics, files, t0))
     failed = [k for k, v in checks.items() if not v["pass"]]
     for k, v in checks.items():
         print(f"{k}: {'PASS' if v['pass'] else 'FAIL'} ({v['value']})")

@@ -29,39 +29,8 @@ logger = logging.getLogger("fraccond")
 S_MIN = 0.05
 S_MAX = 0.99
 
-# Lanczos coefficients, g = 7, 9 terms
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Euler Gamma via a Lanczos approximation, reflection for x < 0.5.
-
-    Relative accuracy is ~1e-13 away from the poles; raises ValueError at
-    the poles (x = 0, -1, -2, ...).
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma_fn: pole at non-positive integer x={x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i, p in enumerate(_LANCZOS_P[1:], start=1):
-        acc += p / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+# Euler Gamma; raises ValueError at the poles x = 0, -1, -2, ...
+gamma_fn = math.gamma
 
 
 def cns(n: int, s: float) -> float:

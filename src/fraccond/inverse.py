@@ -2,13 +2,17 @@
 
 Two-step pipeline: (1) recover the Schroedinger potential q from DN
 measurements by damped Gauss-Newton on an output-least-squares objective
-with Tikhonov weight, using exact Jacobians from the resolvent derivative
-(one adjoint solve family per observation set, no finite differences);
-(2) solve the linear Dirichlet problem
+with Tikhonov weight; (2) solve the linear Dirichlet problem
 
     ((-Delta)^s + q) m = -q   in omega,   m = 0 outside,
 
 and set gamma = (1 + m)^2.
+
+The Jacobian of the DN data in the interior q values is the Khatri-Rao
+product J[l, k, i] = h U[i, k] V[i, l] of the interior solution blocks for
+the sources (U) and the observations (V).  The Gauss-Newton normal matrix
+J^T J and gradient J^T r are contracted from those |I|-row blocks directly,
+so no array of order |W1| |W2| |I| is ever formed; see _NormalEquations.
 
 When the observed matrix comes from the conductivity operator, its entries
 agree with the Schroedinger DN matrix of the reduced potential everywhere
@@ -27,7 +31,7 @@ import scipy.linalg
 
 from .core import FracParams, Grid
 from .forward import DnMatrix, Potential, SolverError, factor_interior
-from .operators import Conductivity, assemble_schrodinger
+from .operators import Conductivity, assemble_laplacian, assemble_schrodinger
 
 DAMPING_FLOOR = 1e-8
 
@@ -54,117 +58,245 @@ class InversionConfig:
             raise ValueError("InversionConfig: step_damping must be in (0, 1)")
 
 
+@dataclass(frozen=True)
+class Iterate:
+    """One Gauss-Newton iterate; the starting point has step_length 0."""
+
+    step_length: float
+    trials: int  # forward evaluations in the line search that produced it
+    objective: float  # |r|^2 + lambda |q|^2
+    data_residual: float  # |r| relative to the fitted observed entries
+
+
 @dataclass
 class InversionReport:
     q: Potential
     m: np.ndarray
     gamma: Conductivity | None
     residual_history: list[float] = field(default_factory=list)
+    iterations: list[Iterate] = field(default_factory=list)
     converged: bool = False
+    # converged | max_iter | damping_floor
+    stop_reason: str = ""
     data_residual: float = float("nan")
     lambda_used: float = float("nan")
-    message: str = ""
+
+
+class _SchrodingerData:
+    """Schroedinger DN data on fixed source and observation sets as a
+    function of the interior potential.
+
+    The Laplacian is assembled once; an evaluation adds diag(q) to a copy
+    of its interior block and LU-factors that.  With unit sources (g_W1
+    None) the data is the (|W2|, |W1|) DN matrix; with a fixed source g on
+    W1 it is the (|W2|, 1) response column, i.e. the same map with the one
+    source g @ e_W1.
+    """
+
+    def __init__(self, grid: Grid, fp: FracParams, W1: np.ndarray,
+                 W2: np.ndarray, g_W1: np.ndarray | None):
+        I = grid.interior_idx
+        L = assemble_laplacian(grid, fp).matrix
+        self.h = grid.h**grid.n
+        self.L_II = L[np.ix_(I, I)]
+        self.L_W2I = L[np.ix_(W2, I)]
+        S = L[np.ix_(I, W1)]
+        self.D = L[np.ix_(W2, W1)]
+        if g_W1 is not None:
+            S = (S @ g_W1)[:, None]
+            self.D = (self.D @ g_W1)[:, None]
+        self.neg_S = np.asfortranarray(-S)
+        self.same = g_W1 is None and np.array_equal(W1, W2)
+
+    def evaluate(self, q_int: np.ndarray):
+        """DN data M, the source solution block U = A_II^-1 (-A_I,W1) and
+        the LU factors of A_II = L_II + diag(q)."""
+        A_II = self.L_II.copy()
+        A_II[np.diag_indices_from(A_II)] += q_int
+        lu = factor_interior(
+            A_II, "(-Delta)^s + q has 0 as an eigenvalue on omega")
+        U = scipy.linalg.lu_solve(lu, self.neg_S)
+        M = self.L_W2I @ U
+        M += self.D
+        M *= self.h
+        return M, U, lu
+
+    def observation_block(self, U: np.ndarray, lu) -> np.ndarray:
+        """V = A_II^-1 (-A_I,W2), from the factors evaluate() returned
+        (L is exactly symmetric, so A_I,W2 = L_W2,I^T)."""
+        return U if self.same else scipy.linalg.lu_solve(lu, -self.L_W2I.T)
 
 
 def _forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
                           W1: np.ndarray, W2: np.ndarray,
                           g_W1: np.ndarray | None):
-    """Schroedinger DN data and its exact Jacobian in the interior q values.
+    """Schroedinger DN data and its exact dense Jacobian in the interior q.
 
     With unit sources (g_W1 None) returns the (|W2|, |W1|) matrix M and
     J[l, k, i] = h * U[i, k] * V[i, l]; with a fixed source g on W1 returns
-    the response column on W2 and J[l, i] = h * w[i] * V[i, l].
+    the response column on W2 and J[l, i] = h * w[i] * V[i, l].  This is the
+    dense oracle the structured normal equations are tested against; the
+    inversion never forms J.
     """
-    I = grid.interior_idx
-    q_full = np.zeros(grid.N)
-    q_full[I] = q_int
-    A = assemble_schrodinger(grid, fp, q_full).matrix
-    lu, piv = factor_interior(
-        A[np.ix_(I, I)], "(-Delta)^s + q has 0 as an eigenvalue on omega")
-    V = scipy.linalg.lu_solve((lu, piv), -A[np.ix_(I, W2)])
-    h = grid.h**grid.n
+    data = _SchrodingerData(grid, fp, W1, W2, g_W1)
+    M, U, lu = data.evaluate(q_int)
+    V = data.observation_block(U, lu)
+    J = data.h * np.einsum("il,ik->lki", V, U)
     if g_W1 is None:
-        U = V if W1 is W2 or np.array_equal(W1, W2) else \
-            scipy.linalg.lu_solve((lu, piv), -A[np.ix_(I, W1)])
-        M = h * (A[np.ix_(W2, W1)] + A[np.ix_(W2, I)] @ U)
-        J = h * np.einsum("il,ik->lki", V, U)
         return M, J
-    w_I = scipy.linalg.lu_solve((lu, piv), -A[np.ix_(I, W1)] @ g_W1)
-    resp = h * (A[np.ix_(W2, W1)] @ g_W1 + A[np.ix_(W2, I)] @ w_I)
-    J = h * V.T * w_I[None, :]
-    return resp, J
+    return M[:, 0], J[:, 0, :]
+
+
+class _NormalEquations:
+    """Gauss-Newton normal equations at one iterate, from the solution blocks.
+
+    With J[l, k, i] = h V[i, l] U[i, k] restricted to the kept entries and
+    R the data residual, zero on the excluded entries:
+
+        G = J^T J = h^2 [(V V^T) o (U U^T) - B B^T],  B[:, e] = V[:, l] o U[:, k]
+        g = J^T r,  g_i = h sum_{l, k} V[i, l] R[l, k] U[i, k]
+
+    where e = (l, k) runs over the `excluded` entries, given as the pair
+    of index arrays np.nonzero(~mask).  B is built |W2| columns at a time,
+    so memory stays O(|I| |W2|) for any mask.
+    """
+
+    REFINE_SWEEPS = 2
+
+    def __init__(self, V: np.ndarray, U: np.ndarray, R: np.ndarray,
+                 excluded: tuple[np.ndarray, np.ndarray], h: float):
+        self.V, self.U, self.R, self.excluded, self.h = V, U, R, excluded, h
+        G = (V @ V.T) * (U @ U.T)
+        rows, cols = excluded
+        chunk = V.shape[1]
+        for c in range(0, rows.size, chunk):
+            B = V[:, rows[c:c + chunk]] * U[:, cols[c:c + chunk]]
+            G -= B @ B.T
+        self.G = h * h * G
+        self.g = self.jt(R)
+        if not (np.all(np.isfinite(self.G)) and np.all(np.isfinite(self.g))):
+            raise ReconstructionError(
+                "Gauss-Newton normal equations are not finite")
+        self.mu, self.Q = np.linalg.eigh(self.G)
+
+    def j(self, d: np.ndarray) -> np.ndarray:
+        """J d as a (|W2|, |W1|) array, zero on the excluded entries."""
+        X = self.V.T @ (d[:, None] * self.U)
+        X *= self.h
+        X[self.excluded] = 0.0
+        return X
+
+    def jt(self, X: np.ndarray) -> np.ndarray:
+        """J^T x for x given as a (|W2|, |W1|) array zero off the mask."""
+        return self.h * np.sum(self.V * (self.U @ X.T), axis=1)
+
+    def _solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
+        """-(G + lam I)^-1 rhs in G's eigenbasis.  Levels mu + lam within
+        |I| eps of the top eigenvalue are round-off of G and are dropped, as
+        lstsq's rcond cutoff drops them."""
+        d = self.mu + lam
+        keep = d > d.size * np.finfo(float).eps * max(self.mu[-1], 0.0)
+        Qk = self.Q[:, keep]
+        return -Qk @ ((Qk.T @ rhs) / d[keep])
+
+    def step(self, q: np.ndarray, lam: float) -> np.ndarray:
+        """Minimizer delta of |J delta + r|^2 + lam |q + delta|^2.
+
+        Forming G squares the condition number of the stacked system
+        [J; sqrt(lam) I].  Refinement sweeps that recompute the normal
+        residual through J itself restore the accuracy of a least-squares
+        solve of the stacked system (corrected semi-normal equations).
+        """
+        delta = self._solve(self.g + lam * q, lam)
+        for _ in range(self.REFINE_SWEEPS):
+            rho = self.jt(self.j(delta) + self.R) + lam * (q + delta)
+            delta = delta + self._solve(rho, lam)
+        return delta
 
 
 def _gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
-                  W1: np.ndarray, W2: np.ndarray,
-                  observed_flat: np.ndarray, mask_flat: np.ndarray,
-                  g_W1: np.ndarray | None) -> tuple[np.ndarray, list[float], bool, float, float]:
+                  W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
+                  mask: np.ndarray, g_W1: np.ndarray | None):
     """Damped Gauss-Newton over interior potential values from q = 0.
 
-    reg_lambda is dimensionless: it multiplies the squared top singular
-    value of the initial Jacobian, so the Tikhonov filter acts at relative
-    singular level sqrt(reg_lambda) regardless of grid scaling.  Steps
-    solve the stacked least-squares system [J; sqrt(lam) I] (numerically
-    robust for the steeply decaying DN sensitivity spectrum); acceptance
-    enforces strict decrease of the damped objective, so the recorded
-    history (sqrt of objective per accepted step) is non-increasing by
-    construction.  Returns (q_int, history, converged, data_residual,
-    effective lambda).
+    reg_lambda is dimensionless: it multiplies the top eigenvalue of the
+    initial Gram J^T J (the squared top singular value of J), so the
+    Tikhonov filter acts at relative singular level sqrt(reg_lambda)
+    regardless of grid scaling.  Each step solves the normal equations
+    (G + lam I) delta = -(g + lam q) of the structured Gram (see
+    _NormalEquations).  Line-search trials evaluate the residual only; G
+    and g are formed once per accepted step.  Acceptance enforces strict
+    decrease of the damped objective, so the recorded history (sqrt of
+    objective per accepted step) is non-increasing by construction.
+    `observed` and `mask` have the data's (|W2|, columns) shape.  Returns
+    q_int and the InversionReport fields of the fit.
     """
-    nI = grid.interior_idx.size
-    q = np.zeros(nI)
+    data = _SchrodingerData(grid, fp, W1, W2, g_W1)
+    q = np.zeros(grid.interior_idx.size)
+    scale = max(float(np.linalg.norm(observed[mask])), 1e-30)
+    excluded = np.nonzero(~mask)
 
-    def misfit(qv):
-        out, J = _forward_and_jacobian(grid, fp, qv, W1, W2, g_W1)
-        r = (out.reshape(-1) - observed_flat)[mask_flat]
-        return r, J.reshape(-1, nI)[mask_flat]
+    def residual(M):
+        M -= observed
+        M[excluded] = 0.0
+        return M
 
-    scale = max(float(np.linalg.norm(observed_flat[mask_flat])), 1e-30)
-    r, J = misfit(q)
-    smax = float(np.linalg.norm(J, 2))
-    lam = cfg.reg_lambda * smax**2
+    def normal_equations(U, lu, R):
+        return _NormalEquations(data.observation_block(U, lu), U, R,
+                                excluded, data.h)
 
-    def objective(rv, qv):
-        return float(rv @ rv + lam * qv @ qv)
+    M, U, lu = data.evaluate(q)
+    R = residual(M)
+    ne = normal_equations(U, lu, R)
+    lam = cfg.reg_lambda * max(float(ne.mu[-1]), 0.0)
 
-    history = [np.sqrt(objective(r, q))]
-    converged = float(np.linalg.norm(r)) / scale < cfg.tol
-    eye = np.eye(nI)
-    for _ in range(cfg.max_iter):
-        if converged:
+    def objective(Rv, qv):
+        return float(np.vdot(Rv, Rv) + lam * qv @ qv)
+
+    iterations: list[Iterate] = []
+    history: list[float] = []
+
+    def record(step_length, trials):
+        phi = objective(R, q)
+        iterations.append(Iterate(step_length, trials, phi,
+                                  float(np.linalg.norm(R)) / scale))
+        history.append(np.sqrt(phi))
+
+    record(0.0, 0)
+    stop_reason = "converged" if iterations[-1].data_residual < cfg.tol \
+        else "max_iter"
+    for it in range(cfg.max_iter):
+        if stop_reason == "converged":
             break
-        delta = None
-        for _ in range(4):
-            stack = np.vstack([J, np.sqrt(lam) * eye]) if lam > 0 else J
-            rhs = np.concatenate([-r, -np.sqrt(lam) * q]) if lam > 0 else -r
-            cand = np.linalg.lstsq(stack, rhs, rcond=None)[0]
-            if np.all(np.isfinite(cand)):
-                delta = cand
-                break
-            lam = max(lam, 1e-14 * smax**2) * 10.0  # singular system
-        if delta is None:
-            raise ReconstructionError(
-                "Gauss-Newton system singular after 3 lambda increases")
-        phi0 = objective(r, q)
-        t = 1.0
-        accepted = False
+        if it:
+            ne = normal_equations(U, lu, R)
+        delta = ne.step(q, lam)
+        phi0 = objective(R, q)
+        t, trials = 1.0, 0
         while t >= DAMPING_FLOOR:
+            trials += 1
             q_try = q + t * delta
             try:
-                r_try, J_try = misfit(q_try)
+                M_try, U_try, lu_try = data.evaluate(q_try)
             except SolverError:
                 t *= cfg.step_damping
                 continue
-            if objective(r_try, q_try) < phi0:
-                q, r, J = q_try, r_try, J_try
-                accepted = True
+            R_try = residual(M_try)
+            if objective(R_try, q_try) < phi0:
                 break
             t *= cfg.step_damping
-        if not accepted:
-            break  # damping underflow: keep best iterate
-        history.append(np.sqrt(objective(r, q)))
-        converged = float(np.linalg.norm(r)) / scale < cfg.tol
-    return q, history, converged, float(np.linalg.norm(r)) / scale, lam
+        else:
+            stop_reason = "damping_floor"  # keep the best iterate
+            break
+        q, R, U, lu = q_try, R_try, U_try, lu_try
+        record(t, trials)
+        if iterations[-1].data_residual < cfg.tol:
+            stop_reason = "converged"
+    return q, dict(residual_history=history, iterations=iterations,
+                   converged=stop_reason == "converged",
+                   stop_reason=stop_reason,
+                   data_residual=iterations[-1].data_residual,
+                   lambda_used=lam)
 
 
 def _recover_potential_details(observed: DnMatrix, grid: Grid, fp: FracParams,
@@ -177,11 +309,11 @@ def _recover_potential_details(observed: DnMatrix, grid: Grid, fp: FracParams,
                          "W1 = W2 = exterior_idx")
     mask = np.ones(observed.matrix.shape, dtype=bool) if entry_mask is None \
         else np.asarray(entry_mask, dtype=bool)
-    q_int, hist, conv, resid, lam = _gauss_newton(
-        grid, fp, cfg, E, E, observed.matrix.reshape(-1), mask.reshape(-1), None)
+    q_int, fit = _gauss_newton(grid, fp, cfg, E, E, observed.matrix, mask,
+                               None)
     q_full = np.zeros(grid.N)
     q_full[grid.interior_idx] = q_int
-    return Potential(q_full, interior_supported=True), hist, conv, resid, lam
+    return Potential(q_full, interior_supported=True), fit
 
 
 def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
@@ -194,8 +326,7 @@ def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
     default uses all of them, which is appropriate for Schroedinger data.
     """
     cfg = cfg or InversionConfig()
-    pot, _, _, _, _ = _recover_potential_details(observed, grid, fp, cfg, entry_mask)
-    return pot
+    return _recover_potential_details(observed, grid, fp, cfg, entry_mask)[0]
 
 
 def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
@@ -224,22 +355,15 @@ def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,
     """
     cfg = cfg or InversionConfig()
     offdiag = ~np.eye(observed.matrix.shape[0], dtype=bool)
-    pot, hist, conv, resid, lam = _recover_potential_details(
-        observed, grid, fp, cfg, entry_mask=offdiag)
+    pot, fit = _recover_potential_details(observed, grid, fp, cfg,
+                                          entry_mask=offdiag)
     m = recover_m_from_q(pot, grid, fp)
     if np.min(1.0 + m) <= 0.0:
         raise ReconstructionError(
             "reconstruct_gamma: recovered 1 + m is not positive; "
             "gamma would violate its lower bound")
     gamma = Conductivity.from_m(grid, m)
-    return InversionReport(
-        q=pot, m=m, gamma=gamma,
-        residual_history=hist,
-        converged=conv,
-        data_residual=resid,
-        lambda_used=lam,
-        message="ok" if conv else "max_iter or damping floor reached",
-    )
+    return InversionReport(q=pot, m=m, gamma=gamma, **fit)
 
 
 def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
@@ -277,9 +401,8 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     p2 = np.argsort(W2)
     W1, g_W1 = W1[p1], g_W1[p1]
     W2, observed = W2[p2], observed[p2]
-    mask = np.ones(W2.size, dtype=bool)
-    q_int, hist, conv, resid, lam = _gauss_newton(
-        grid, fp, cfg, W1, W2, observed, mask, g_W1)
+    q_int, fit = _gauss_newton(grid, fp, cfg, W1, W2, observed[:, None],
+                               np.ones((W2.size, 1), dtype=bool), g_W1)
     q_full = np.zeros(grid.N)
     q_full[grid.interior_idx] = q_int
     pot = Potential(q_full, interior_supported=True)
@@ -289,9 +412,4 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     except SolverError:
         m = np.full(grid.N, np.nan)
         gamma = None
-    return InversionReport(
-        q=pot, m=m, gamma=gamma,
-        residual_history=hist, converged=conv,
-        data_residual=resid, lambda_used=lam,
-        message="ok" if conv else "residual floor not reached",
-    )
+    return InversionReport(q=pot, m=m, gamma=gamma, **fit)

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .core import FracParams, Grid
 from .operators import Conductivity
@@ -204,6 +202,9 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     lattice_residual = float(np.max(np.abs(dq - lattice_form)))
 
     # continuum reference on interior sites
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
     S = full_weight_sum(wp.s)
     spline_u = CubicSpline(x, u, extrapolate=False)
     spline_g = CubicSpline(x, wp.gamma_sqrt, extrapolate=False)

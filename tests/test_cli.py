@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,10 +89,65 @@ class TestDnInvertRoundTrip:
         assert checks["recovery_error"]["value"] <= 0.01
         assert checks["monotone_residuals"]["pass"]
 
+    def test_stop_reason_and_iteration_log(self, tmp_path):
+        cfg = write_cfg(tmp_path, "dn.json")
+        dn_out = tmp_path / "dn"
+        assert run(["dn", "--config", cfg, "--out", str(dn_out)]) == 0
+        inv_cfg = write_cfg(
+            tmp_path, "inv.json", gamma={"profile": "constant"},
+            task={"observed_dn": str(dn_out / "dn_matrix.csv"), "max_iter": 2})
+        inv_out = tmp_path / "inv"
+        assert run(["invert", "--config", inv_cfg, "--out", str(inv_out)]) == 4
+        man = manifest(inv_out)
+        assert man["diagnostics"]["stop_reason"] == "max_iter"
+        assert not man["checks"]["converged"]["pass"]
+        log = inv_out / "iterations.csv"
+        assert log.read_text().splitlines()[0] == (
+            "iteration,residual,step_length,trials,lambda,objective,"
+            "data_residual")
+        tab = np.loadtxt(log, delimiter=",", skiprows=1)
+        assert tab.shape == (3, 7)
+        assert np.array_equal(tab[:, 0], [0.0, 1.0, 2.0])
+        assert np.allclose(tab[:, 1] ** 2, tab[:, 5], rtol=1e-14)
+        assert tab[0, 2] == 0.0 and np.all(tab[1:, 3] >= 1)
+
     def test_missing_observed_file_exit_3(self, tmp_path):
         cfg = write_cfg(tmp_path, "inv.json",
                         task={"observed_dn": "nonexistent/dn.csv"})
         assert run(["invert", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+class TestThreadsFlag:
+    def test_manifest_records_whether_cap_applied(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out),
+                    "--threads", "1"]) == 0
+        man = manifest(out)
+        have = importlib.util.find_spec("threadpoolctl") is not None
+        assert man["diagnostics"]["threads"] == {"requested": 1,
+                                                 "applied": have}
+        assert "threads" not in man["checks"]
+
+    def test_no_flag_no_record(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 0
+        assert "threads" not in manifest(out)["diagnostics"]
+
+
+def test_cli_import_leaves_quadrature_modules_unloaded():
+    # the continuum reference's scipy modules load only when used
+    import fraccond
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraccond.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, fraccond.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestReduceCommand:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +17,8 @@ from fraccond.inverse import (
     InversionConfig,
     ReconstructionError,
     _forward_and_jacobian,
+    _NormalEquations,
+    _SchrodingerData,
     reconstruct_gamma,
     recover_m_from_q,
     recover_potential_full,
@@ -323,3 +327,123 @@ class TestSingleMeasurement:
         with pytest.raises(ValueError):
             single_measurement_fit(np.zeros(g.N), np.zeros(W2.size),
                                    W1, W2, g, fp)
+
+
+class TestStructuredNormalEquations:
+    """The Gram J^T J and gradient J^T r contracted from the solution blocks
+    against the dense Jacobian tensor of _forward_and_jacobian."""
+
+    @staticmethod
+    def setup(W1, W2, mask, g_W1=None):
+        g = Grid(L=1.0, N=32, a=-0.2, b=0.2)
+        fp = FracParams(0.5)
+        nI = g.interior_idx.size
+        rng = np.random.default_rng(1)
+        q0 = 0.3 * rng.standard_normal(nI)
+        data = _SchrodingerData(g, fp, W1, W2, g_W1)
+        M, U, lu = data.evaluate(q0)
+        V = data.observation_block(U, lu)
+        R = np.where(mask, rng.standard_normal(M.shape), 0.0)
+        ne = _NormalEquations(V, U, R, np.nonzero(~mask), data.h)
+        _, J = _forward_and_jacobian(g, fp, q0, W1, W2, g_W1)
+        Jm = J.reshape(-1, nI)[mask.reshape(-1)]
+        return ne, Jm, R[mask], q0
+
+    @staticmethod
+    def masks(shape):
+        rng = np.random.default_rng(5)
+        yield np.ones(shape, dtype=bool)
+        if shape[0] == shape[1]:
+            yield ~np.eye(shape[0], dtype=bool)
+        yield rng.random(shape) < 0.6
+
+    @pytest.mark.parametrize("sets", ["same", "distinct"])
+    def test_gram_and_gradient_match_dense(self, sets):
+        E = Grid(L=1.0, N=32, a=-0.2, b=0.2).exterior_idx
+        W1, W2 = (E, E) if sets == "same" else (E[:9], E[-12:])
+        for mask in self.masks((W2.size, W1.size)):
+            ne, Jm, r, _ = self.setup(W1, W2, mask)
+            G_ref = Jm.T @ Jm
+            g_ref = Jm.T @ r
+            assert np.linalg.norm(ne.G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
+            assert np.linalg.norm(ne.g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+    def test_single_source_matches_dense(self):
+        E = Grid(L=1.0, N=32, a=-0.2, b=0.2).exterior_idx
+        W1, W2 = E[:9], E[-12:]
+        g_W1 = np.linspace(0.5, 1.5, W1.size)
+        ne, Jm, r, _ = self.setup(W1, W2, np.ones((W2.size, 1), dtype=bool),
+                                  g_W1)
+        G_ref = Jm.T @ Jm
+        assert np.linalg.norm(ne.G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
+        assert np.linalg.norm(ne.g - Jm.T @ r) <= 1e-12 * np.linalg.norm(Jm.T @ r)
+
+    def test_jacobian_products_match_dense(self):
+        E = Grid(L=1.0, N=32, a=-0.2, b=0.2).exterior_idx
+        mask = ~np.eye(E.size, dtype=bool)
+        ne, Jm, r, q0 = self.setup(E, E, mask)
+        Jd = ne.j(q0)
+        assert np.all(Jd[~mask] == 0.0)
+        ref = Jm @ q0
+        assert np.linalg.norm(Jd[mask] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("reg", [1e-12, 1e-6])
+    def test_step_matches_stacked_least_squares(self, reg):
+        E = Grid(L=1.0, N=32, a=-0.2, b=0.2).exterior_idx
+        ne, Jm, r, q0 = self.setup(E, E, ~np.eye(E.size, dtype=bool))
+        lam = reg * np.linalg.norm(Jm, 2) ** 2
+        nI = q0.size
+        stack = np.vstack([Jm, np.sqrt(lam) * np.eye(nI)])
+        rhs = np.concatenate([-r, -np.sqrt(lam) * q0])
+        ref = np.linalg.lstsq(stack, rhs, rcond=None)[0]
+        # the unrefined normal-equations step is off by ~2e-9 here
+        step = ne.step(q0, lam)
+        assert np.linalg.norm(step - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+class TestInversionReportDiagnostics:
+    def bump_data(self, N=64):
+        g = inverse_grid(N)
+        fp = FracParams(0.5)
+        E = g.exterior_idx
+        return assemble_dn(g, fp, bump_gamma(g), E, E), g, fp
+
+    def test_converged_iterations_recorded(self):
+        observed, g, fp = self.bump_data()
+        rep = reconstruct_gamma(observed, g, fp)
+        assert rep.stop_reason == "converged" and rep.converged
+        its = rep.iterations
+        assert len(its) == len(rep.residual_history) >= 2
+        assert its[0].step_length == 0.0 and its[0].trials == 0
+        assert all(0.0 < it.step_length <= 1.0 and it.trials >= 1
+                   for it in its[1:])
+        assert np.allclose(np.sqrt([it.objective for it in its]),
+                           rep.residual_history, rtol=1e-15, atol=0.0)
+        assert its[-1].data_residual == rep.data_residual < 1e-9
+
+    def test_max_iter(self):
+        observed, g, fp = self.bump_data()
+        rep = reconstruct_gamma(observed, g, fp, InversionConfig(max_iter=1))
+        assert rep.stop_reason == "max_iter" and not rep.converged
+        assert len(rep.iterations) == 2
+
+    def test_damping_floor(self, monkeypatch):
+        # an ascent direction: no trial step decreases the objective
+        observed, g, fp = self.bump_data()
+        monkeypatch.setattr(_NormalEquations, "step",
+                            lambda self, q, lam: self.g + lam * q)
+        rep = reconstruct_gamma(observed, g, fp)
+        assert rep.stop_reason == "damping_floor" and not rep.converged
+        assert len(rep.iterations) == 1
+
+    def test_memory_stays_below_jacobian_tensor(self):
+        # the dense Jacobian tensor alone is |E|^2 |I| doubles = 14 MB here
+        observed, g, fp = self.bump_data(N=256)
+        tracemalloc.start()
+        try:
+            rep = reconstruct_gamma(observed, g, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.gamma is not None
+        assert peak < 10e6, peak / 1e6
