@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import FracParams, Grid
+from .core import S_MAX, S_MIN, FracParams, Grid
 from .forward import (
     SolverError,
     assemble_dn,
@@ -116,10 +116,23 @@ def build_grid(cfg: dict) -> Grid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
+def _check_order(value, where: str) -> float:
+    """A fractional order from the config, rejected unless it is a number
+    in the range the operators support."""
+    try:
+        s = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}={value!r} is not a number") from None
+    if not S_MIN <= s <= S_MAX:
+        raise ConfigError(f"{where}={s} outside [{S_MIN}, {S_MAX}]")
+    return s
+
+
 def build_frac(cfg: dict) -> FracParams:
     fblock = cfg["frac"]
     try:
-        return FracParams(float(fblock["s"]), int(fblock.get("n", 1)))
+        s = _check_order(fblock["s"], "frac.s")
+        return FracParams(s, int(fblock.get("n", 1)))
     except KeyError as exc:
         raise ConfigError(f"frac block missing key {exc}") from exc
     except ValueError as exc:
@@ -385,14 +398,15 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
 def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
     task = cfg.get("task", {})
     study = task.get("study", "all")
-    s_list = [float(s) for s in task.get("s_list", [0.6, 0.8, 0.9, 0.95])]
+    s_list = [_check_order(s, "task.s_list entry")
+              for s in task.get("s_list", [0.6, 0.8, 0.9, 0.95])]
     if study not in ("grad", "bilinear", "operator", "decay", "all"):
         raise ConfigError("task.study must be grad|bilinear|operator|decay|all")
     files, checks = [], {}
     u_fn = gaussian(0.0, 1.0)
     m_fn = bump_m(0.3, 0.0, (grid.b - grid.a) / 2.0)
 
-    def dump(name, st):
+    def write_study(name, st):
         files.append(_write_csv(
             os.path.join(outdir, f"limit_{name}.csv"),
             "s,value,reference,gap,n_used,converged",
@@ -400,6 +414,9 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
              [r.reference for r in st.rows], [r.gap for r in st.rows],
              [float(r.n_used) for r in st.rows],
              [float(r.converged) for r in st.rows])))
+
+    def dump(name, st):
+        write_study(name, st)
         gaps = st.gaps()
         mono = all(a >= b for a, b in zip(gaps, gaps[1:]))
         checks[f"{name}_gap_monotone"] = {
@@ -414,15 +431,8 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
                                   L=grid.L, omega=(grid.a, grid.b))
         dump("bilinear", st)
     if study in ("operator", "all"):
-        st = operator_limit_check(m_fn, u_fn, s_list, L=grid.L,
-                                  omega=(grid.a, grid.b))
-        files.append(_write_csv(
-            os.path.join(outdir, "limit_operator.csv"),
-            "s,value,reference,gap,n_used,converged",
-            ([r.s for r in st.rows], [r.value for r in st.rows],
-             [r.reference for r in st.rows], [r.gap for r in st.rows],
-             [float(r.n_used) for r in st.rows],
-             [float(r.converged) for r in st.rows])))
+        write_study("operator", operator_limit_check(
+            m_fn, u_fn, s_list, L=grid.L, omega=(grid.a, grid.b)))
     if study in ("decay", "all"):
         ub = bump_m(1.0, grid.L / 20.0, grid.L / 3.0)
 

@@ -25,7 +25,8 @@ import numpy as np
 logger = logging.getLogger("fraccond")
 
 # fractional orders outside this range produce degenerate kernels; operator
-# assembly clamps into it (with a log message) rather than failing
+# assembly and bilinear_form clamp into it (with a log message), and the CLI
+# rejects a config order outside it
 S_MIN = 0.05
 S_MAX = 0.99
 
@@ -128,15 +129,6 @@ class Grid:
         nodes.setflags(write=False)
         interior.setflags(write=False)
         exterior.setflags(write=False)
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        m = np.zeros(self.N, dtype=bool)
-        m[self.interior_idx] = True
-        return m
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.N)
 
 
 def kernel_weight(grid: Grid, fp: FracParams, i: int, j: int) -> float:

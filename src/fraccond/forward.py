@@ -6,6 +6,12 @@ the DN pairing is independent of that choice and the tests assert it.
 DN matrix entries carry the h^n node-pairing weight, i.e. entry (l, k) is
 the bilinear form of the solution for the unit source at node k against the
 unit observation field at node l.
+
+The reduction checks (verify_reduction, dn_gap) build the kernel matrix once
+per call and derive both the conductivity matrix and (-Delta)^s from it.
+verify_reduction compares the two sides of the identity on the interior
+rows only; dn_gap evaluates each DN pairing <Lambda f, v> from one interior
+LU and one solve instead of assembling a DN matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import FracParams, Grid
+from .core import FracParams, Grid, kernel_matrix, tail_vector
 from .operators import (
     Conductivity,
     NonlocalOperator,
+    _from_kernel,
     assemble_conductivity,
     assemble_laplacian,
     assemble_schrodinger,
@@ -90,9 +97,6 @@ class Potential:
 
     values: np.ndarray
     interior_supported: bool = True
-
-    def interior(self, grid: Grid) -> np.ndarray:
-        return self.values[grid.interior_idx]
 
 
 def _check_exterior_support(grid: Grid, v: np.ndarray, name: str) -> np.ndarray:
@@ -190,6 +194,22 @@ def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potenti
     return Potential(q, interior_supported=supported)
 
 
+def _reduction_operators(grid: Grid, fp: FracParams, gamma: Conductivity):
+    """Conductivity matrix C, (-Delta)^s matrix L, the reduced potential q
+    and (-Delta)^s m, all from one kernel assembly.
+
+    C and L are bit-identical to assemble_conductivity and
+    assemble_laplacian, and q to liouville_reduce.
+    """
+    fp = fp.clamped()
+    W = kernel_matrix(grid, fp)
+    tail = tail_vector(grid, fp)
+    L = _from_kernel(W.copy(), tail, 1.0)
+    C = _from_kernel(W, tail, gamma.sqrt)
+    lap_m = L @ gamma.m_values
+    return C, L, -lap_m / gamma.sqrt, lap_m
+
+
 def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity) -> float:
     """Max-norm residual of the matrix identity
 
@@ -197,15 +217,33 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity) -> float:
 
     over interior rows, relative to the scale of C_gamma.  Exact (up to
     roundoff) for the punctured-sum discretization."""
-    C = assemble_conductivity(grid, fp, gamma).matrix
-    L = assemble_laplacian(grid, fp).matrix
-    q = liouville_reduce(grid, fp, gamma).values
+    C, L, q, _ = _reduction_operators(grid, fp, gamma)
     g = gamma.sqrt
-    lhs = C * (1.0 / g)[None, :]
-    rhs = g[:, None] * (L + np.diag(q))
     I = grid.interior_idx
-    scale = np.max(np.abs(C))
-    return float(np.max(np.abs(lhs[I] - rhs[I])) / scale)
+    diff = C[I]
+    diff *= (1.0 / g)[None, :]
+    rhs = L[I]
+    rhs[np.arange(I.size), I] += q[I]
+    rhs *= g[I, None]
+    diff -= rhs
+    scale = max(C.max(), -C.min())
+    return float(np.max(np.abs(diff, out=diff)) / scale)
+
+
+def _dn_pairing(grid: Grid, A: np.ndarray, q_I, f: np.ndarray,
+                v: np.ndarray) -> float:
+    """<Lambda f, v> of the operator A + diag(q_I) (q_I on interior nodes
+    only) for zero-extended exterior data f and v:
+
+        h^n (v_E . (A f)_E + v_E . A_EI u_I),   u_I = -(A_II + diag q_I)^{-1} (A f)_I.
+    """
+    I = grid.interior_idx
+    E = grid.exterior_idx
+    A_II = A[np.ix_(I, I)]
+    A_II[np.diag_indices_from(A_II)] += q_I
+    Af = A @ f
+    u_I = scipy.linalg.lu_solve(factor_interior(A_II, "dn_gap"), -Af[I])
+    return grid.h**grid.n * float(v[E] @ Af[E] + (v @ A)[I] @ u_I)
 
 
 def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
@@ -215,16 +253,16 @@ def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
         left  = <Lambda_q f, v> - <Lambda_gamma f, v>
         right = h^n sum_{exterior} f_i v_i ((-Delta)^s m)_i
 
-    computed independently (two DN assemblies vs the direct exterior sum).
+    computed independently: left from two DN pairings, each with one LU of
+    its operator's interior block and one solve, right from the direct
+    exterior sum.
     """
     f = _check_exterior_support(grid, f, "dn_gap: f")
     v = _check_exterior_support(grid, v, "dn_gap: v")
+    C, L, q, lap_m = _reduction_operators(grid, fp, gamma)
+    I = grid.interior_idx
     E = grid.exterior_idx
-    q = liouville_reduce(grid, fp, gamma).values
-    M_gam = assemble_dn(grid, fp, gamma, E, E)
-    M_q = assemble_dn_schrodinger(grid, fp, q, E, E)
-    left = M_q.pair(f[E], v[E]) - M_gam.pair(f[E], v[E])
-    lap_m = assemble_laplacian(grid, fp).matrix @ gamma.m_values
+    left = _dn_pairing(grid, L, q[I], f, v) - _dn_pairing(grid, C, 0.0, f, v)
     right = grid.h**grid.n * float(np.sum(f[E] * v[E] * lap_m[E]))
     return left, right
 

@@ -88,9 +88,6 @@ class NonlocalOperator:
     grid: Grid
     fp: FracParams
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
 
 @dataclass
 class PairField:
@@ -186,6 +183,21 @@ def frac_divergence_adjoint(grid: Grid, fp: FracParams, v: PairField) -> np.ndar
     return d + tail_vector(grid, fp) * v.edge
 
 
+def _from_kernel(W: np.ndarray, tail: np.ndarray, g) -> np.ndarray:
+    """Turn the kernel matrix W, in place, into the operator matrix with
+
+        A_ij = -g_i W_ij g_j  (i != j),   A_ii = g_i (sum_j W_ij g_j + tail_i).
+
+    g is the nodal gamma^{1/2}, or 1 for (-Delta)^s.  Returns W.
+    """
+    g = np.broadcast_to(np.asarray(g, dtype=float), tail.shape)
+    W *= g[None, :]
+    diag = g * (W.sum(axis=1) + tail)
+    W *= -g[:, None]
+    np.fill_diagonal(W, diag)
+    return W
+
+
 def assemble_laplacian(grid: Grid, fp: FracParams) -> NonlocalOperator:
     """Dense matrix of (-Delta)^s on the truncated window.
 
@@ -194,9 +206,7 @@ def assemble_laplacian(grid: Grid, fp: FracParams) -> NonlocalOperator:
     to the tail term and the matrix is symmetric positive semidefinite.
     """
     fp = fp.clamped()
-    W = kernel_matrix(grid, fp)
-    A = -W
-    np.fill_diagonal(A, W.sum(axis=1) + tail_vector(grid, fp))
+    A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), 1.0)
     return NonlocalOperator(A, "laplacian", grid, fp)
 
 
@@ -208,11 +218,7 @@ def assemble_conductivity(grid: Grid, fp: FracParams, gamma: Conductivity) -> No
     whole row is premultiplied by gamma_i^{1/2}.
     """
     fp = fp.clamped()
-    g = gamma.sqrt
-    Wg = kernel_matrix(grid, fp) * g[None, :]
-    A = -Wg * g[:, None]
-    diag = g * (Wg.sum(axis=1) + tail_vector(grid, fp))
-    np.fill_diagonal(A, diag)
+    A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), gamma.sqrt)
     return NonlocalOperator(A, "conductivity", grid, fp)
 
 
@@ -262,8 +268,10 @@ def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
         + h^n sum_i g_i u_i v_i tail_i,       g = gamma^{1/2},
 
     evaluated as a blocked double sum (independent of the assembled matrix;
-    equals u . A_gamma v under the h^n node pairing exactly).
+    equals u . A_gamma v under the h^n node pairing exactly).  s is clamped
+    into [S_MIN, S_MAX] as in the assembly routines.
     """
+    fp = fp.clamped()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     g = gamma.sqrt

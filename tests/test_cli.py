@@ -221,6 +221,27 @@ class TestLimitsCommand:
         assert manifest(out)["checks"]["grad_gap_monotone"]["pass"]
 
 
+class TestFractionalOrderRange:
+    @pytest.mark.parametrize("command,overrides", [
+        ("forward", {"frac": {"s": 0.995}}),
+        ("forward", {"frac": {"s": 0.01}}),
+        ("limits", {"task": {"study": "grad", "s_list": [0.8, 0.995]}}),
+    ])
+    def test_order_outside_range_exit_2(self, tmp_path, capsys, command,
+                                        overrides):
+        cfg = write_cfg(tmp_path, "c.json", **overrides)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "outside [0.05, 0.99]" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_non_numeric_order_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json",
+                        task={"study": "grad", "s_list": ["abc"]})
+        assert run(["limits", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "is not a number" in capsys.readouterr().err
+
+
 class TestDeterministicReruns:
     @pytest.mark.parametrize("command,extra", [
         ("forward", {"task": {"source": {"type": "gaussian"}}}),

@@ -288,3 +288,91 @@ class TestDnGap:
         left, right = dn_gap(g, fp, Conductivity.constant(g), f, v)
         assert right == 0.0
         assert abs(left) <= 1e-12
+
+
+def reduction_case(N, profile):
+    g = Grid(L=1.0, N=N, a=-0.3, b=0.3)
+    if profile == "constant":
+        return g, Conductivity.constant(g)
+    if profile == "bump":
+        return g, bump_gamma(g)
+    return g, make_conductivity(g, random_admissible_m(seed=N, amplitude=0.3,
+                                                       width=0.25))
+
+
+def gap_data(g):
+    E = g.exterior_idx
+    f = np.zeros(g.N)
+    v = np.zeros(g.N)
+    f[E] = np.exp(-((g.nodes[E] + 0.6) / 0.25) ** 2)
+    v[E] = np.exp(-((g.nodes[E] + 0.4) / 0.33) ** 2)
+    return f, v
+
+
+class TestReductionRoute:
+    """verify_reduction and dn_gap against the dense full-matrix formulas,
+    with one kernel assembly per call and bounded memory."""
+
+    @pytest.mark.parametrize("N", [64, 257])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("profile", ["constant", "bump", "random"])
+    def test_matches_dense_oracle(self, N, s, profile):
+        g, gam = reduction_case(N, profile)
+        fp = FracParams(s)
+        C = assemble_conductivity(g, fp, gam).matrix
+        L = assemble_laplacian(g, fp).matrix
+        q = liouville_reduce(g, fp, gam).values
+        sq = gam.sqrt
+        I = g.interior_idx
+        lhs = C * (1.0 / sq)[None, :]
+        rhs = sq[:, None] * (L + np.diag(q))
+        dense = float(np.max(np.abs(lhs[I] - rhs[I])) / np.max(np.abs(C)))
+        assert verify_reduction(g, fp, gam) == dense
+
+        f, v = gap_data(g)
+        E = g.exterior_idx
+        oracle = (assemble_dn_schrodinger(g, fp, q, E, E).pair(f[E], v[E])
+                  - assemble_dn(g, fp, gam, E, E).pair(f[E], v[E]))
+        left, right = dn_gap(g, fp, gam, f, v)
+        assert abs(left - oracle) <= 1e-12 * abs(oracle)
+        lap_m = L @ gam.m_values
+        assert right == g.h * float(np.sum(f[E] * v[E] * lap_m[E]))
+
+    def test_one_kernel_assembly_per_call(self, monkeypatch):
+        import fraccond.core
+        import fraccond.forward
+        import fraccond.operators
+
+        calls = []
+        real = fraccond.core.kernel_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (fraccond.core, fraccond.forward, fraccond.operators):
+            monkeypatch.setattr(mod, "kernel_matrix", counting)
+        g, gam = reduction_case(64, "bump")
+        fp = FracParams(0.5)
+        verify_reduction(g, fp, gam)
+        assert len(calls) == 1
+        f, v = gap_data(g)
+        dn_gap(g, fp, gam, f, v)
+        assert len(calls) == 2
+
+    def test_peak_memory_below_three_dense_matrices(self):
+        import tracemalloc
+
+        g, gam = reduction_case(1024, "random")
+        fp = FracParams(0.5)
+        f, v = gap_data(g)
+        limit = 3 * g.N**2 * 8
+        for call in (lambda: verify_reduction(g, fp, gam),
+                     lambda: dn_gap(g, fp, gam, f, v)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit

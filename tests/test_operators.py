@@ -270,6 +270,17 @@ class TestBilinearForm:
                                         * bilinear_form(g, fp, one, w, w))
             assert lhs <= rhs * (1 + 1e-12)
 
+    def test_clamps_order_like_assembly(self):
+        g = small_grid()
+        fp = FracParams(0.995)
+        gam = make_conductivity(g, bump_m(0.3, 0.0, 0.2))
+        C = assemble_conductivity(g, fp, gam).matrix
+        rng = np.random.default_rng(12)
+        u = rng.standard_normal(g.N)
+        v = rng.standard_normal(g.N)
+        assert bilinear_form(g, fp, gam, u, v) == pytest.approx(
+            node_inner(g, u, C @ v), rel=1e-10)
+
     def test_unit_gamma_matches_laplacian_energy(self):
         g = small_grid()
         fp = FracParams(0.5)
