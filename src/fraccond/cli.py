@@ -116,13 +116,19 @@ def build_grid(cfg: dict) -> Grid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
+def _number(value, convert, where: str):
+    """A config value passed through int or float; a value that does not
+    convert is a config error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}={value!r} is not a number") from None
+
+
 def _check_order(value, where: str) -> float:
     """A fractional order from the config, rejected unless it is a number
     in the range the operators support."""
-    try:
-        s = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}={value!r} is not a number") from None
+    s = _number(value, float, where)
     if not S_MIN <= s <= S_MAX:
         raise ConfigError(f"{where}={s} outside [{S_MIN}, {S_MAX}]")
     return s
@@ -224,13 +230,15 @@ def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
     kind = src.get("type", "zero")
     g = np.zeros(grid.N)
     if kind == "unit":
-        node = int(src.get("node", grid.exterior_idx[0]))
+        node = _number(src.get("node", grid.exterior_idx[0]), int,
+                       "task.source.node")
         if node not in grid.exterior_idx:
             raise ConfigError("task.source.node must be an exterior node index")
         g[node] = 1.0
     elif kind == "gaussian":
-        prof = gaussian(float(src.get("center", -0.75 * grid.L)),
-                        float(src.get("width", grid.L / 10.0)))
+        prof = gaussian(
+            _number(src.get("center", -0.75 * grid.L), float, "task.source.center"),
+            _number(src.get("width", grid.L / 10.0), float, "task.source.width"))
         g[grid.exterior_idx] = prof(grid.nodes[grid.exterior_idx])
     elif kind != "zero":
         raise ConfigError("task.source.type must be zero | unit | gaussian")
@@ -298,6 +306,15 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
     obs_path = task.get("observed_dn")
     if obs_path is None:
         raise ConfigError("task.observed_dn is required for invert")
+    settings = {key: _number(task.get(key, default), convert, f"task.{key}")
+                for key, convert, default in (("reg_lambda", float, 1e-12),
+                                              ("max_iter", int, 40),
+                                              ("tol", float, 1e-9),
+                                              ("step_damping", float, 0.5))}
+    try:
+        inv_cfg = InversionConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     matrix = _read_csv(obs_path)
     E = grid.exterior_idx
     if matrix.shape != (E.size, E.size):
@@ -306,12 +323,6 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
     from .forward import DnMatrix
 
     observed = DnMatrix(E, E, matrix)
-    inv_cfg = InversionConfig(
-        reg_lambda=float(task.get("reg_lambda", 1e-12)),
-        max_iter=int(task.get("max_iter", 40)),
-        tol=float(task.get("tol", 1e-9)),
-        step_damping=float(task.get("step_damping", 0.5)),
-    )
     report = reconstruct_gamma(observed, grid, fp, inv_cfg)
     its = report.iterations
     files = [
@@ -353,11 +364,16 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
 def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
     task = cfg.get("task", {})
     K = task.get("K")
-    wp = WalkParams.from_grid(grid, fp, gamma, None if K is None else int(K))
-    steps = int(task.get("steps", 10))
-    particles = int(task.get("particles", 100_000))
+    K = None if K is None else _number(K, int, "task.K")
+    try:
+        wp = WalkParams.from_grid(grid, fp, gamma, K)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    steps = _number(task.get("steps", 10), int, "task.steps")
+    particles = _number(task.get("particles", 100_000), int, "task.particles")
     init = task.get("initial_site", "center")
-    site = grid.N // 2 if init == "center" else int(init)
+    site = grid.N // 2 if init == "center" else _number(init, int,
+                                                          "task.initial_site")
     if not 0 <= site < grid.N:
         raise ConfigError("task.initial_site outside the lattice")
     ens = Ensemble.point_source(particles, site, rng_seed=seed)
@@ -488,7 +504,8 @@ def run(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         grid = build_grid(cfg)
         fp = build_frac(cfg)
-        seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
+        seed = (_number(cfg.get("seed", 0), int, "seed") if args.seed is None
+                else args.seed)
         gamma = build_gamma(cfg, grid, seed)
         outdir = args.out or cfg.get("output_dir", ".")
     except FileNotFoundError as exc:

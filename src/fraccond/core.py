@@ -139,13 +139,22 @@ def kernel_weight(grid: Grid, fp: FracParams, i: int, j: int) -> float:
     return fp.cns * grid.h**grid.n / d ** (grid.n + 2.0 * fp.s)
 
 
+def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
+                            hi: int | None = None) -> np.ndarray:
+    """|x_i - x_j|^(-p) for the rows lo <= i < hi and every j, zero where i == j."""
+    hi = x.size if hi is None else hi
+    d = np.abs(x[lo:hi, None] - x[None, :])
+    diag = (np.arange(hi - lo), np.arange(lo, hi))
+    d[diag] = 1.0  # placeholder, wiped below
+    K = d**-p
+    K[diag] = 0.0
+    return K
+
+
 def kernel_matrix(grid: Grid, fp: FracParams) -> np.ndarray:
     """Full (N, N) matrix of kernel weights, zero diagonal."""
-    x = grid.nodes
-    d = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(d, 1.0)  # placeholder, wiped below
-    W = fp.cns * grid.h**grid.n * d ** -(grid.n + 2.0 * fp.s)
-    np.fill_diagonal(W, 0.0)
+    W = _inverse_distance_power(grid.nodes, grid.n + 2.0 * fp.s)
+    W *= fp.cns * grid.h**grid.n
     return W
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FracParams, Grid, kernel_matrix, tail_vector
+from .core import (FracParams, Grid, _inverse_distance_power, kernel_matrix,
+                   tail_vector)
 
 EDGE_DECAY_TOL = 1e-12
 
@@ -132,12 +133,7 @@ def delta_diff(u: np.ndarray, i: int, k: int) -> float:
 
 def _halfkernel(grid: Grid, fp: FracParams) -> np.ndarray:
     """|x_i - x_j|^{-n/2 - s} with zero diagonal."""
-    x = grid.nodes
-    d = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(d, 1.0)
-    K = d ** -(grid.n / 2.0 + fp.s)
-    np.fill_diagonal(K, 0.0)
-    return K
+    return _inverse_distance_power(grid.nodes, grid.n / 2.0 + fp.s)
 
 
 def frac_gradient(grid: Grid, fp: FracParams, u: np.ndarray) -> PairField:
@@ -275,15 +271,11 @@ def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     g = gamma.sqrt
-    x = grid.nodes
     p = grid.n + 2.0 * fp.s
     acc = 0.0
     for lo in range(0, grid.N, block):
         hi = min(lo + block, grid.N)
-        d = np.abs(x[lo:hi, None] - x[None, :])
-        d[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        K = d**-p
-        K[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        K = _inverse_distance_power(grid.nodes, p, lo, hi)
         du = u[None, :] - u[lo:hi, None]
         dv = v[None, :] - v[lo:hi, None]
         acc += float(np.sum((g[lo:hi, None] * g[None, :]) * du * dv * K))

@@ -11,7 +11,18 @@ the row-normalized transpose of the incoming kernel:
 
 which coincides with the incoming walk when gamma is constant.  Reads
 beyond the lattice use gamma = 1 and field value 0; particles jumping off
-the lattice are absorbed.
+the lattice are absorbed.  Every lattice quantity is a row sum, or a sum
+grouped by jump target, over one banded (N, 2K) table of a nodal vector's
+values at x_i + hk, 0 < |k| <= K.
+
+Walk-generator identity: with g = gamma^{1/2}, the kernel-matrix
+conductivity operator C_gamma, D_i the incoming row sum and m_off,i the
+jump mass leaving the lattice from site i, the incoming master step P obeys
+
+    tau^{-1} P_ij = -(C_gamma)_ij / (C_{1,s} g_i D_i),   0 < |i - j| <= K,
+    tau^{-1} (P_ii - 1) = -m_off,i / (tau D_i) - sum_{j != i} tau^{-1} P_ij,
+
+exactly; generator_residual checks it against kernel_matrix.
 
 Sign bridge: with this package's positive (-Delta)^s convention, the
 diffusive limit of the difference quotient is  du/dt = -c(x) (C_gamma u);
@@ -26,8 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FracParams, Grid
+from .core import FracParams, Grid, kernel_matrix
 from .operators import Conductivity
 
 
@@ -104,24 +116,26 @@ def truncation_tail_mass(wp: WalkParams) -> float:
     return (S - kept) / S
 
 
-def _gamma_sqrt_extended(wp: WalkParams, pad: int) -> np.ndarray:
-    """gamma^{1/2} padded with the background value 1 on both sides."""
-    return np.concatenate([np.ones(pad), wp.gamma_sqrt, np.ones(pad)])
+def _band(ext: np.ndarray, K: int) -> np.ndarray:
+    """Values at the 2K jump targets of every site: T[i, a] = ext[K + i +
+    offsets[a]], shape (len(ext) - 2K, 2K).  ext is a nodal vector carrying
+    K extra entries beyond each end of the lattice."""
+    return np.delete(sliding_window_view(ext, 2 * K + 1), K, axis=1)
 
 
-def _field_extended(u: np.ndarray, pad: int) -> np.ndarray:
-    return np.concatenate([np.zeros(pad), np.asarray(u, dtype=float), np.zeros(pad)])
+def _by_target(M: np.ndarray, K: int) -> np.ndarray:
+    """Sums of the entries M[i, a] grouped by jump target i + offsets[a],
+    over the sites -K .. N+K-1 (the transpose of a row sum)."""
+    n_ext = M.shape[0] + 2 * K
+    return np.bincount(_band(np.arange(n_ext), K).ravel(), M.ravel(),
+                       minlength=n_ext)
 
 
 def _incoming_numerators(wp: WalkParams) -> tuple[np.ndarray, np.ndarray]:
     """f(x_i, k) = gamma^{1/2}(x_i + hk) |k|^{-n-2s} for all sites, and its
     row sums D(x_i).  Shape (n_sites, 2K)."""
-    N, K = wp.n_sites, wp.K
-    ge = _gamma_sqrt_extended(wp, K)
-    w = wp.offset_weights
-    f = np.empty((N, 2 * K))
-    for a, k in enumerate(wp.offsets):
-        f[:, a] = ge[K + k:K + k + N] * w[a]
+    f = _band(np.pad(wp.gamma_sqrt, wp.K, constant_values=1.0), wp.K)
+    f *= wp.offset_weights
     return f, f.sum(axis=1)
 
 
@@ -145,25 +159,15 @@ def master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (wp.n_sites,):
         raise ValueError("master_step: field length mismatch")
-    N, K = wp.n_sites, wp.K
-    ge = _gamma_sqrt_extended(wp, K)
-    ue = _field_extended(u, K)
-    w = wp.offset_weights
-    numer = np.zeros(N)
-    D = np.zeros(N)
-    for a, k in enumerate(wp.offsets):
-        gseg = ge[K + k:K + k + N] * w[a]
-        numer += gseg * ue[K + k:K + k + N]
-        D += gseg
-    return numer / D
+    f, D = _incoming_numerators(wp)
+    return np.einsum("ia,ia->i", f, _band(np.pad(u, wp.K), wp.K)) / D
 
 
 @dataclass
 class GeneratorResidual:
-    """Sup-norm residuals of the difference quotient against the exact
-    lattice kernel form (1/D normalization carried exactly; zero up to
-    roundoff) and against the continuum kernel integral with the limit
-    normalization 1/(gamma^{1/2}(x) S)."""
+    """Sup-norm residuals of the difference quotient against the
+    walk-generator identity (zero up to roundoff) and against the continuum
+    kernel integral with the limit normalization 1/(gamma^{1/2}(x) S)."""
 
     lattice_residual: float
     continuum_residual: float
@@ -175,9 +179,11 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
                        fp: FracParams) -> GeneratorResidual:
     """Compare (master_step(u) - u)/tau against the generator forms.
 
-    The continuum reference integrates the kernel against cubic-spline
-    interpolants of u and gamma^{1/2} over the physical jump range
-    R = K h, evaluated only at sites farther than R from the lattice edge.
+    The lattice form is the walk-generator identity applied to u, with
+    (C_gamma)_ij = -g_i W_ij g_j from W = kernel_matrix.  The continuum
+    reference integrates the kernel against cubic-spline interpolants of u
+    and gamma^{1/2} over the physical jump range R = K h, evaluated only at
+    sites farther than R from the lattice edge.
     """
     u = np.asarray(u, dtype=float)
     N, K = wp.n_sites, wp.K
@@ -192,13 +198,13 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
 
     dq = (master_step(u, wp) - u) / wp.tau
 
-    # exact lattice identity: dq == h^{-2s} D^{-1} sum_k f(x,k) (u(x+hk) - u(x))
-    ue = _field_extended(u, K)
-    f, D = _incoming_numerators(wp)
-    kern = np.zeros(N)
-    for a, k in enumerate(wp.offsets):
-        kern += f[:, a] * (ue[K + k:K + k + N] - u)
-    lattice_form = kern / D / wp.tau
+    g = wp.gamma_sqrt
+    _, D = _incoming_numerators(wp)
+    m_off = _band(np.pad(np.zeros(N), K, constant_values=1.0), K) @ wp.offset_weights
+    C = -g[:, None] * kernel_matrix(grid, fp) * g[None, :]  # off-diagonal C_gamma
+    C[np.abs(np.subtract.outer(np.arange(N), np.arange(N))) > K] = 0.0
+    flux = np.sum(C * (u[None, :] - u[:, None]), axis=1)
+    lattice_form = -flux / (fp.cns * g * D) - m_off * u / (wp.tau * D)
     lattice_residual = float(np.max(np.abs(dq - lattice_form)))
 
     # continuum reference on interior sites
@@ -242,16 +248,10 @@ def outgoing_table(wp: WalkParams) -> np.ndarray:
     (gamma = 1 extension), so off-lattice mass is genuine absorption.
     For constant gamma the rows reduce to the symmetric incoming weights.
     """
-    N, K = wp.n_sites, wp.K
-    ge2 = _gamma_sqrt_extended(wp, 2 * K)
-    w_all = wp.offset_weights
-    # D at every target site in [-K, N+K)
-    Dext = np.zeros(N + 2 * K)
-    for a, k in enumerate(wp.offsets):
-        Dext += ge2[K + k:K + k + N + 2 * K] * w_all[a]
-    Q = np.empty((N, 2 * K))
-    for a, j in enumerate(wp.offsets):
-        Q[:, a] = w_all[a] / Dext[K + j:K + j + N]
+    K, w = wp.K, wp.offset_weights
+    # D at the sites -K .. N+K-1: gamma^{1/2} - 1 vanishes off the lattice
+    D = w.sum() + _by_target((wp.gamma_sqrt - 1.0)[:, None] * w, K)
+    Q = w / _band(D, K)
     Q /= Q.sum(axis=1)[:, None]
     return Q
 
@@ -264,13 +264,19 @@ def q_master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
     away from the lattice edge.
     """
     u = np.asarray(u, dtype=float)
-    N, K = wp.n_sites, wp.K
-    Q = outgoing_table(wp)
-    out = np.zeros(N)
-    for a, j in enumerate(wp.offsets):
-        lo, hi = max(0, -j), min(N, N - j)  # sources y with y + j in lattice
-        out[lo + j:hi + j] += u[lo:hi] * Q[lo:hi, a]
-    return out
+    return _by_target(u[:, None] * outgoing_table(wp), wp.K)[wp.K:-wp.K]
+
+
+def _site_keys(site: np.ndarray, u: np.ndarray, n_sites: int) -> np.ndarray:
+    """Keys ordering the pairs (site, u), u in [0, 1], exactly against draws
+    d of rng.random, which are multiples of 2^-53: ceil(u 2^53) <= d 2^53
+    iff u <= d.  These 2^53 + 1 integer keys per site fit uint64 below 2048
+    sites; larger lattices use complex keys, sorted lexicographically."""
+    span = 2**53 + 1
+    if n_sites * span < 2**64:
+        return (site.astype(np.uint64) * np.uint64(span)
+                + np.ceil(u * 2.0**53).astype(np.uint64))
+    return site + 1j * u
 
 
 @dataclass
@@ -302,13 +308,15 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     step index), so equal seeds give bit-identical trajectories and
     simulate(simulate(e, a), b) == simulate(e, a + b).
     """
-    N = wp.n_sites
+    N, K = wp.n_sites, wp.K
     if ens.positions.size and (ens.positions.min() < 0 or ens.positions.max() >= N):
         raise ValueError("simulate: particle positions outside the lattice")
-    Q = outgoing_table(wp)
-    cdf = np.cumsum(Q, axis=1)
+    cdf = np.cumsum(outgoing_table(wp), axis=1)
     cdf[:, -1] = 1.0  # guard against roundoff in the last bin
-    offsets = wp.offsets
+    # one search over all rows lands each draw where searchsorted on its
+    # own site's cdf row would
+    keys = _site_keys(np.arange(N)[:, None], cdf, N).ravel()
+    targets = _band(np.arange(-K, N + K), K).ravel()
     pos = ens.positions.copy()
     for step in range(steps):
         if pos.size == 0:
@@ -317,17 +325,7 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
             np.random.SeedSequence(entropy=ens.rng_seed,
                                    spawn_key=(ens.step_count + step,)))
         draws = rng.random(pos.size)
-        order = np.argsort(pos, kind="stable")
-        spos = pos[order]
-        sdraw = draws[order]
-        snew = np.empty_like(spos)
-        sites, starts = np.unique(spos, return_index=True)
-        bounds = np.append(starts, spos.size)
-        for site, lo, hi in zip(sites, bounds[:-1], bounds[1:]):
-            idx = np.searchsorted(cdf[site], sdraw[lo:hi], side="right")
-            snew[lo:hi] = site + offsets[np.minimum(idx, 2 * wp.K - 1)]
-        pos = np.empty_like(snew)
-        pos[order] = snew
+        pos = targets[np.searchsorted(keys, _site_keys(pos, draws, N), side="right")]
         pos = pos[(pos >= 0) & (pos < N)]  # absorb off-lattice jumps
     hist = np.bincount(pos, minlength=N).astype(float) / ens.initial_count
     out = Ensemble(pos, ens.rng_seed, ens.step_count + steps, ens.initial_count)

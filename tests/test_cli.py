@@ -242,6 +242,34 @@ class TestFractionalOrderRange:
         assert "is not a number" in capsys.readouterr().err
 
 
+class TestNumericConfigValues:
+    # invert's observed file does not exist: the task values are checked first
+    INVERT = {"observed_dn": "missing/dn.csv"}
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("forward", {"seed": "x"}),
+        ("walk", {"task": {"steps": "x"}}),
+        ("walk", {"task": {"particles": "x"}}),
+        ("walk", {"task": {"K": "x"}}),
+        ("walk", {"task": {"K": 0}}),
+        ("walk", {"task": {"initial_site": "x"}}),
+        ("invert", {"task": dict(INVERT, reg_lambda="x")}),
+        ("invert", {"task": dict(INVERT, max_iter="x")}),
+        ("invert", {"task": dict(INVERT, max_iter=0)}),
+        ("invert", {"task": dict(INVERT, tol="x")}),
+        ("invert", {"task": dict(INVERT, step_damping="x")}),
+        ("forward", {"task": {"source": {"type": "unit", "node": "x"}}}),
+        ("forward", {"task": {"source": {"type": "gaussian", "center": "x"}}}),
+        ("forward", {"task": {"source": {"type": "gaussian", "width": "x"}}}),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
+        cfg = write_cfg(tmp_path, "c.json", **overrides)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestDeterministicReruns:
     @pytest.mark.parametrize("command,extra", [
         ("forward", {"task": {"source": {"type": "gaussian"}}}),

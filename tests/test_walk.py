@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fraccond.core import FracParams, Grid
-from fraccond.operators import Conductivity
+from fraccond.core import FracParams, Grid, tail_vector
+from fraccond.operators import Conductivity, assemble_conductivity
 from fraccond.profiles import bump_m, make_conductivity
 from fraccond.walk import (
     Ensemble,
@@ -232,3 +232,112 @@ class TestOutgoingAndSimulate:
         for s in (0.5, 0.7, 0.9):
             assert full_weight_sum(s) == pytest.approx(
                 2.0 * float(scipy.special.zeta(1.0 + 2.0 * s)), rel=1e-10)
+
+
+def hand_loop_walk(wp, u):
+    """Offset-by-offset loops over padded vectors: the incoming
+    probabilities, master step, outgoing table and transpose step."""
+    N, K, w = wp.n_sites, wp.K, wp.offset_weights
+    ge = np.concatenate([np.ones(2 * K), wp.gamma_sqrt, np.ones(2 * K)])
+    ue = np.concatenate([np.zeros(K), u, np.zeros(K)])
+    f = np.empty((N, 2 * K))
+    numer = np.zeros(N)
+    for a, k in enumerate(wp.offsets):
+        f[:, a] = ge[2 * K + k:2 * K + k + N] * w[a]
+        numer += f[:, a] * ue[K + k:K + k + N]
+    D = f.sum(axis=1)
+    Dext = np.zeros(N + 2 * K)  # D at the sites -K .. N+K-1
+    for a, k in enumerate(wp.offsets):
+        Dext += ge[K + k:K + k + N + 2 * K] * w[a]
+    Q = np.empty((N, 2 * K))
+    for a, j in enumerate(wp.offsets):
+        Q[:, a] = w[a] / Dext[K + j:K + j + N]
+    Q /= Q.sum(axis=1)[:, None]
+    q = np.zeros(N + 2 * K)
+    for a, j in enumerate(wp.offsets):
+        q[K + j:K + j + N] += u * Q[:, a]
+    return f / D[:, None], numer / D, Q, q[K:K + N]
+
+
+def simulate_per_site(ens, wp, steps):
+    """Reference Monte Carlo route: the particles of each occupied site are
+    searched in that site's cdf row alone."""
+    N = wp.n_sites
+    cdf = np.cumsum(outgoing_table(wp), axis=1)
+    cdf[:, -1] = 1.0
+    pos = ens.positions.copy()
+    for step in range(steps):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=ens.rng_seed,
+                                   spawn_key=(ens.step_count + step,)))
+        draws = rng.random(pos.size)
+        order = np.argsort(pos, kind="stable")
+        spos, sdraw = pos[order], draws[order]
+        snew = np.empty_like(spos)
+        sites, starts = np.unique(spos, return_index=True)
+        bounds = np.append(starts, spos.size)
+        for site, lo, hi in zip(sites, bounds[:-1], bounds[1:]):
+            idx = np.searchsorted(cdf[site], sdraw[lo:hi], side="right")
+            snew[lo:hi] = site + wp.offsets[np.minimum(idx, 2 * wp.K - 1)]
+        pos = np.empty_like(snew)
+        pos[order] = snew
+        pos = pos[(pos >= 0) & (pos < N)]
+    return pos, np.bincount(pos, minlength=N) / ens.initial_count
+
+
+class TestBandedTable:
+    # K > N reads past both lattice ends from every site; N > 2047 takes
+    # the complex search keys
+    CONFIGS = [(513, 16, 0.4), (65, 4, 0.3), (257, 300, 0.3), (2049, 8, 0.3)]
+
+    @pytest.mark.parametrize("N,K,amp", CONFIGS[:3])
+    def test_tables_match_hand_loops(self, N, K, amp):
+        g, fp, gam, wp = walk_setup(N=N, K=K, gamma_amp=amp)
+        u = np.random.default_rng(N).uniform(0.1, 1.0, N)
+        P = np.array([incoming_weights(wp, i)[1] for i in range(N)])
+        got = (P, master_step(u, wp), outgoing_table(wp), q_master_step(u, wp))
+        for name, new, ref in zip(("incoming", "master", "outgoing", "q_master"),
+                                  got, hand_loop_walk(wp, u)):
+            rel = np.max(np.abs(new - ref)) / np.max(np.abs(ref))
+            assert rel <= 1e-14, (name, rel)
+
+    @pytest.mark.parametrize("N,K,amp", CONFIGS)
+    def test_simulate_equals_per_site_search(self, N, K, amp):
+        g, fp, gam, wp = walk_setup(N=N, K=K, gamma_amp=amp)
+        ens = Ensemble.point_source(50_000, N // 2, rng_seed=N + K)
+        out, hist = simulate(ens, wp, 8)
+        pos, ref_hist = simulate_per_site(ens, wp, 8)
+        assert np.array_equal(out.positions, pos)
+        assert np.array_equal(hist, ref_hist)
+
+
+class TestWalkGeneratorIdentity:
+    @pytest.mark.parametrize("N,s", [(65, 0.4), (129, 0.7)])
+    def test_matrix_identity_full_band(self, N, s):
+        # K = N - 1 couples every pair of sites:
+        # (P - I)/tau = -diag(1/(C g D)) (C_gamma - diag(g tail))
+        #               - diag(m_off / (tau D))
+        g, fp, gam, wp = walk_setup(N=N, K=N - 1, s=s, gamma_amp=0.3)
+        P = np.column_stack([master_step(e, wp) for e in np.eye(N)])
+        target = np.arange(N)[:, None] + wp.offsets
+        on = (target >= 0) & (target < N)
+        gs = gam.sqrt
+        D = (np.where(on, gs[np.clip(target, 0, N - 1)], 1.0)
+             * wp.offset_weights).sum(axis=1)
+        m_off = np.where(on, 0.0, wp.offset_weights).sum(axis=1)
+        C = assemble_conductivity(g, fp, gam).matrix
+        lhs = (P - np.eye(N)) / wp.tau
+        rhs = (-(C - np.diag(gs * tail_vector(g, fp))) / (fp.cns * gs * D)[:, None]
+               - np.diag(m_off / (wp.tau * D)))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(lhs))
+
+    def test_lattice_residual_sees_the_operator(self):
+        # the lattice form takes C_gamma from kernel_matrix at fp's order, so
+        # a walk built for another order fails the identity
+        g, fp, gam, wp = walk_setup(N=65, K=8, gamma_amp=0.3)
+        u = np.exp(-2.0 * g.nodes**2)
+        same = generator_residual(u, wp, g, fp).lattice_residual
+        other = generator_residual(u, wp, g, FracParams(0.6)).lattice_residual
+        scale = np.max(np.abs(u)) / wp.tau
+        assert same <= 1e-13 * scale
+        assert other >= 1e-3 * scale
