@@ -11,9 +11,11 @@ the row-normalized transpose of the incoming kernel:
 
 which coincides with the incoming walk when gamma is constant.  Reads
 beyond the lattice use gamma = 1 and field value 0; particles jumping off
-the lattice are absorbed.  Every lattice quantity is a row sum, or a sum
-grouped by jump target, over one banded (N, 2K) table of a nodal vector's
-values at x_i + hk, 0 < |k| <= K.
+the lattice are absorbed.  Every lattice quantity is a weighted sum of a
+padded nodal vector over each site's jump targets x_i + hk, 0 < |k| <= K:
+a correlation with the offset weights, so the master steps need O(N)
+memory.  Only the outgoing kernel that simulate samples is built as a
+banded (N, 2K) table.
 
 Walk-generator identity: with g = gamma^{1/2}, the kernel-matrix
 conductivity operator C_gamma, D_i the incoming row sum and m_off,i the
@@ -123,20 +125,16 @@ def _band(ext: np.ndarray, K: int) -> np.ndarray:
     return np.delete(sliding_window_view(ext, 2 * K + 1), K, axis=1)
 
 
-def _by_target(M: np.ndarray, K: int) -> np.ndarray:
-    """Sums of the entries M[i, a] grouped by jump target i + offsets[a],
-    over the sites -K .. N+K-1 (the transpose of a row sum)."""
-    n_ext = M.shape[0] + 2 * K
-    return np.bincount(_band(np.arange(n_ext), K).ravel(), M.ravel(),
-                       minlength=n_ext)
+def _jump_sum(ext: np.ndarray, wp: WalkParams) -> np.ndarray:
+    """The weighted sums sum_{0<|k|<=K} |k|^{-n-2s} ext[K + i + k], i.e. the
+    row sums of _band(ext, K) * offset_weights, without forming the table."""
+    return np.correlate(ext, np.insert(wp.offset_weights, wp.K, 0.0), "valid")
 
 
-def _incoming_numerators(wp: WalkParams) -> tuple[np.ndarray, np.ndarray]:
-    """f(x_i, k) = gamma^{1/2}(x_i + hk) |k|^{-n-2s} for all sites, and its
-    row sums D(x_i).  Shape (n_sites, 2K)."""
-    f = _band(np.pad(wp.gamma_sqrt, wp.K, constant_values=1.0), wp.K)
-    f *= wp.offset_weights
-    return f, f.sum(axis=1)
+def _outgoing_denominator(wp: WalkParams) -> np.ndarray:
+    """D(t) = sum_{k != 0} gamma^{1/2}(t + hk) |k|^{-n-2s} at the sites
+    t = -K .. N+K-1, with gamma = 1 beyond the lattice."""
+    return _jump_sum(np.pad(wp.gamma_sqrt, 2 * wp.K, constant_values=1.0), wp)
 
 
 def incoming_weights(wp: WalkParams, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,8 +145,10 @@ def incoming_weights(wp: WalkParams, i: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 <= i < wp.n_sites:
         raise ValueError(f"incoming_weights: site {i} outside the lattice")
-    f, D = _incoming_numerators(wp)
-    return wp.offsets.copy(), f[i] / D[i]
+    K = wp.K
+    ge = np.pad(wp.gamma_sqrt, K, constant_values=1.0)
+    f = _band(ge[i:i + 2 * K + 1], K)[0] * wp.offset_weights
+    return wp.offsets.copy(), f / f.sum()
 
 
 def master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
@@ -159,8 +159,8 @@ def master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (wp.n_sites,):
         raise ValueError("master_step: field length mismatch")
-    f, D = _incoming_numerators(wp)
-    return np.einsum("ia,ia->i", f, _band(np.pad(u, wp.K), wp.K)) / D
+    ge = np.pad(wp.gamma_sqrt, wp.K, constant_values=1.0)
+    return _jump_sum(ge * np.pad(u, wp.K), wp) / _jump_sum(ge, wp)
 
 
 @dataclass
@@ -199,10 +199,10 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     dq = (master_step(u, wp) - u) / wp.tau
 
     g = wp.gamma_sqrt
-    _, D = _incoming_numerators(wp)
-    m_off = _band(np.pad(np.zeros(N), K, constant_values=1.0), K) @ wp.offset_weights
-    C = -g[:, None] * kernel_matrix(grid, fp) * g[None, :]  # off-diagonal C_gamma
-    C[np.abs(np.subtract.outer(np.arange(N), np.arange(N))) > K] = 0.0
+    D = _jump_sum(np.pad(g, K, constant_values=1.0), wp)
+    m_off = _jump_sum(np.pad(np.zeros(N), K, constant_values=1.0), wp)
+    # off-diagonal C_gamma within the jump band |i - j| <= K
+    C = np.triu(np.tril(-g[:, None] * kernel_matrix(grid, fp) * g[None, :], K), -K)
     flux = np.sum(C * (u[None, :] - u[:, None]), axis=1)
     lattice_form = -flux / (fp.cns * g * D) - m_off * u / (wp.tau * D)
     lattice_residual = float(np.max(np.abs(dq - lattice_form)))
@@ -248,10 +248,8 @@ def outgoing_table(wp: WalkParams) -> np.ndarray:
     (gamma = 1 extension), so off-lattice mass is genuine absorption.
     For constant gamma the rows reduce to the symmetric incoming weights.
     """
-    K, w = wp.K, wp.offset_weights
-    # D at the sites -K .. N+K-1: gamma^{1/2} - 1 vanishes off the lattice
-    D = w.sum() + _by_target((wp.gamma_sqrt - 1.0)[:, None] * w, K)
-    Q = w / _band(D, K)
+    Q = _band(_outgoing_denominator(wp), wp.K)  # a fresh copy, reused
+    np.divide(wp.offset_weights, Q, out=Q)
     Q /= Q.sum(axis=1)[:, None]
     return Q
 
@@ -261,22 +259,15 @@ def q_master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
 
     This is the deterministic counterpart of the Monte Carlo simulator; it
     coincides with master_step when gamma is constant and the support stays
-    away from the lattice edge.
+    away from the lattice edge.  With Q(y -> y + hk) = |k|^{-n-2s} /
+    (D(y + hk) r(y)) and r the row sums of |k|^{-n-2s} / D(y + hk), this is
+    u'(t) = D(t)^{-1} sum_k |k|^{-n-2s} (u / r)(t - hk), table-free.
     """
     u = np.asarray(u, dtype=float)
-    return _by_target(u[:, None] * outgoing_table(wp), wp.K)[wp.K:-wp.K]
-
-
-def _site_keys(site: np.ndarray, u: np.ndarray, n_sites: int) -> np.ndarray:
-    """Keys ordering the pairs (site, u), u in [0, 1], exactly against draws
-    d of rng.random, which are multiples of 2^-53: ceil(u 2^53) <= d 2^53
-    iff u <= d.  These 2^53 + 1 integer keys per site fit uint64 below 2048
-    sites; larger lattices use complex keys, sorted lexicographically."""
-    span = 2**53 + 1
-    if n_sites * span < 2**64:
-        return (site.astype(np.uint64) * np.uint64(span)
-                + np.ceil(u * 2.0**53).astype(np.uint64))
-    return site + 1j * u
+    K, N = wp.K, wp.n_sites
+    D = _outgoing_denominator(wp)
+    r = _jump_sum(1.0 / D, wp)
+    return _jump_sum(np.pad(u / r, K), wp) / D[K:K + N]
 
 
 @dataclass
@@ -311,11 +302,14 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     N, K = wp.n_sites, wp.K
     if ens.positions.size and (ens.positions.min() < 0 or ens.positions.max() >= N):
         raise ValueError("simulate: particle positions outside the lattice")
+    # complex keys sort lexicographically as (site, cdf), so one search over
+    # all rows lands each draw where searchsorted on its own site's row would
     cdf = np.cumsum(outgoing_table(wp), axis=1)
     cdf[:, -1] = 1.0  # guard against roundoff in the last bin
-    # one search over all rows lands each draw where searchsorted on its
-    # own site's cdf row would
-    keys = _site_keys(np.arange(N)[:, None], cdf, N).ravel()
+    keys = np.empty((N, 2 * K), dtype=complex)
+    keys.real, keys.imag = np.arange(N)[:, None], cdf
+    keys = keys.ravel()
+    del cdf
     targets = _band(np.arange(-K, N + K), K).ravel()
     pos = ens.positions.copy()
     for step in range(steps):
@@ -325,7 +319,7 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
             np.random.SeedSequence(entropy=ens.rng_seed,
                                    spawn_key=(ens.step_count + step,)))
         draws = rng.random(pos.size)
-        pos = targets[np.searchsorted(keys, _site_keys(pos, draws, N), side="right")]
+        pos = targets[np.searchsorted(keys, pos + 1j * draws, side="right")]
         pos = pos[(pos >= 0) & (pos < N)]  # absorb off-lattice jumps
     hist = np.bincount(pos, minlength=N).astype(float) / ens.initial_count
     out = Ensemble(pos, ens.rng_seed, ens.step_count + steps, ens.initial_count)
