@@ -236,9 +236,13 @@ def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
             raise ConfigError("task.source.node must be an exterior node index")
         g[node] = 1.0
     elif kind == "gaussian":
-        prof = gaussian(
-            _number(src.get("center", -0.75 * grid.L), float, "task.source.center"),
-            _number(src.get("width", grid.L / 10.0), float, "task.source.width"))
+        center = _number(src.get("center", -0.75 * grid.L), float,
+                         "task.source.center")
+        width = _number(src.get("width", grid.L / 10.0), float,
+                        "task.source.width")
+        if not width > 0:
+            raise ConfigError(f"task.source.width={width} must be > 0")
+        prof = gaussian(center, width)
         g[grid.exterior_idx] = prof(grid.nodes[grid.exterior_idx])
     elif kind != "zero":
         raise ConfigError("task.source.type must be zero | unit | gaussian")
@@ -371,6 +375,10 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
         raise ConfigError(str(exc)) from None
     steps = _number(task.get("steps", 10), int, "task.steps")
     particles = _number(task.get("particles", 100_000), int, "task.particles")
+    if steps < 0:
+        raise ConfigError(f"task.steps={steps} must be >= 0")
+    if particles < 1:
+        raise ConfigError(f"task.particles={particles} must be >= 1")
     init = task.get("initial_site", "center")
     site = grid.N // 2 if init == "center" else _number(init, int,
                                                           "task.initial_site")

@@ -66,8 +66,8 @@ class FracParams:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"FracParams: s={self.s} outside (0, 1)")
-        if self.n < 1:
-            raise ValueError(f"FracParams: n={self.n} must be >= 1")
+        if self.n != 1:
+            raise ValueError("FracParams: only n = 1 is supported")
         object.__setattr__(self, "cns", cns(self.n, self.s))
 
     def clamped(self) -> "FracParams":

@@ -7,6 +7,10 @@ DN matrix entries carry the h^n node-pairing weight, i.e. entry (l, k) is
 the bilinear form of the solution for the unit source at node k against the
 unit observation field at node l.
 
+Every DN matrix, and the inversion's forward map, comes from one evaluator
+(_DnEvaluator): it slices an operator's blocks once and returns
+h^n (A_W2,W1 + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
+
 The reduction checks (verify_reduction, dn_gap) build the kernel matrix once
 per call and derive both the conductivity matrix and (-Delta)^s from it.
 verify_reduction compares the two sides of the identity on the interior
@@ -28,7 +32,6 @@ from .operators import (
     _from_kernel,
     assemble_conductivity,
     assemble_laplacian,
-    assemble_schrodinger,
 )
 
 
@@ -130,15 +133,59 @@ def solve_dirichlet(op: NonlocalOperator, g: np.ndarray,
     return u
 
 
-def _operator_for(grid: Grid, fp: FracParams, gamma: Conductivity | None,
-                  q: np.ndarray | None) -> NonlocalOperator:
-    if gamma is not None and q is not None:
-        raise ValueError("pass either a conductivity or a potential, not both")
-    if q is not None:
-        return assemble_schrodinger(grid, fp, q)
-    if gamma is not None:
-        return assemble_conductivity(grid, fp, gamma)
-    return assemble_laplacian(grid, fp)
+class _DnEvaluator:
+    """DN data of A + diag(q) on fixed exterior source and observation sets,
+    as a function of the interior potential q.
+
+    A is a symmetric operator matrix ((-Delta)^s, the conductivity
+    operator); its blocks are sliced once.  An evaluation adds diag(q) to a
+    copy of the interior block and LU-factors that.  With unit sources (g_W1
+    None) the data is the (|W2|, |W1|) DN matrix; with a fixed source g on
+    W1 it is the (|W2|, 1) response column, i.e. the same map with the one
+    source g @ e_W1.  `context` names the caller in a SolverError.
+    """
+
+    def __init__(self, grid: Grid, A: np.ndarray, W1: np.ndarray,
+                 W2: np.ndarray, g_W1: np.ndarray | None = None,
+                 context: str = "assemble_dn"):
+        W1 = np.asarray(W1, dtype=int)
+        W2 = np.asarray(W2, dtype=int)
+        for W, nm in ((W1, "W1"), (W2, "W2")):
+            if not np.all(np.isin(W, grid.exterior_idx)):
+                raise ValueError(f"DN map: {nm} must be a subset of exterior_idx")
+        I = grid.interior_idx
+        self.W1, self.W2, self.context = W1, W2, context
+        self.h = grid.h**grid.n
+        self.A_II = A[np.ix_(I, I)]
+        self.A_W2I = A[np.ix_(W2, I)]
+        S = A[np.ix_(I, W1)]
+        self.D = A[np.ix_(W2, W1)]
+        if g_W1 is not None:
+            S = (S @ g_W1)[:, None]
+            self.D = (self.D @ g_W1)[:, None]
+        self.neg_S = np.asfortranarray(-S)
+        self.same = g_W1 is None and np.array_equal(W1, W2)
+
+    def evaluate(self, q_int):
+        """DN data M, the source solution block U = A_II^-1 (-A_I,W1) and
+        the LU factors of A_II + diag(q)."""
+        A_II = self.A_II.copy()
+        A_II[np.diag_indices_from(A_II)] += q_int
+        lu = factor_interior(A_II, self.context)
+        U = scipy.linalg.lu_solve(lu, self.neg_S)
+        M = self.A_W2I @ U
+        M += self.D
+        M *= self.h
+        return M, U, lu
+
+    def observation_block(self, U: np.ndarray, lu) -> np.ndarray:
+        """V = A_II^-1 (-A_I,W2), from the factors evaluate() returned
+        (A is symmetric, so A_I,W2 = A_W2,I^T)."""
+        return U if self.same else scipy.linalg.lu_solve(lu, -self.A_W2I.T)
+
+    def dn_matrix(self, q_int) -> DnMatrix:
+        """The DN matrix of A + diag(q) for unit sources on W1."""
+        return DnMatrix(self.W1, self.W2, self.evaluate(q_int)[0])
 
 
 def dn_from_operator(op: NonlocalOperator, W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
@@ -148,34 +195,21 @@ def dn_from_operator(op: NonlocalOperator, W1: np.ndarray, W2: np.ndarray) -> Dn
     node k, then entry (l, k) = h^n * (A u_k)_l for l in W2, which equals
     the bilinear pairing of u_k against the unit observation field.
     """
-    grid = op.grid
-    W1 = np.asarray(W1, dtype=int)
-    W2 = np.asarray(W2, dtype=int)
-    ext = set(grid.exterior_idx.tolist())
-    for W, nm in ((W1, "W1"), (W2, "W2")):
-        if not set(W.tolist()) <= ext:
-            raise ValueError(f"assemble_dn: {nm} must be a subset of exterior_idx")
-    I = grid.interior_idx
-    E = grid.exterior_idx
-    A = op.matrix
-    lu, piv = factor_interior(A[np.ix_(I, I)], "assemble_dn")
-    # all W1 columns at once: U_I = -A_II^{-1} A_I,W1
-    U_I = scipy.linalg.lu_solve((lu, piv), -A[np.ix_(I, W1)])
-    # (A u_k)_l = A_l,W1[:, k] (exterior datum part) + A_l,I U_I[:, k]
-    M = A[np.ix_(W2, W1)] + A[np.ix_(W2, I)] @ U_I
-    return DnMatrix(W1, W2, grid.h**grid.n * M)
+    return _DnEvaluator(op.grid, op.matrix, W1, W2).dn_matrix(0.0)
 
 
 def assemble_dn(grid: Grid, fp: FracParams, gamma: Conductivity,
                 W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
     """DN matrix of the conductivity operator."""
-    return dn_from_operator(_operator_for(grid, fp, gamma, None), W1, W2)
+    return dn_from_operator(assemble_conductivity(grid, fp, gamma), W1, W2)
 
 
 def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
                             W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
     """DN matrix of (-Delta)^s + q (potential restricted to omega)."""
-    return dn_from_operator(_operator_for(grid, fp, None, q), W1, W2)
+    lap = assemble_laplacian(grid, fp).matrix
+    q_int = np.asarray(q, dtype=float)[grid.interior_idx]
+    return _DnEvaluator(grid, lap, W1, W2).dn_matrix(q_int)
 
 
 def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potential:

@@ -8,6 +8,10 @@ with Tikhonov weight; (2) solve the linear Dirichlet problem
 
 and set gamma = (1 + m)^2.
 
+The forward map q -> Schroedinger DN data is forward._DnEvaluator on the
+Laplacian, assembled once per inversion; an evaluation only adds diag(q)
+to the interior block and LU-factors it.
+
 The Jacobian of the DN data in the interior q values is the Khatri-Rao
 product J[l, k, i] = h U[i, k] V[i, l] of the interior solution blocks for
 the sources (U) and the observations (V).  The Gauss-Newton normal matrix
@@ -30,10 +34,12 @@ import numpy as np
 import scipy.linalg
 
 from .core import FracParams, Grid
-from .forward import DnMatrix, Potential, SolverError, factor_interior
-from .operators import Conductivity, assemble_laplacian, assemble_schrodinger
+from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
+                      factor_interior)
+from .operators import Conductivity, assemble_laplacian
 
 DAMPING_FLOOR = 1e-8
+_SINGULAR_Q = "(-Delta)^s + q has 0 as an eigenvalue on omega"
 
 
 class ReconstructionError(RuntimeError):
@@ -82,51 +88,6 @@ class InversionReport:
     lambda_used: float = float("nan")
 
 
-class _SchrodingerData:
-    """Schroedinger DN data on fixed source and observation sets as a
-    function of the interior potential.
-
-    The Laplacian is assembled once; an evaluation adds diag(q) to a copy
-    of its interior block and LU-factors that.  With unit sources (g_W1
-    None) the data is the (|W2|, |W1|) DN matrix; with a fixed source g on
-    W1 it is the (|W2|, 1) response column, i.e. the same map with the one
-    source g @ e_W1.
-    """
-
-    def __init__(self, grid: Grid, fp: FracParams, W1: np.ndarray,
-                 W2: np.ndarray, g_W1: np.ndarray | None):
-        I = grid.interior_idx
-        L = assemble_laplacian(grid, fp).matrix
-        self.h = grid.h**grid.n
-        self.L_II = L[np.ix_(I, I)]
-        self.L_W2I = L[np.ix_(W2, I)]
-        S = L[np.ix_(I, W1)]
-        self.D = L[np.ix_(W2, W1)]
-        if g_W1 is not None:
-            S = (S @ g_W1)[:, None]
-            self.D = (self.D @ g_W1)[:, None]
-        self.neg_S = np.asfortranarray(-S)
-        self.same = g_W1 is None and np.array_equal(W1, W2)
-
-    def evaluate(self, q_int: np.ndarray):
-        """DN data M, the source solution block U = A_II^-1 (-A_I,W1) and
-        the LU factors of A_II = L_II + diag(q)."""
-        A_II = self.L_II.copy()
-        A_II[np.diag_indices_from(A_II)] += q_int
-        lu = factor_interior(
-            A_II, "(-Delta)^s + q has 0 as an eigenvalue on omega")
-        U = scipy.linalg.lu_solve(lu, self.neg_S)
-        M = self.L_W2I @ U
-        M += self.D
-        M *= self.h
-        return M, U, lu
-
-    def observation_block(self, U: np.ndarray, lu) -> np.ndarray:
-        """V = A_II^-1 (-A_I,W2), from the factors evaluate() returned
-        (L is exactly symmetric, so A_I,W2 = L_W2,I^T)."""
-        return U if self.same else scipy.linalg.lu_solve(lu, -self.L_W2I.T)
-
-
 def _forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
                           W1: np.ndarray, W2: np.ndarray,
                           g_W1: np.ndarray | None):
@@ -138,7 +99,8 @@ def _forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
     dense oracle the structured normal equations are tested against; the
     inversion never forms J.
     """
-    data = _SchrodingerData(grid, fp, W1, W2, g_W1)
+    data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
+                        g_W1, _SINGULAR_Q)
     M, U, lu = data.evaluate(q_int)
     V = data.observation_block(U, lu)
     J = data.h * np.einsum("il,ik->lki", V, U)
@@ -231,7 +193,8 @@ def _gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
     `observed` and `mask` have the data's (|W2|, columns) shape.  Returns
     q_int and the InversionReport fields of the fit.
     """
-    data = _SchrodingerData(grid, fp, W1, W2, g_W1)
+    data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
+                        g_W1, _SINGULAR_Q)
     q = np.zeros(grid.interior_idx.size)
     scale = max(float(np.linalg.norm(observed[mask])), 1e-30)
     excluded = np.nonzero(~mask)
@@ -337,9 +300,10 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
     so recovering m from the true q is a single linear solve.
     """
     I = grid.interior_idx
-    A = assemble_schrodinger(grid, fp, q.values).matrix
+    A_II = assemble_laplacian(grid, fp).matrix[np.ix_(I, I)]
+    A_II[np.diag_indices_from(A_II)] += q.values[I]
     lu, piv = factor_interior(
-        A[np.ix_(I, I)], "recover_m_from_q: 0 is an eigenvalue of "
+        A_II, "recover_m_from_q: 0 is an eigenvalue of "
         "(-Delta)^s + q on omega")
     m = np.zeros(grid.N)
     m[I] = scipy.linalg.lu_solve((lu, piv), -q.values[I])
@@ -381,9 +345,6 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     cfg = cfg or InversionConfig(reg_lambda=1e-6)
     W1 = np.asarray(W1, dtype=int)
     W2 = np.asarray(W2, dtype=int)
-    ext = set(grid.exterior_idx.tolist())
-    if not (set(W1.tolist()) <= ext and set(W2.tolist()) <= ext):
-        raise ValueError("single_measurement_fit: W1, W2 must be exterior sets")
     if set(W1.tolist()) & set(W2.tolist()):
         raise ValueError("single_measurement_fit: W1 and W2 must be disjoint")
     g = np.asarray(g, dtype=float)

@@ -269,6 +269,20 @@ class TestNumericConfigValues:
         assert "config error" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,overrides", [
+        ("walk", {"task": {"particles": -5}}),
+        ("walk", {"task": {"particles": 0}}),
+        ("walk", {"task": {"steps": -3}}),
+        ("forward", {"task": {"source": {"type": "gaussian", "width": 0}}}),
+        ("dn", {"frac": {"n": 2}}),
+    ])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, command, overrides):
+        cfg = write_cfg(tmp_path, "c.json", **overrides)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestDeterministicReruns:
     @pytest.mark.parametrize("command,extra", [

@@ -88,6 +88,10 @@ class TestFracParams:
         with pytest.raises(ValueError):
             FracParams(1.2)
 
+    def test_only_one_dimension(self):
+        with pytest.raises(ValueError, match="only n = 1 is supported"):
+            FracParams(0.5, 2)
+
 
 class TestGrid:
     def test_partition_and_spacing(self):

@@ -7,6 +7,7 @@ from fraccond.forward import (
     SolverError,
     assemble_dn,
     assemble_dn_schrodinger,
+    dn_from_operator,
     dn_gap,
     dn_pointwise,
     liouville_reduce,
@@ -376,3 +377,30 @@ class TestReductionRoute:
             finally:
                 tracemalloc.stop()
             assert peak < limit
+
+
+class TestDnEvaluator:
+    """assemble_dn_schrodinger runs the DN evaluator on the Laplacian with
+    diag(q_I); the DN matrix of the full Schroedinger matrix is the
+    reference."""
+
+    @staticmethod
+    def sets(g, which):
+        E = g.exterior_idx
+        if which == "exterior":
+            return E, E
+        x = g.nodes[E]
+        return E[(x > -0.9) & (x < -0.4)], E[(x > 0.4) & (x < 0.9)]
+
+    @pytest.mark.parametrize("which", ["exterior", "intervals"])
+    @pytest.mark.parametrize("N", [64, 257])
+    def test_schrodinger_map_equals_operator_route(self, N, which):
+        g = Grid(L=1.0, N=N, a=-0.15, b=0.15)
+        fp = FracParams(0.5)
+        q = np.random.default_rng(N).standard_normal(g.N)
+        W1, W2 = self.sets(g, which)
+        got = assemble_dn_schrodinger(g, fp, q, W1, W2)
+        ref = dn_from_operator(assemble_schrodinger(g, fp, q), W1, W2)
+        assert np.array_equal(got.matrix, ref.matrix)
+        assert np.array_equal(got.source_idx, W1)
+        assert np.array_equal(got.obs_idx, W2)

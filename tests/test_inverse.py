@@ -9,6 +9,7 @@ from fraccond.forward import (
     DnMatrix,
     Potential,
     SolverError,
+    _DnEvaluator,
     assemble_dn,
     assemble_dn_schrodinger,
     liouville_reduce,
@@ -18,7 +19,6 @@ from fraccond.inverse import (
     ReconstructionError,
     _forward_and_jacobian,
     _NormalEquations,
-    _SchrodingerData,
     reconstruct_gamma,
     recover_m_from_q,
     recover_potential_full,
@@ -340,7 +340,7 @@ class TestStructuredNormalEquations:
         nI = g.interior_idx.size
         rng = np.random.default_rng(1)
         q0 = 0.3 * rng.standard_normal(nI)
-        data = _SchrodingerData(g, fp, W1, W2, g_W1)
+        data = _DnEvaluator(g, assemble_laplacian(g, fp).matrix, W1, W2, g_W1)
         M, U, lu = data.evaluate(q0)
         V = data.observation_block(U, lu)
         R = np.where(mask, rng.standard_normal(M.shape), 0.0)
@@ -399,6 +399,39 @@ class TestStructuredNormalEquations:
         # the unrefined normal-equations step is off by ~2e-9 here
         step = ne.step(q0, lam)
         assert np.linalg.norm(step - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+class TestForwardMapIsDnEvaluator:
+    @pytest.mark.parametrize("sets", ["same", "distinct"])
+    def test_forward_data_equals_schrodinger_dn(self, sets):
+        g = inverse_grid()
+        fp = FracParams(0.5)
+        q = bump_potential(g)
+        E = g.exterior_idx
+        W1, W2 = (E, E) if sets == "same" else (E[:9], E[-12:])
+        M, _ = _forward_and_jacobian(g, fp, q[g.interior_idx], W1, W2, None)
+        assert np.array_equal(M, assemble_dn_schrodinger(g, fp, q, W1, W2).matrix)
+
+    @pytest.mark.parametrize("bad", ["W1", "W2"])
+    @pytest.mark.parametrize("route", ["assemble_dn", "assemble_dn_schrodinger",
+                                       "single_measurement_fit"])
+    def test_interior_node_rejected(self, route, bad):
+        g = inverse_grid()
+        fp = FracParams(0.5)
+        E = g.exterior_idx
+        W = {"W1": E[:5], "W2": E[-5:]}
+        W[bad] = np.append(W[bad], g.interior_idx[0])
+        W1, W2 = W["W1"], W["W2"]
+        calls = {
+            "assemble_dn": lambda: assemble_dn(
+                g, fp, Conductivity.constant(g), W1, W2),
+            "assemble_dn_schrodinger": lambda: assemble_dn_schrodinger(
+                g, fp, np.zeros(g.N), W1, W2),
+            "single_measurement_fit": lambda: single_measurement_fit(
+                np.ones(g.N), np.zeros(W2.size), W1, W2, g, fp),
+        }
+        with pytest.raises(ValueError, match="must be a subset of exterior_idx"):
+            calls[route]()
 
 
 class TestInversionReportDiagnostics:
