@@ -106,10 +106,11 @@ def build_grid(cfg: dict) -> Grid:
         omega = gblock["omega"]
         if not (isinstance(omega, (list, tuple)) and len(omega) == 2):
             raise ConfigError("grid.omega must be a pair [a, b]")
-        if not omega[0] < omega[1]:
+        a, b = (_number(x, float, "grid.omega entry") for x in omega)
+        if not a < b:
             raise ConfigError("grid.omega bounds must satisfy a < b")
-        return Grid(L=float(gblock["L"]), N=int(gblock["N"]),
-                    a=float(omega[0]), b=float(omega[1]))
+        return Grid(L=_number(gblock["L"], float, "grid.L"),
+                    N=_number(gblock["N"], int, "grid.N"), a=a, b=b)
     except KeyError as exc:
         raise ConfigError(f"grid block missing key {exc}") from exc
     except ValueError as exc:
@@ -138,7 +139,7 @@ def build_frac(cfg: dict) -> FracParams:
     fblock = cfg["frac"]
     try:
         s = _check_order(fblock["s"], "frac.s")
-        return FracParams(s, int(fblock.get("n", 1)))
+        return FracParams(s, _number(fblock.get("n", 1), int, "frac.n"))
     except KeyError as exc:
         raise ConfigError(f"frac block missing key {exc}") from exc
     except ValueError as exc:
@@ -161,10 +162,11 @@ def build_gamma(cfg: dict, grid: Grid, seed: int) -> Conductivity:
         m = np.sqrt(vals) - 1.0
         m[grid.exterior_idx] = 0.0
         return Conductivity.from_m(grid, m)
+    shape = {k: _number(gblock[k], float, f"gamma.{k}")
+             for k in ("amplitude", "center", "width", "separation")
+             if k in gblock}
     try:
-        m_fn = profile_from_name(name, seed=seed, **{
-            k: gblock[k] for k in ("amplitude", "center", "width", "separation")
-            if k in gblock})
+        m_fn = profile_from_name(name, seed=seed, **shape)
         return make_conductivity(grid, m_fn)
     except ValueError as exc:
         raise ConfigError(f"gamma: {exc}") from exc
@@ -211,7 +213,7 @@ def _exterior_set(grid: Grid, selector, name: str) -> np.ndarray:
     if selector is None or selector == "exterior":
         return grid.exterior_idx
     if isinstance(selector, (list, tuple)) and len(selector) == 2:
-        lo, hi = float(selector[0]), float(selector[1])
+        lo, hi = (_number(x, float, f"task.{name} bound") for x in selector)
         idx = grid.exterior_idx
         sel = idx[(grid.nodes[idx] >= lo) & (grid.nodes[idx] <= hi)]
         if sel.size == 0:
@@ -422,8 +424,10 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
 def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
     task = cfg.get("task", {})
     study = task.get("study", "all")
-    s_list = [_check_order(s, "task.s_list entry")
-              for s in task.get("s_list", [0.6, 0.8, 0.9, 0.95])]
+    s_list = task.get("s_list", [0.6, 0.8, 0.9, 0.95])
+    if not (isinstance(s_list, list) and s_list):
+        raise ConfigError("task.s_list must be a non-empty array of orders")
+    s_list = [_check_order(s, "task.s_list entry") for s in s_list]
     if study not in ("grad", "bilinear", "operator", "decay", "all"):
         raise ConfigError("task.study must be grad|bilinear|operator|decay|all")
     files, checks = [], {}

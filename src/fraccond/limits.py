@@ -10,6 +10,17 @@ terms use central-difference derivatives and exact kernel moments; with
 them the Gaussian energies are accurate to ~1e-5 relative across
 s in [0.3, 0.95] already at N ~ 2048.
 
+The lattice-sum defect is evaluated in closed form, zeta(2s - 1) +
+2^{2s-2} / (2 - 2s).  Each corrected energy clamps s once into
+[S_MIN, S_MAX], so the lattice sum and the near-field term of one call use
+the same s (a study row still reports the requested s).
+
+The three h-refinement studies (grad, bilinear, operator) are one private
+driver, `_refined_rows`: per s and per (kind, u, v) pair it doubles N from
+N_START until corrected_bilinear_form settles, and takes the local
+reference h sum gamma u' v' on that final grid.  The studies differ only
+in the pairs, the conductivity and the cap on N.
+
 The operator-assembly modules deliberately do not carry these corrections:
 their punctured form is what makes the algebraic identities exact.
 """
@@ -19,7 +30,6 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +46,9 @@ logger = logging.getLogger("fraccond")
 
 EDGE_DECAY = 1e-10
 REFINE_TOL = 0.005
-N_CAP = 8192
+N_START = 512
+N_CAP = 8192  # grad study
+STUDY_CAP = 4096  # bilinear and operator studies
 
 
 @dataclass
@@ -65,20 +77,16 @@ class LimitStudy:
         raise KeyError(f"no row for s={s}, kind={kind}")
 
 
-@lru_cache(maxsize=None)
-def lattice_defect(s: float, terms: int = 1_000_000) -> float:
+def lattice_defect(s: float) -> float:
     """sum_{k>=1} [ k^{1-2s} - integral over the cell (k-1/2, k+1/2) of t^{1-2s} ].
 
-    Absolutely convergent defect of the punctured unit-lattice sum against
-    the integral of the leading kernel power; tail of the series estimated
-    by Euler-Maclaurin.
+    Defect of the punctured unit-lattice sum against the integral of the
+    leading kernel power.  The cells tile (1/2, inf), so by analytic
+    continuation the series is  zeta(2s - 1) + 2^{2s-2} / (2 - 2s).
     """
-    p = 1.0 - 2.0 * s
-    k = np.arange(1, terms + 1, dtype=float)
-    cells = ((k + 0.5) ** (p + 1.0) - (k - 0.5) ** (p + 1.0)) / (p + 1.0)
-    d = float(np.sum(k**p - cells))
-    d += -p * (p - 1.0) / 24.0 * terms ** (p - 1.0) / (1.0 - p)
-    return d
+    from scipy.special import zeta  # loaded here only: keeps the CLI import light
+
+    return float(zeta(2.0 * s - 1.0)) + 2.0 ** (2.0 * s - 2.0) / (2.0 - 2.0 * s)
 
 
 def near_field_coefficient(s: float, h: float) -> float:
@@ -118,24 +126,22 @@ def grad_norm_sq(grid: Grid, fp: FracParams, u: np.ndarray,
 
     Punctured pair sum (C/2) sum (u_j - u_i)^2 / |x_j - x_i|^{n+2s} h^{2n}
     plus the exact window tail; `near_field` adds the analytic diagonal
-    correction (see module docstring).  With near_field=False this is the
-    raw lattice functional, which collapses to 0 as s -> 1 at fixed h.
+    correction (see module docstring), i.e. it is corrected_bilinear_form
+    on the constant conductivity.  With near_field=False this is the raw
+    lattice functional, which collapses to 0 as s -> 1 at fixed h.
     """
     u = np.asarray(u, dtype=float)
     _warn_edges(grid, u, "grad_norm_sq")
-    base = bilinear_form(grid, fp, Conductivity.constant(grid), u, u)
-    if not near_field:
-        return base
-    up = central_diff(grid, u)
-    corr = 0.5 * fp.cns * grid.h * float(np.sum(up**2)) \
-        * near_field_coefficient(fp.s, grid.h)
-    return base + corr
+    energy = corrected_bilinear_form if near_field else bilinear_form
+    return energy(grid, fp, Conductivity.constant(grid), u, u)
 
 
 def corrected_bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
                             u: np.ndarray, v: np.ndarray) -> float:
     """Weighted energy pairing with the near-diagonal correction; the
-    diagonal term carries gamma (both kernel factors collapse to x)."""
+    diagonal term carries gamma (both kernel factors collapse to x).  s is
+    clamped once, so the lattice sum and the correction use the same s."""
+    fp = fp.clamped()
     base = bilinear_form(grid, fp, gamma, u, v)
     du = central_diff(grid, u)
     dv = central_diff(grid, v)
@@ -157,49 +163,68 @@ def _warn_high_s(s: float):
                        "degenerates; results are indicative only", s)
 
 
-def _study_grid(L: float, N: int) -> Grid:
-    # omega plays no role in the energy studies; any valid interval works
-    return Grid(L=L, N=N, a=-L / 3.0, b=L / 3.0)
+def _limit_row(s: float, value: float, reference: float, n_used: int,
+               converged: bool, kind: str) -> LimitRow:
+    gap = abs(value - reference) / abs(reference) if reference != 0.0 else abs(value)
+    return LimitRow(s, value, reference, gap, n_used, converged, kind)
 
 
-def _h_converge(evaluate, n0: int, cap: int = N_CAP,
-                tol: float = REFINE_TOL) -> tuple[float, int, bool]:
-    """Double N until the quantity changes by less than tol (relative)."""
-    N = n0
+def _omega(L: float, omega=None) -> tuple[float, float]:
+    """omega, by default the middle third of the window."""
+    return omega or (-L / 3.0, L / 3.0)
+
+
+def _h_converge(evaluate, cap: int, tol: float = REFINE_TOL):
+    """Double N from N_START until the value changes by less than tol
+    (relative).  Returns the last evaluation, a (value, grid, gamma)
+    triple, and whether it converged."""
+    N = N_START
     prev = evaluate(N)
     while 2 * N <= cap:
         N *= 2
         cur = evaluate(N)
-        if abs(cur - prev) <= tol * max(abs(prev), 1e-300):
-            return cur, N, True
+        if abs(cur[0] - prev[0]) <= tol * max(abs(prev[0]), 1e-300):
+            return cur, True
         prev = cur
-    return prev, N, False
+    return prev, False
 
 
-def grad_limit_study(u_fn, s_list, L: float = 12.0, n0: int = 512,
-                     cap: int = N_CAP) -> LimitStudy:
-    """Per s: h-converged grad_norm_sq against the central-difference
-    ||u'||^2 at the same final resolution."""
-    study = LimitStudy()
+def _refined_rows(m_fn, pairs, s_list, L: float, omega, cap: int):
+    """The one loop behind every limit study.  Per s and per (kind, u_fn,
+    v_fn) pair: corrected_bilinear_form with the conductivity of m_fn,
+    h-converged up to N = cap, against local_grad_pairing on the final grid.
+    Yields (fp, grid, gamma, row) so a caller can add rows on that grid."""
+    a, b = _omega(L, omega)
     for s in s_list:
         _warn_high_s(s)
         fp = FracParams(s)
+        for kind, u_fn, v_fn in pairs:
 
-        def value(N):
-            g = _study_grid(L, N)
-            return grad_norm_sq(g, fp, u_fn(g.nodes))
+            def evaluate(N):
+                g = Grid(L=L, N=N, a=a, b=b)
+                m = np.asarray(m_fn(g.nodes), dtype=float)
+                m[g.exterior_idx] = 0.0
+                gam = Conductivity.from_m(g, m)
+                return (corrected_bilinear_form(g, fp, gam, u_fn(g.nodes),
+                                                v_fn(g.nodes)), g, gam)
 
-        val, n_used, ok = _h_converge(value, n0, cap)
-        g = _study_grid(L, n_used)
-        ref = local_grad_pairing(g, np.ones(g.N), u_fn(g.nodes), u_fn(g.nodes))
-        gap = abs(val - ref) / abs(ref) if ref != 0.0 else abs(val)
-        study.rows.append(LimitRow(s, val, ref, gap, n_used, ok))
-    return study
+            (val, g, gam), ok = _h_converge(evaluate, cap)
+            ref = local_grad_pairing(g, gam.values, u_fn(g.nodes), v_fn(g.nodes))
+            yield fp, g, gam, _limit_row(s, val, ref, g.N, ok, kind)
+
+
+def grad_limit_study(u_fn, s_list, L: float = 12.0) -> LimitStudy:
+    """Per s: h-converged grad_norm_sq (the corrected form at gamma = 1)
+    against the central-difference ||u'||^2 at the same final resolution."""
+    g = Grid(L, N_START, *_omega(L))
+    _warn_edges(g, np.asarray(u_fn(g.nodes), dtype=float), "grad_limit_study")
+    rows = _refined_rows(np.zeros_like, [("energy", u_fn, u_fn)], s_list,
+                         L, None, N_CAP)
+    return LimitStudy([row for *_, row in rows])
 
 
 def bilinear_limit_study(m_fn, u_fn, v_fn, s_list, L: float = 12.0,
                          omega: tuple[float, float] | None = None,
-                         n0: int = 512, cap: int = 4096,
                          dn_datum_fns: tuple | None = None) -> LimitStudy:
     """Per s: h-converged weighted bilinear form B_gamma[u, v] against the
     local integral of gamma u' v'.
@@ -209,80 +234,40 @@ def bilinear_limit_study(m_fn, u_fn, v_fn, s_list, L: float = 12.0,
     rows of kind "dn" track the same limit through the DN pairing: the
     energy form of the solved field u_f against e_g versus the local form.
     """
-    omega = omega or (-L / 3.0, L / 3.0)
     study = LimitStudy()
-    for s in s_list:
-        _warn_high_s(s)
-        fp = FracParams(s)
-
-        def make(N):
-            g = Grid(L=L, N=N, a=omega[0], b=omega[1])
-            m = np.asarray(m_fn(g.nodes), dtype=float)
-            m[g.exterior_idx] = 0.0
-            return g, Conductivity.from_m(g, m)
-
-        def value(N):
-            g, gam = make(N)
-            return corrected_bilinear_form(g, fp, gam, u_fn(g.nodes), v_fn(g.nodes))
-
-        val, n_used, ok = _h_converge(value, n0, cap)
-        g, gam = make(n_used)
-        ref = local_grad_pairing(g, gam.values, u_fn(g.nodes), v_fn(g.nodes))
-        gap = abs(val - ref) / abs(ref) if ref != 0.0 else abs(val)
-        study.rows.append(LimitRow(s, val, ref, gap, n_used, ok))
-
+    for fp, g, gam, row in _refined_rows(m_fn, [("energy", u_fn, v_fn)],
+                                         s_list, L, omega, STUDY_CAP):
+        study.rows.append(row)
         if dn_datum_fns is not None:
             f_fn, g_fn = dn_datum_fns
-            gg, gam = make(n_used)
-            f = np.asarray(f_fn(gg.nodes), dtype=float)
-            f[gg.interior_idx] = 0.0
-            e_g = np.asarray(g_fn(gg.nodes), dtype=float)
-            e_g[gg.interior_idx] = 0.0
-            u_f = solve_dirichlet(assemble_conductivity(gg, fp, gam), f)
-            dn_val = corrected_bilinear_form(gg, fp, gam, u_f, e_g)
-            dn_ref = local_grad_pairing(gg, gam.values, u_f, e_g)
-            dn_gap = abs(dn_val - dn_ref) / abs(dn_ref) if dn_ref != 0.0 else abs(dn_val)
-            study.rows.append(LimitRow(s, dn_val, dn_ref, dn_gap, n_used, ok, kind="dn"))
+            f = np.asarray(f_fn(g.nodes), dtype=float)
+            f[g.interior_idx] = 0.0
+            e_g = np.asarray(g_fn(g.nodes), dtype=float)
+            e_g[g.interior_idx] = 0.0
+            u_f = solve_dirichlet(assemble_conductivity(g, fp, gam), f)
+            study.rows.append(_limit_row(
+                row.s, corrected_bilinear_form(g, fp, gam, u_f, e_g),
+                local_grad_pairing(g, gam.values, u_f, e_g),
+                row.n_used, row.converged, "dn"))
     return study
 
 
 def operator_limit_check(m_fn, u_fn, s_list, L: float = 12.0,
                          omega: tuple[float, float] | None = None,
-                         n0: int = 512, cap: int = 4096,
                          phi_fns: tuple | None = None) -> LimitStudy:
     """Weak pairing <phi, C_gamma u> (computed as the corrected bilinear
     form B_gamma[u, phi]) against the local form  h sum gamma phi' u',
     for a fixed panel of three test functions."""
     from .profiles import gaussian  # local import to avoid a cycle
 
-    omega = omega or (-L / 3.0, L / 3.0)
     if phi_fns is None:
-        w = (omega[1] - omega[0]) / 2.0
+        lo, hi = _omega(L, omega)
+        w = (hi - lo) / 2.0
         phi_fns = (gaussian(0.0, 0.8 * w), gaussian(-0.5 * w, 0.6 * w),
                    gaussian(0.4 * w, 0.7 * w))
-    study = LimitStudy()
-    for s in s_list:
-        _warn_high_s(s)
-        fp = FracParams(s)
-        for pi, phi_fn in enumerate(phi_fns):
-
-            def make(N):
-                g = Grid(L=L, N=N, a=omega[0], b=omega[1])
-                m = np.asarray(m_fn(g.nodes), dtype=float)
-                m[g.exterior_idx] = 0.0
-                return g, Conductivity.from_m(g, m)
-
-            def value(N):
-                g, gam = make(N)
-                return corrected_bilinear_form(g, fp, gam, u_fn(g.nodes),
-                                               phi_fn(g.nodes))
-
-            val, n_used, ok = _h_converge(value, n0, cap)
-            g, gam = make(n_used)
-            ref = local_grad_pairing(g, gam.values, u_fn(g.nodes), phi_fn(g.nodes))
-            gap = abs(val - ref) / abs(ref) if ref != 0.0 else abs(val)
-            study.rows.append(LimitRow(s, val, ref, gap, n_used, ok, kind=f"phi{pi}"))
-    return study
+    pairs = [(f"phi{i}", u_fn, phi_fn) for i, phi_fn in enumerate(phi_fns)]
+    rows = _refined_rows(m_fn, pairs, s_list, L, omega, STUDY_CAP)
+    return LimitStudy([row for *_, row in rows])
 
 
 def gradient_distributional_decay(u_fn, t_fn, s_list, L: float = 6.0,
@@ -296,14 +281,14 @@ def gradient_distributional_decay(u_fn, t_fn, s_list, L: float = 6.0,
     t must be compactly supported inside the window; the returned pairing
     magnitudes decay to 0 as s -> 1.
     """
-    g = _study_grid(L, N)
+    g = Grid(L, N, *_omega(L))
     x = g.nodes
     u = np.asarray(u_fn(x), dtype=float)
     T = t_fn(x[:, None], x[None, :])
     np.fill_diagonal(T, 0.0)
     out = []
     for s in s_list:
-        fp = FracParams(s)
+        fp = FracParams(s).clamped()
         pf = frac_gradient(g, fp, u)
         out.append(float(np.sum(pf.values * T)) * g.h ** (2 * g.n))
     return np.array(out)

@@ -143,8 +143,8 @@ def test_cli_import_leaves_quadrature_modules_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraccond.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, fraccond.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
+            "'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -261,6 +261,16 @@ class TestNumericConfigValues:
         ("forward", {"task": {"source": {"type": "unit", "node": "x"}}}),
         ("forward", {"task": {"source": {"type": "gaussian", "center": "x"}}}),
         ("forward", {"task": {"source": {"type": "gaussian", "width": "x"}}}),
+        ("dn", {"task": {"W1": ["x", 1.0]}}),
+        ("dn", {"task": {"W2": [-1.0, None]}}),
+        ("forward", {"grid": {"omega": ["x", 0.15]}}),
+        ("forward", {"grid": {"omega": [-0.15, None]}}),
+        ("forward", {"grid": {"L": None}}),
+        ("forward", {"frac": {"n": None}}),
+        ("forward", {"gamma": {"amplitude": "x"}}),
+        ("forward", {"gamma": {"center": "x"}}),
+        ("forward", {"gamma": {"width": [0.1]}}),
+        ("forward", {"gamma": {"profile": "double-bump", "separation": "x"}}),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)
@@ -275,6 +285,8 @@ class TestNumericConfigValues:
         ("walk", {"task": {"steps": -3}}),
         ("forward", {"task": {"source": {"type": "gaussian", "width": 0}}}),
         ("dn", {"frac": {"n": 2}}),
+        ("limits", {"task": {"study": "decay", "s_list": []}}),
+        ("limits", {"task": {"study": "decay", "s_list": 0.6}}),
     ])
     def test_out_of_range_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)

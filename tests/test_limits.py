@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fraccond.limits import (
     lattice_defect,
     operator_limit_check,
 )
+from fraccond.operators import Conductivity
 from fraccond.profiles import bump_m, gaussian, make_conductivity
 
 SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
@@ -28,11 +30,28 @@ class TestLatticeDefect:
         # at s = 1/2 the defect is sum k^0 - cells = 0 exactly
         assert lattice_defect(0.5) == pytest.approx(0.0, abs=1e-10)
 
-    def test_series_resolution_converged(self):
-        # the compensated series must be insensitive to its truncation length
-        for s in (0.8, 0.9):
-            direct = lattice_defect(s, terms=3_000_000)
-            assert lattice_defect(s) == pytest.approx(direct, abs=1e-9)
+    def test_quarter_order_is_zeta_minus_half(self):
+        # at s = 1/4 the defect is zeta(-1/2) + 2^{-3/2} / (3/2)
+        zeta_minus_half = -0.2078862249773545660
+        expected = zeta_minus_half + 2.0 ** -1.5 / 1.5
+        assert lattice_defect(0.25) == pytest.approx(expected, abs=1e-13)
+
+
+class TestOneClampedOrder:
+    # above S_MAX every corrected energy uses s = S_MAX throughout
+
+    def test_corrected_bilinear_form(self):
+        g = study_grid(N=1024)
+        gam = Conductivity.constant(g)
+        u = gaussian(0.0, 1.0)(g.nodes)
+        assert corrected_bilinear_form(g, FracParams(0.995), gam, u, u) \
+            == corrected_bilinear_form(g, FracParams(0.99), gam, u, u)
+
+    def test_grad_norm_sq(self):
+        g = study_grid(N=1024)
+        u = gaussian(0.0, 1.0)(g.nodes)
+        assert grad_norm_sq(g, FracParams(0.995), u) \
+            == grad_norm_sq(g, FracParams(0.99), u)
 
 
 class TestGradNormSq:
@@ -97,6 +116,13 @@ class TestGradLimitStudy:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert all(r.converged for r in st.rows)
 
+    def test_edge_decay_warning_once_per_call(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grad_limit_study(gaussian(0.0, 4.0), [0.6, 0.8], L=12.0)
+        edge = [w for w in caught if "window edges" in str(w.message)]
+        assert len(edge) == 1
+
     def test_constant_field_all_zero(self):
         # constant over the whole window is not edge-decaying; use a flat
         # bump instead: value and reference both vanish for constants only
@@ -153,6 +179,21 @@ class TestBilinearLimitStudy:
 
 
 class TestOperatorLimitCheck:
+    def test_rows_are_bilinear_rows_with_phi(self):
+        m_fn = bump_m(0.3, 0.0, 2.0)
+        u = gaussian(0.0, 1.0)
+        phis = (gaussian(0.5, 1.1), gaussian(-1.0, 0.9))
+        st = operator_limit_check(m_fn, u, [0.6, 0.9], L=12.0,
+                                  omega=(-4.0, 4.0), phi_fns=phis)
+        assert [(r.s, r.kind) for r in st.rows] == [
+            (s, f"phi{i}") for s in (0.6, 0.9) for i in range(2)]
+        for r in st.rows:
+            phi = phis[int(r.kind[3:])]
+            b = bilinear_limit_study(m_fn, u, phi, [r.s], L=12.0,
+                                     omega=(-4.0, 4.0)).rows[0]
+            assert (r.value, r.reference, r.gap, r.n_used, r.converged) \
+                == (b.value, b.reference, b.gap, b.n_used, b.converged)
+
     def test_unit_gamma_gaussian_within_ten_percent(self):
         st = operator_limit_check(lambda x: np.zeros_like(x),
                                   gaussian(0.0, 1.0), [0.95],
@@ -205,6 +246,11 @@ class TestDistributionalDecay:
             lambda x: np.full_like(np.asarray(x, dtype=float), 1.3), t,
             [0.6, 0.9], L=6.0, N=256)
         assert np.max(np.abs(vals)) == 0.0
+
+    def test_order_above_s_max_is_clamped(self):
+        u, t = self.u_and_t()
+        vals = gradient_distributional_decay(u, t, [0.99, 0.995], L=6.0, N=256)
+        assert vals[1] == vals[0]
 
     def test_transposing_test_function_flips_sign(self):
         u, t = self.u_and_t()
