@@ -143,19 +143,26 @@ def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
                             hi: int | None = None) -> np.ndarray:
     """|x_i - x_j|^(-p) for the rows lo <= i < hi and every j, zero where i == j."""
     hi = x.size if hi is None else hi
-    d = np.abs(x[lo:hi, None] - x[None, :])
+    K = x[lo:hi, None] - x[None, :]
+    np.abs(K, out=K)  # in place: one block-sized array at any time
     diag = (np.arange(hi - lo), np.arange(lo, hi))
-    d[diag] = 1.0  # placeholder, wiped below
-    K = d**-p
+    K[diag] = 1.0  # placeholder, wiped below
+    K **= -p
     K[diag] = 0.0
     return K
 
 
-def kernel_matrix(grid: Grid, fp: FracParams) -> np.ndarray:
-    """Full (N, N) matrix of kernel weights, zero diagonal."""
-    W = _inverse_distance_power(grid.nodes, grid.n + 2.0 * fp.s)
+def kernel_rows(grid: Grid, fp: FracParams, lo: int, hi: int) -> np.ndarray:
+    """Rows lo <= i < hi of the kernel matrix: a (hi - lo, N) block of
+    kernel weights, zero where i == j."""
+    W = _inverse_distance_power(grid.nodes, grid.n + 2.0 * fp.s, lo, hi)
     W *= fp.cns * grid.h**grid.n
     return W
+
+
+def kernel_matrix(grid: Grid, fp: FracParams) -> np.ndarray:
+    """Full (N, N) matrix of kernel weights, zero diagonal."""
+    return kernel_rows(grid, fp, 0, grid.N)
 
 
 def tail_weight(grid: Grid, fp: FracParams, i: int) -> float:

@@ -11,11 +11,15 @@ Every DN matrix, and the inversion's forward map, comes from one evaluator
 (_DnEvaluator): it slices an operator's blocks once and returns
 h^n (A_W2,W1 + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
 
-The reduction checks (verify_reduction, dn_gap) build the kernel matrix once
-per call and derive both the conductivity matrix and (-Delta)^s from it.
-verify_reduction compares the two sides of the identity on the interior
-rows only; dn_gap evaluates each DN pairing <Lambda f, v> from one interior
-LU and one solve instead of assembling a DN matrix.
+The reduction checks (verify_reduction, dn_gap, liouville_reduce) never
+form an N x N matrix.  Each is one pass over row blocks of the kernel
+matrix (_operator_rows): every block gives the same rows of the
+conductivity matrix and of (-Delta)^s, and the pass keeps only running
+maxima, length-N vectors and the |I| x |I| interior blocks, so memory is
+O(block N + |I|^2).  verify_reduction compares the two sides of the
+identity on the interior rows only; dn_gap evaluates each DN pairing
+<Lambda f, v> from one interior LU and one solve instead of assembling a
+DN matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import FracParams, Grid, kernel_matrix, tail_vector
+from .core import FracParams, Grid, kernel_rows, tail_vector
 from .operators import (
     Conductivity,
     NonlocalOperator,
@@ -33,6 +37,12 @@ from .operators import (
     assemble_conductivity,
     assemble_laplacian,
 )
+
+
+# byte budget of one row-block array in the streamed reduction checks
+# (_operator_rows): 128 rows at N = 4096, so a pass needs O(block N) memory
+# whatever N is
+BLOCK_BYTES = 4 << 20
 
 
 class SolverError(RuntimeError):
@@ -212,6 +222,33 @@ def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
     return _DnEvaluator(grid, lap, W1, W2).dn_matrix(q_int)
 
 
+def _operator_rows(grid: Grid, fp: FracParams, g: np.ndarray):
+    """Stream the conductivity matrix C (g = gamma^{1/2}) and (-Delta)^s L
+    in row blocks: yields (lo, hi, C[lo:hi], L[lo:hi]), both blocks from one
+    kernel_rows call and bit-identical to the rows of assemble_conductivity
+    and assemble_laplacian.
+
+    The block height is BLOCK_BYTES over the bytes of one row, rounded
+    down to a multiple of 8 rows (at least 8).  The rounding keeps BLAS's
+    grouping of rows, and so the roundoff of each row of a block matvec,
+    the same as in the full-matrix product.
+    """
+    fp = fp.clamped()
+    tail = tail_vector(grid, fp)
+    step = max(BLOCK_BYTES // (8 * grid.N) // 8, 1) * 8
+    for lo in range(0, grid.N, step):
+        hi = min(lo + step, grid.N)
+        W = kernel_rows(grid, fp, lo, hi)
+        L = _from_kernel(W.copy(), tail, 1.0, lo)
+        yield lo, hi, _from_kernel(W, tail, g, lo), L
+
+
+def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
+    """(a, b) with interior_idx[a:b] the interior nodes in rows lo..hi."""
+    a, b = np.searchsorted(grid.interior_idx, (lo, hi))
+    return int(a), int(b)
+
+
 def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potential:
     """Potential of the reduced Schroedinger equation:
 
@@ -220,28 +257,15 @@ def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potenti
     Evaluated at every node; m being interior-supported does not make
     (-Delta)^s m interior-supported, so the result carries
     interior_supported = False whenever the exterior values are nonzero
-    (they feed the DN gap identity).
+    (they feed the DN gap identity).  (-Delta)^s m is gathered from the
+    row-block stream, so memory is O(block N).
     """
-    lap = assemble_laplacian(grid, fp)
-    q = -(lap.matrix @ gamma.m_values) / gamma.sqrt
+    lap_m = np.empty(grid.N)
+    for lo, hi, _, L in _operator_rows(grid, fp, gamma.sqrt):
+        lap_m[lo:hi] = L @ gamma.m_values
+    q = -lap_m / gamma.sqrt
     supported = bool(np.all(q[grid.exterior_idx] == 0.0))
     return Potential(q, interior_supported=supported)
-
-
-def _reduction_operators(grid: Grid, fp: FracParams, gamma: Conductivity):
-    """Conductivity matrix C, (-Delta)^s matrix L, the reduced potential q
-    and (-Delta)^s m, all from one kernel assembly.
-
-    C and L are bit-identical to assemble_conductivity and
-    assemble_laplacian, and q to liouville_reduce.
-    """
-    fp = fp.clamped()
-    W = kernel_matrix(grid, fp)
-    tail = tail_vector(grid, fp)
-    L = _from_kernel(W.copy(), tail, 1.0)
-    C = _from_kernel(W, tail, gamma.sqrt)
-    lap_m = L @ gamma.m_values
-    return C, L, -lap_m / gamma.sqrt, lap_m
 
 
 def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity) -> float:
@@ -250,34 +274,45 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity) -> float:
         C_gamma D_{gamma^{-1/2}}  =  D_{gamma^{1/2}} ( L + diag q )
 
     over interior rows, relative to the scale of C_gamma.  Exact (up to
-    roundoff) for the punctured-sum discretization."""
-    C, L, q, _ = _reduction_operators(grid, fp, gamma)
+    roundoff) for the punctured-sum discretization.  One pass over the
+    row blocks: the scale max |C_ij| and the residual of each block's
+    interior rows are running maxima, so memory is O(block N).
+    """
     g = gamma.sqrt
+    inv_g = 1.0 / g
     I = grid.interior_idx
-    diff = C[I]
-    diff *= (1.0 / g)[None, :]
-    rhs = L[I]
-    rhs[np.arange(I.size), I] += q[I]
-    rhs *= g[I, None]
-    diff -= rhs
-    scale = max(C.max(), -C.min())
-    return float(np.max(np.abs(diff, out=diff)) / scale)
+    resid = scale = 0.0
+    for lo, hi, C, L in _operator_rows(grid, fp, g):
+        scale = max(scale, C.max(), -C.min())
+        a, b = _interior_rows(grid, lo, hi)
+        if a == b:
+            continue
+        rows = I[a:b] - lo
+        q = -(L @ gamma.m_values)[rows] / g[I[a:b]]
+        diff = C[rows]
+        diff *= inv_g[None, :]
+        rhs = L[rows]
+        rhs[np.arange(b - a), I[a:b]] += q
+        rhs *= g[I[a:b], None]
+        diff -= rhs
+        resid = max(resid, np.max(np.abs(diff, out=diff)))
+    return float(resid / scale)
 
 
-def _dn_pairing(grid: Grid, A: np.ndarray, q_I, f: np.ndarray,
-                v: np.ndarray) -> float:
+def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
+                Av: np.ndarray, v: np.ndarray) -> float:
     """<Lambda f, v> of the operator A + diag(q_I) (q_I on interior nodes
-    only) for zero-extended exterior data f and v:
+    only) for zero-extended exterior data f and v, from A f, A v and A_II:
 
-        h^n (v_E . (A f)_E + v_E . A_EI u_I),   u_I = -(A_II + diag q_I)^{-1} (A f)_I.
+        h^n (v_E . (A f)_E + (A v)_I . u_I),   u_I = -(A_II + diag q_I)^{-1} (A f)_I.
+
+    A_II is overwritten.
     """
     I = grid.interior_idx
     E = grid.exterior_idx
-    A_II = A[np.ix_(I, I)]
     A_II[np.diag_indices_from(A_II)] += q_I
-    Af = A @ f
     u_I = scipy.linalg.lu_solve(factor_interior(A_II, "dn_gap"), -Af[I])
-    return grid.h**grid.n * float(v[E] @ Af[E] + (v @ A)[I] @ u_I)
+    return grid.h**grid.n * float(v[E] @ Af[E] + Av[I] @ u_I)
 
 
 def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
@@ -289,14 +324,28 @@ def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
 
     computed independently: left from two DN pairings, each with one LU of
     its operator's interior block and one solve, right from the direct
-    exterior sum.
+    exterior sum.  One pass over the row blocks gathers A f, A v and A_II
+    for both operators and (-Delta)^s m, so memory is O(block N + |I|^2).
     """
     f = _check_exterior_support(grid, f, "dn_gap: f")
     v = _check_exterior_support(grid, v, "dn_gap: v")
-    C, L, q, lap_m = _reduction_operators(grid, fp, gamma)
+    g = gamma.sqrt
     I = grid.interior_idx
     E = grid.exterior_idx
-    left = _dn_pairing(grid, L, q[I], f, v) - _dn_pairing(grid, C, 0.0, f, v)
+    Cf, Cv, Lf, Lv, lap_m = (np.empty(grid.N) for _ in range(5))
+    C_II, L_II = np.empty((I.size, I.size)), np.empty((I.size, I.size))
+    for lo, hi, C, L in _operator_rows(grid, fp, g):
+        lap_m[lo:hi] = L @ gamma.m_values
+        a, b = _interior_rows(grid, lo, hi)
+        rows = I[a:b] - lo
+        for A, Af, Av, A_II in ((C, Cf, Cv, C_II), (L, Lf, Lv, L_II)):
+            Af[lo:hi] = A @ f
+            Av[lo:hi] = A @ v
+            A_II[a:b] = A[np.ix_(rows, I)]
+    del C, L  # the last row blocks, freed before the two LUs
+    q_I = -lap_m[I] / g[I]
+    left = (_dn_pairing(grid, L_II, q_I, Lf, Lv, v)
+            - _dn_pairing(grid, C_II, 0.0, Cf, Cv, v))
     right = grid.h**grid.n * float(np.sum(f[E] * v[E] * lap_m[E]))
     return left, right
 

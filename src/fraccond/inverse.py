@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import FracParams, Grid
+from .core import FracParams, Grid, kernel_rows, tail_vector
 from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
                       factor_interior)
-from .operators import Conductivity, assemble_laplacian
+from .operators import Conductivity, _from_kernel, assemble_laplacian
 
 DAMPING_FLOOR = 1e-8
 _SINGULAR_Q = "(-Delta)^s + q has 0 as an eigenvalue on omega"
@@ -297,10 +297,15 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
 
     ((-Delta)^s + q) m = -q on interior nodes, m = 0 on exterior nodes.
     The pair (m, q) produced by the reduction satisfies this identically,
-    so recovering m from the true q is a single linear solve.
+    so recovering m from the true q is a single linear solve.  A_II comes
+    from the interior rows of (-Delta)^s only (omega's nodes are
+    consecutive), not from the full N x N matrix.
     """
+    fp = fp.clamped()
     I = grid.interior_idx
-    A_II = assemble_laplacian(grid, fp).matrix[np.ix_(I, I)]
+    lo, hi = int(I[0]), int(I[-1]) + 1
+    rows = _from_kernel(kernel_rows(grid, fp, lo, hi), tail_vector(grid, fp), 1.0, lo)
+    A_II = rows[:, I]
     A_II[np.diag_indices_from(A_II)] += q.values[I]
     lu, piv = factor_interior(
         A_II, "recover_m_from_q: 0 is an eigenvalue of "

@@ -193,11 +193,12 @@ def _refined_rows(m_fn, pairs, s_list, L: float, omega, cap: int):
     """The one loop behind every limit study.  Per s and per (kind, u_fn,
     v_fn) pair: corrected_bilinear_form with the conductivity of m_fn,
     h-converged up to N = cap, against local_grad_pairing on the final grid.
-    Yields (fp, grid, gamma, row) so a caller can add rows on that grid."""
+    Yields (fp, grid, gamma, row) so a caller can add rows on that grid.
+    s is clamped once per s (one log record); the row keeps the requested s."""
     a, b = _omega(L, omega)
     for s in s_list:
         _warn_high_s(s)
-        fp = FracParams(s)
+        fp = FracParams(s).clamped()
         for kind, u_fn, v_fn in pairs:
 
             def evaluate(N):

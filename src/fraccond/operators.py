@@ -179,18 +179,20 @@ def frac_divergence_adjoint(grid: Grid, fp: FracParams, v: PairField) -> np.ndar
     return d + tail_vector(grid, fp) * v.edge
 
 
-def _from_kernel(W: np.ndarray, tail: np.ndarray, g) -> np.ndarray:
-    """Turn the kernel matrix W, in place, into the operator matrix with
+def _from_kernel(W: np.ndarray, tail: np.ndarray, g, lo: int = 0) -> np.ndarray:
+    """Turn the kernel rows W (rows lo, lo + 1, ... of the kernel matrix),
+    in place, into the same rows of the operator matrix with
 
         A_ij = -g_i W_ij g_j  (i != j),   A_ii = g_i (sum_j W_ij g_j + tail_i).
 
     g is the nodal gamma^{1/2}, or 1 for (-Delta)^s.  Returns W.
     """
     g = np.broadcast_to(np.asarray(g, dtype=float), tail.shape)
+    hi = lo + W.shape[0]
     W *= g[None, :]
-    diag = g * (W.sum(axis=1) + tail)
-    W *= -g[:, None]
-    np.fill_diagonal(W, diag)
+    diag = g[lo:hi] * (W.sum(axis=1) + tail[lo:hi])
+    W *= -g[lo:hi, None]
+    W[np.arange(hi - lo), np.arange(lo, hi)] = diag
     return W
 
 

@@ -11,6 +11,7 @@ from fraccond.core import (
     cns,
     gamma_fn,
     kernel_matrix,
+    kernel_rows,
     kernel_weight,
     surface_measure,
     tail_vector,
@@ -186,3 +187,14 @@ class TestTailWeight:
         rows = kernel_matrix(g, fp).sum(axis=1) + tail_vector(g, fp)
         assert np.all(np.isfinite(rows))
         assert np.all(rows > 0)
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("N", [64, 257, 1000])
+    @pytest.mark.parametrize("s", [0.3, 0.8])
+    def test_blocks_are_slices_of_kernel_matrix(self, N, s):
+        g = Grid(L=1.0, N=N, a=-0.3, b=0.3)
+        fp = FracParams(s)
+        W = kernel_matrix(g, fp)
+        for lo, hi in ((0, N), (0, 1), (N - 1, N), (5, 40), (N // 3, N // 2 + 7)):
+            assert np.array_equal(kernel_rows(g, fp, lo, hi), W[lo:hi])

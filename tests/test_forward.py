@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fraccond.core import FracParams, Grid
+from fraccond.core import FracParams, Grid, kernel_rows, tail_vector
 from fraccond.forward import (
     ExteriorDatum,
     SolverError,
+    _operator_rows,
     assemble_dn,
     assemble_dn_schrodinger,
     dn_from_operator,
@@ -16,6 +17,7 @@ from fraccond.forward import (
 )
 from fraccond.operators import (
     Conductivity,
+    _from_kernel,
     assemble_conductivity,
     assemble_laplacian,
     assemble_schrodinger,
@@ -312,7 +314,7 @@ def gap_data(g):
 
 class TestReductionRoute:
     """verify_reduction and dn_gap against the dense full-matrix formulas,
-    with one kernel assembly per call and bounded memory."""
+    with one pass over the kernel rows per call and bounded memory."""
 
     @pytest.mark.parametrize("N", [64, 257])
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
@@ -339,27 +341,37 @@ class TestReductionRoute:
         lap_m = L @ gam.m_values
         assert right == g.h * float(np.sum(f[E] * v[E] * lap_m[E]))
 
-    def test_one_kernel_assembly_per_call(self, monkeypatch):
+    def test_one_pass_of_kernel_rows_per_call(self, monkeypatch):
+        # each check builds every kernel row exactly once, block by block,
+        # and never the full kernel matrix
         import fraccond.core
         import fraccond.forward
         import fraccond.operators
 
-        calls = []
-        real = fraccond.core.kernel_matrix
+        blocks = []
+        real = fraccond.core.kernel_rows
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(grid, fp, lo, hi):
+            blocks.append((lo, hi))
+            return real(grid, fp, lo, hi)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel_matrix called")
+
+        monkeypatch.setattr(fraccond.forward, "kernel_rows", counting)
         for mod in (fraccond.core, fraccond.forward, fraccond.operators):
-            monkeypatch.setattr(mod, "kernel_matrix", counting)
-        g, gam = reduction_case(64, "bump")
+            monkeypatch.setattr(mod, "kernel_matrix", forbidden, raising=False)
+        g, gam = reduction_case(1000, "bump")
         fp = FracParams(0.5)
-        verify_reduction(g, fp, gam)
-        assert len(calls) == 1
         f, v = gap_data(g)
-        dn_gap(g, fp, gam, f, v)
-        assert len(calls) == 2
+        for call in (lambda: verify_reduction(g, fp, gam),
+                     lambda: dn_gap(g, fp, gam, f, v),
+                     lambda: liouville_reduce(g, fp, gam)):
+            blocks.clear()
+            call()
+            assert len(blocks) > 1
+            assert sorted(i for lo, hi in blocks for i in range(lo, hi)) \
+                == list(range(g.N))
 
     def test_peak_memory_below_three_dense_matrices(self):
         import tracemalloc
@@ -377,6 +389,66 @@ class TestReductionRoute:
             finally:
                 tracemalloc.stop()
             assert peak < limit
+
+
+class TestRowBlocks:
+    """The row-block stream behind the reduction checks reproduces the
+    assembled operators exactly, within a flat memory budget."""
+
+    @pytest.mark.parametrize("N", [64, 257, 1000])
+    @pytest.mark.parametrize("profile", ["constant", "random"])
+    def test_blocks_are_slices_of_the_operators(self, N, profile):
+        g, gam = reduction_case(N, profile)
+        fp = FracParams(0.7)
+        C = assemble_conductivity(g, fp, gam).matrix
+        L = assemble_laplacian(g, fp).matrix
+        I = g.interior_idx
+        starts = []
+        for lo, hi, C_rows, L_rows in _operator_rows(g, fp, gam.sqrt):
+            assert np.array_equal(C_rows, C[lo:hi])
+            assert np.array_equal(L_rows, L[lo:hi])
+            starts.append(lo)
+        # N = 64 and 257 fit in one block; at N = 1000 a block boundary
+        # falls inside omega
+        assert len(starts) == (2 if N == 1000 else 1)
+        assert (I[0] < starts[-1] <= I[-1]) == (N == 1000)
+
+    def test_from_kernel_on_a_row_block(self):
+        g, gam = reduction_case(257, "random")
+        fp = FracParams(0.4)
+        C = assemble_conductivity(g, fp, gam).matrix
+        tail = tail_vector(g, fp)
+        for lo, hi in ((0, 1), (3, 77), (100, 257)):
+            rows = _from_kernel(kernel_rows(g, fp, lo, hi), tail, gam.sqrt, lo)
+            assert np.array_equal(rows, C[lo:hi])
+
+    @pytest.mark.parametrize("N", [64, 257, 1000])
+    @pytest.mark.parametrize("s", [0.3, 0.8])
+    def test_liouville_reduce_matches_dense(self, N, s):
+        g, gam = reduction_case(N, "random")
+        fp = FracParams(s)
+        L = assemble_laplacian(g, fp).matrix
+        q = liouville_reduce(g, fp, gam).values
+        assert np.array_equal(q, -(L @ gam.m_values) / gam.sqrt)
+
+    def test_peak_memory_flat_at_4096(self):
+        # one dense 4096 x 4096 matrix is 134 MB; the stream needs a few
+        # blocks of 4 MiB plus the |I| x |I| interior blocks
+        import tracemalloc
+
+        g, gam = reduction_case(4096, "random")
+        fp = FracParams(0.5)
+        f, v = gap_data(g)
+        for call in (lambda: verify_reduction(g, fp, gam),
+                     lambda: dn_gap(g, fp, gam, f, v),
+                     lambda: liouville_reduce(g, fp, gam)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48e6
 
 
 class TestDnEvaluator:

@@ -149,6 +149,20 @@ class TestRecoverM:
         assert np.allclose(m[I], ref, rtol=1e-12, atol=1e-14)
         assert np.all(m[g.exterior_idx] == 0.0)
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.995])
+    def test_interior_rows_equal_dense_route(self, s):
+        # A_II from the interior rows of (-Delta)^s is the interior block of
+        # the assembled matrix, so the solve is the dense route exactly
+        g = inverse_grid()
+        fp = FracParams(s)
+        q = bump_potential(g, amp=0.4)
+        I = g.interior_idx
+        A_II = assemble_laplacian(g, fp).matrix[np.ix_(I, I)]
+        A_II[np.diag_indices_from(A_II)] += q[I]
+        ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A_II), -q[I])
+        m = recover_m_from_q(Potential(q), g, fp)
+        assert np.array_equal(m[I], ref)
+
     def test_singular_raises_named_error(self):
         g = Grid(L=1.0, N=48, a=-0.3, b=0.3)
         fp = FracParams(0.5)

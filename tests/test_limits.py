@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 import warnings
 
@@ -52,6 +54,20 @@ class TestOneClampedOrder:
         u = gaussian(0.0, 1.0)(g.nodes)
         assert grad_norm_sq(g, FracParams(0.995), u) \
             == grad_norm_sq(g, FracParams(0.99), u)
+
+
+    def test_study_logs_one_clamp_per_s(self, caplog):
+        # the refinement loop evaluates each s on several grids; the clamp
+        # is logged once per s and the rows are the S_MAX rows with the
+        # requested s
+        u = gaussian(0.0, 1.0)
+        with caplog.at_level(logging.WARNING, logger="fraccond"):
+            st = grad_limit_study(u, [0.995, 0.999])
+        clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
+        assert [r.args[0] for r in clamps] == [0.995, 0.999]
+        ref = grad_limit_study(u, [0.99]).rows[0]
+        for row, s in zip(st.rows, (0.995, 0.999)):
+            assert row == dataclasses.replace(ref, s=s)
 
 
 class TestGradNormSq:
