@@ -16,6 +16,7 @@ non-reproducible output).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._blas import blas_threads
 from .core import S_MAX, S_MIN, FracParams, Grid
 from .forward import (
     SolverError,
@@ -364,7 +366,8 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
                     / np.max(np.abs(truth)))
         checks["recovery_error"] = {"value": err, "pass": bool(err <= 0.01),
                                     "criterion": "<= 1% Linf vs truth"}
-    return files, checks, {"stop_reason": report.stop_reason}
+    return files, checks, {"stop_reason": report.stop_reason,
+                           "gauss_newton_blas_threads": report.blas_threads}
 
 
 def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
@@ -504,8 +507,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the config seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread cap; applied only when threadpoolctl "
-                        "is installed, and the manifest records whether it was")
+                   help="cap on the BLAS threads of numpy's and scipy's "
+                        "bundled OpenBLAS (never raises their count); the "
+                        "manifest records whether it was applied")
     return p
 
 
@@ -520,6 +524,8 @@ def run(argv=None) -> int:
                 else args.seed)
         gamma = build_gamma(cfg, grid, seed)
         outdir = args.out or cfg.get("output_dir", ".")
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads={args.threads} must be >= 1")
     except FileNotFoundError as exc:
         print(f"fraccond: missing input file: {exc}", file=sys.stderr)
         return 3
@@ -527,16 +533,12 @@ def run(argv=None) -> int:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
         return 2
 
-    limiter = None
     diagnostics = {}
+    cap = contextlib.ExitStack()
     if args.threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-            limiter = threadpool_limits(limits=args.threads)
-        except ImportError:
-            pass
-        diagnostics["threads"] = {"requested": args.threads,
-                                  "applied": limiter is not None}
+        diagnostics["threads"] = {
+            "requested": args.threads,
+            "applied": cap.enter_context(blas_threads(args.threads))}
     try:
         os.makedirs(outdir, exist_ok=True)
         files, checks, run_info = _COMMANDS[args.command](
@@ -553,8 +555,7 @@ def run(argv=None) -> int:
               file=sys.stderr)
         return 4
     finally:
-        if limiter is not None:
-            limiter.unregister()
+        cap.close()  # restores the BLAS thread counts
 
     files.append(_write_manifest(outdir, args.command, cfg, seed, checks,
                                  diagnostics, files, t0))

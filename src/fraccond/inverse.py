@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._blas import blas_threads
 from .core import FracParams, Grid, kernel_rows, tail_vector
 from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
                       factor_interior)
@@ -86,6 +87,8 @@ class InversionReport:
     stop_reason: str = ""
     data_residual: float = float("nan")
     lambda_used: float = float("nan")
+    # BLAS threads the Gauss-Newton loop ran at; None when it was not capped
+    blas_threads: int | None = None
 
 
 def _forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
@@ -179,6 +182,23 @@ class _NormalEquations:
 def _gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
                   W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
                   mask: np.ndarray, g_W1: np.ndarray | None):
+    """_damped_gauss_newton on one BLAS thread.
+
+    Its BLAS/LAPACK operands have only |I| rows (tens to a few hundred),
+    where OpenBLAS's default of one thread per CPU runs them an order of
+    magnitude slower than one thread.  The fit records the thread count it
+    ran at: 1, or None when no OpenBLAS setter was found.
+    """
+    with blas_threads(1) as capped:
+        q, fit = _damped_gauss_newton(grid, fp, cfg, W1, W2, observed, mask,
+                                      g_W1)
+    fit["blas_threads"] = 1 if capped else None
+    return q, fit
+
+
+def _damped_gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
+                         W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
+                         mask: np.ndarray, g_W1: np.ndarray | None):
     """Damped Gauss-Newton over interior potential values from q = 0.
 
     reg_lambda is dimensionless: it multiplies the top eigenvalue of the

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from fraccond import _blas
 from fraccond.cli import run
 
 BASE = {
@@ -111,6 +111,23 @@ class TestDnInvertRoundTrip:
         assert np.allclose(tab[:, 1] ** 2, tab[:, 5], rtol=1e-14)
         assert tab[0, 2] == 0.0 and np.all(tab[1:, 3] >= 1)
 
+    def test_gauss_newton_blas_threads_recorded(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "dn.json")
+        dn_out = tmp_path / "dn"
+        assert run(["dn", "--config", cfg, "--out", str(dn_out)]) == 0
+        inv_cfg = write_cfg(
+            tmp_path, "inv.json", gamma={"profile": "constant"},
+            task={"observed_dn": str(dn_out / "dn_matrix.csv")})
+        assert run(["invert", "--config", inv_cfg,
+                    "--out", str(tmp_path / "capped")]) == 0
+        assert manifest(tmp_path / "capped")["diagnostics"][
+            "gauss_newton_blas_threads"] == 1
+        monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
+        assert run(["invert", "--config", inv_cfg,
+                    "--out", str(tmp_path / "free")]) == 0
+        assert manifest(tmp_path / "free")["diagnostics"][
+            "gauss_newton_blas_threads"] is None
+
     def test_missing_observed_file_exit_3(self, tmp_path):
         cfg = write_cfg(tmp_path, "inv.json",
                         task={"observed_dn": "nonexistent/dn.csv"})
@@ -124,10 +141,28 @@ class TestThreadsFlag:
         assert run(["forward", "--config", cfg, "--out", str(out),
                     "--threads", "1"]) == 0
         man = manifest(out)
-        have = importlib.util.find_spec("threadpoolctl") is not None
-        assert man["diagnostics"]["threads"] == {"requested": 1,
-                                                 "applied": have}
+        assert man["diagnostics"]["threads"]["requested"] == 1
+        assert man["diagnostics"]["threads"]["applied"] is True
         assert "threads" not in man["checks"]
+
+    def test_no_setter_found_recorded_as_not_applied(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
+        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out),
+                    "--threads", "2"]) == 0
+        assert manifest(out)["diagnostics"]["threads"] == {"requested": 2,
+                                                           "applied": False}
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_cap_below_one_exit_2(self, tmp_path, capsys, threads):
+        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out),
+                    "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_no_flag_no_record(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})

@@ -1,9 +1,11 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from fraccond import _blas, inverse
 from fraccond.core import FracParams, Grid
 from fraccond.forward import (
     DnMatrix,
@@ -25,7 +27,7 @@ from fraccond.inverse import (
     single_measurement_fit,
 )
 from fraccond.operators import Conductivity, assemble_laplacian
-from fraccond.profiles import bump_m, make_conductivity
+from fraccond.profiles import bump_m, make_conductivity, profile_from_name
 
 
 def inverse_grid(N=64):
@@ -494,3 +496,51 @@ class TestInversionReportDiagnostics:
             tracemalloc.stop()
         assert rep.gamma is not None
         assert peak < 10e6, peak / 1e6
+
+
+class TestOneBlasThread:
+    """The Gauss-Newton loop runs on one BLAS thread and restores the
+    process's thread counts; only the summation order changes."""
+
+    @staticmethod
+    def blas_counts():
+        return [get() for get, _ in _blas._openblas_copies()]
+
+    @staticmethod
+    def panel_data(seed, N=256):
+        g = inverse_grid(N)
+        fp = FracParams(0.5)
+        gam = make_conductivity(g, profile_from_name(
+            "random", seed=seed, amplitude=0.3, width=0.15))
+        E = g.exterior_idx
+        return assemble_dn(g, fp, gam, E, E), g, fp
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_fit_as_uncapped(self, monkeypatch, seed):
+        observed, g, fp = self.panel_data(seed)
+        before = self.blas_counts()
+        capped = reconstruct_gamma(observed, g, fp)
+        assert self.blas_counts() == before
+        monkeypatch.setattr(inverse, "blas_threads",
+                            lambda n: contextlib.nullcontext())
+        free = reconstruct_gamma(observed, g, fp)
+        assert capped.blas_threads == 1 and free.blas_threads is None
+        assert capped.stop_reason == free.stop_reason
+        assert len(capped.iterations) == len(free.iterations)
+        assert len(capped.residual_history) == len(free.residual_history)
+        assert np.max(np.abs(capped.gamma.values - free.gamma.values)) <= 1e-8
+
+    def test_counts_restored_when_the_fit_raises(self, monkeypatch):
+        observed, g, fp = self.panel_data(1, N=64)
+        before = self.blas_counts()
+        inside = []
+
+        def fail(ne, q, lam):
+            inside.append(self.blas_counts())
+            raise ReconstructionError("step failed")
+
+        monkeypatch.setattr(_NormalEquations, "step", fail)
+        with pytest.raises(ReconstructionError, match="step failed"):
+            reconstruct_gamma(observed, g, fp)
+        assert inside == [[1] * len(before)]
+        assert self.blas_counts() == before
