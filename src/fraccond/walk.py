@@ -15,7 +15,8 @@ the lattice are absorbed.  Every lattice quantity is a weighted sum of a
 padded nodal vector over each site's jump targets x_i + hk, 0 < |k| <= K:
 a correlation with the offset weights, so the master steps need O(N)
 memory.  Only the outgoing kernel that simulate samples is built as a
-banded (N, 2K) table.
+banded (N, 2K) table; simulate searches each particle's own cdf row of it
+with a branchless binary search, vectorized over the particles.
 
 Walk-generator identity: with g = gamma^{1/2}, the kernel-matrix
 conductivity operator C_gamma, D_i the incoming row sum and m_off,i the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,6 +70,8 @@ class WalkParams:
     @classmethod
     def from_grid(cls, grid: Grid, fp: FracParams, gamma: Conductivity,
                   K: int | None = None) -> "WalkParams":
+        """Walk on grid's lattice; s is clamped once, as assembly clamps it."""
+        fp = fp.clamped()
         K = default_jump_cutoff(fp.s) if K is None else K
         return cls(grid.h, grid.h ** (2.0 * fp.s), K, fp.s, fp.n, gamma.sqrt.copy())
 
@@ -101,14 +103,29 @@ def default_jump_cutoff(s: float, tol: float = 1e-6, cap: int = 2048) -> int:
     return max(1, min(K, cap))
 
 
-@lru_cache(maxsize=None)
-def full_weight_sum(s: float, terms: int = 1_000_000) -> float:
-    """S = sum_{k in Z, k != 0} |k|^{-1-2s}, accurate to ~1e-12."""
-    k = np.arange(1, terms + 1, dtype=float)
-    partial = np.sum(k ** (-1.0 - 2.0 * s))
-    # Euler-Maclaurin tail beyond `terms`
-    partial += (terms + 0.5) ** (-2.0 * s) / (2.0 * s)
-    return 2.0 * partial
+# B_2j / (2j)! for j = 1..4, the Euler-Maclaurin corrections in full_weight_sum
+_BERNOULLI_OVER_FACTORIAL = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0,
+                             -1.0 / 1209600.0)
+
+
+def full_weight_sum(s: float) -> float:
+    """S = sum_{k in Z, k != 0} |k|^{-1-2s} = 2 zeta(1 + 2s).
+
+    The first M = 64 terms are summed and the tail k > M is the
+    Euler-Maclaurin series of f(x) = x^{-p}, p = 1 + 2s,
+
+        M^{1-p} / (p - 1) - f(M) / 2 + sum_{j=1}^{4} B_2j / (2j)! (p)_{2j-1} M^{1-p-2j},
+
+    whose next term is below 1e-21: the result is exact to round-off.
+    """
+    M, p = 64, 1.0 + 2.0 * s
+    head = np.sum(np.arange(1, M + 1, dtype=float) ** -p)
+    tail = M ** (1.0 - p) / (p - 1.0) - 0.5 * M ** -p
+    rising = p  # the rising factorial (p)_{2j-1}
+    for j, coef in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        tail += coef * rising * M ** (1.0 - p - 2 * j)
+        rising *= (p + 2 * j - 1) * (p + 2 * j)
+    return 2.0 * (head + tail)
 
 
 def truncation_tail_mass(wp: WalkParams) -> float:
@@ -183,8 +200,10 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     (C_gamma)_ij = -g_i W_ij g_j from W = kernel_matrix.  The continuum
     reference integrates the kernel against cubic-spline interpolants of u
     and gamma^{1/2} over the physical jump range R = K h, evaluated only at
-    sites farther than R from the lattice edge.
+    sites farther than R from the lattice edge.  fp's s is clamped once, so
+    kernel_matrix and C_{1,s} are those of assembly.
     """
+    fp = fp.clamped()
     u = np.asarray(u, dtype=float)
     N, K = wp.n_sites, wp.K
     x = grid.nodes
@@ -298,18 +317,19 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     Deterministic: each step uses a substream keyed by (rng_seed, absolute
     step index), so equal seeds give bit-identical trajectories and
     simulate(simulate(e, a), b) == simulate(e, a + b).
+
+    Each draw is located in its own site's cdf row by a branchless binary
+    search (Khuong & Morin, ACM JEA 2017) run for all particles at once:
+    ceil(log2 2K) gathers per step, landing exactly where
+    searchsorted(cdf[site], draw, side="right") does.
     """
     N, K = wp.n_sites, wp.K
     if ens.positions.size and (ens.positions.min() < 0 or ens.positions.max() >= N):
         raise ValueError("simulate: particle positions outside the lattice")
-    # complex keys sort lexicographically as (site, cdf), so one search over
-    # all rows lands each draw where searchsorted on its own site's row would
+    width = 2 * K
     cdf = np.cumsum(outgoing_table(wp), axis=1)
-    cdf[:, -1] = 1.0  # guard against roundoff in the last bin
-    keys = np.empty((N, 2 * K), dtype=complex)
-    keys.real, keys.imag = np.arange(N)[:, None], cdf
-    keys = keys.ravel()
-    del cdf
+    cdf[:, -1] = 1.0  # the last bin takes any draw a roundoff-short row total misses
+    cdf = cdf.ravel()
     targets = _band(np.arange(-K, N + K), K).ravel()
     pos = ens.positions.copy()
     for step in range(steps):
@@ -319,7 +339,16 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
             np.random.SeedSequence(entropy=ens.rng_seed,
                                    spawn_key=(ens.step_count + step,)))
         draws = rng.random(pos.size)
-        pos = targets[np.searchsorted(keys, pos + 1j * draws, side="right")]
+        # invariant: the answer is one of idx .. idx + n - 1 (the row's last
+        # cdf entry is 1 > draw); cdf[half - 1:][idx] is cdf[idx + half - 1]
+        # without an index temporary
+        idx = pos * width
+        n = width
+        while n > 1:
+            half = n // 2
+            idx += half * (cdf[half - 1:][idx] <= draws)
+            n -= half
+        pos = targets[idx]
         pos = pos[(pos >= 0) & (pos < N)]  # absorb off-lattice jumps
     hist = np.bincount(pos, minlength=N).astype(float) / ens.initial_count
     out = Ensemble(pos, ens.rng_seed, ens.step_count + steps, ens.initial_count)

@@ -1,3 +1,6 @@
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
@@ -286,8 +289,8 @@ def simulate_per_site(ens, wp, steps):
 
 
 class TestBandedTable:
-    # K > N reads past both lattice ends from every site; N > 2047 takes
-    # the complex search keys
+    # K > N reads past both lattice ends from every site; (2049, 8) is the
+    # longest lattice
     CONFIGS = [(513, 16, 0.4), (65, 4, 0.3), (257, 300, 0.3), (2049, 8, 0.3)]
 
     @pytest.mark.parametrize("N,K,amp", CONFIGS[:3])
@@ -341,3 +344,67 @@ class TestWalkGeneratorIdentity:
         scale = np.max(np.abs(u)) / wp.tau
         assert same <= 1e-13 * scale
         assert other >= 1e-3 * scale
+
+
+class TestClampOnce:
+    # the walk clamps s into [S_MIN, S_MAX] as assembly does, so a walk at
+    # s = 0.995 is the s = 0.99 walk and meets the identity against the
+    # assembly kernel
+    def test_walk_params_use_clamped_order(self, caplog):
+        g, _, gam, ref = walk_setup(N=65, K=8, s=0.99)
+        with caplog.at_level(logging.WARNING, logger="fraccond"):
+            wp = WalkParams.from_grid(g, FracParams(0.995), gam, 8)
+        clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
+        assert [r.args for r in clamps] == [(0.995, 0.99)]
+        assert (wp.h, wp.tau, wp.K, wp.s, wp.n) == (ref.h, ref.tau, ref.K, ref.s, ref.n)
+        assert wp.tau == g.h ** (2.0 * 0.99)
+        assert np.array_equal(wp.gamma_sqrt, ref.gamma_sqrt)
+        assert WalkParams.from_grid(g, FracParams(0.995), gam).K \
+            == default_jump_cutoff(0.99)
+
+    def test_generator_residual_uses_clamped_order(self):
+        # K = 24 keeps the quad reference to the 17 sites within 1.5 of 0
+        g, _, gam, _ = walk_setup(N=65, K=24, s=0.99)
+        wp = WalkParams.from_grid(g, FracParams(0.995), gam, 24)
+        u = np.exp(-2.0 * g.nodes**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # quad's convergence warnings at s near 1
+            res = generator_residual(u, wp, g, FracParams(0.995))
+        assert res.lattice_residual <= 1.5e-15 * np.max(np.abs(u)) / wp.tau
+
+
+class TestFullWeightSum:
+    def test_matches_zeta_to_roundoff(self):
+        import scipy.special
+        for s in np.linspace(0.05, 0.99, 50):
+            ref = 2.0 * float(scipy.special.zeta(1.0 + 2.0 * s))
+            assert abs(full_weight_sum(s) - ref) <= 1e-14 * ref, s
+
+
+class TestSamplerEdges:
+    # 2K not a power of two, and point sources at both lattice ends so that
+    # absorption happens on each side
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_equals_per_site_search(self, K, end):
+        g, fp, gam, wp = walk_setup(N=129, K=K, gamma_amp=0.3)
+        site = 0 if end == "first" else g.N - 1
+        ens = Ensemble.point_source(20_000, site, rng_seed=7 * K + site)
+        out, hist = simulate(ens, wp, 12)
+        pos, ref_hist = simulate_per_site(ens, wp, 12)
+        assert out.positions.size < ens.positions.size  # some were absorbed
+        assert np.array_equal(out.positions, pos)
+        assert np.array_equal(hist, ref_hist)
+
+    def test_memory_per_particle(self):
+        import tracemalloc
+        g, fp, gam, wp = walk_setup(N=513, K=16, gamma_amp=0.3)
+        n = 200_000
+        ens = Ensemble.point_source(n, g.N // 2, rng_seed=3)
+        tracemalloc.start()
+        try:
+            simulate(ens, wp, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * n
