@@ -7,10 +7,18 @@ significant digits and an atomically written manifest.json that echoes the
 config, records per-check pass/fail values and, under "diagnostics", how
 the run went (the inversion's stop reason, the BLAS thread cap).
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
+Exit codes: 0 success, 2 config error (also an input CSV that is not a
+numeric table of the expected shape), 3 I/O error, 4 numerical failure.
 Re-running a command with identical config and seed reproduces every data
 file byte-for-byte (the manifest's wall_clock_s field is the only
 non-reproducible output).
+
+scipy is loaded only by the code that needs it: scipy.linalg (the LU) by
+forward, dn, reduce and invert, scipy.special by limits, and nothing by
+walk.  A thread cap reaches only the OpenBLAS copies already loaded, so the
+package loads scipy.linalg before it opens any thread cap around code that
+factors a matrix: run() before the --threads cap of those four commands,
+the inversion before its one-thread Gauss-Newton scope.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from . import __version__
 from ._blas import blas_threads
 from .core import S_MAX, S_MIN, FracParams, Grid
 from .forward import (
+    DnMatrix,
     SolverError,
+    _linalg,
     assemble_dn,
     dn_gap,
     solve_dirichlet,
@@ -48,6 +58,8 @@ from .walk import (Ensemble, WalkParams, master_step, q_master_step,
 
 FMT = "%.17g"
 SCHEMA_NAME = "fraccond-config-v1"
+# the commands that LU-factor a matrix, and so run scipy's OpenBLAS copy
+FACTORING = frozenset({"forward", "dn", "reduce", "invert"})
 
 
 class ConfigError(ValueError):
@@ -157,11 +169,7 @@ def build_gamma(cfg: dict, grid: Grid, seed: int) -> Conductivity:
         path = gblock.get("path")
         if path is None:
             raise ConfigError("gamma.path is required for profile 'from-file'")
-        data = _read_csv(path)
-        vals = data[:, 1]
-        if vals.shape != (grid.N,):
-            raise ConfigError("gamma file length does not match grid.N")
-        m = np.sqrt(vals) - 1.0
+        m = np.sqrt(_read_gamma_column(path, grid)) - 1.0
         m[grid.exterior_idx] = 0.0
         return Conductivity.from_m(grid, m)
     shape = {k: _number(gblock[k], float, f"gamma.{k}")
@@ -183,9 +191,27 @@ def _write_csv(path: str, header: str, columns) -> str:
 
 
 def _read_csv(path: str) -> np.ndarray:
+    """A numeric CSV with one header line, as a 2-D array; a file that does
+    not parse is a config error that names it."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a numeric CSV ({exc})") from None
+
+
+def _read_gamma_column(path: str, grid: Grid) -> np.ndarray:
+    """The gamma column (the second, after x) of a one-row-per-node CSV
+    such as gamma.csv or recovered_gamma.csv."""
+    data = _read_csv(path)
+    if data.shape[1] < 2:
+        raise ConfigError(f"{path}: expected columns x,gamma; found "
+                          f"{data.shape[1]} column(s)")
+    if data.shape[0] != grid.N:
+        raise ConfigError(f"{path}: {data.shape[0]} rows, but grid.N is "
+                          f"{grid.N}")
+    return data[:, 1]
 
 
 def _write_manifest(outdir: str, command: str, cfg: dict, seed: int,
@@ -326,10 +352,10 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
     matrix = _read_csv(obs_path)
     E = grid.exterior_idx
     if matrix.shape != (E.size, E.size):
-        raise ConfigError("observed DN matrix shape does not match the "
-                          "exterior node set of this grid")
-    from .forward import DnMatrix
-
+        raise ConfigError(f"{obs_path}: observed DN matrix shape does not "
+                          "match the exterior node set of this grid")
+    truth_path = task.get("truth_gamma")
+    truth = None if truth_path is None else _read_gamma_column(truth_path, grid)
     observed = DnMatrix(E, E, matrix)
     report = reconstruct_gamma(observed, grid, fp, inv_cfg)
     its = report.iterations
@@ -359,9 +385,7 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
         "monotone_residuals": {"value": monotone, "pass": monotone,
                                "criterion": "damped objective non-increasing"},
     }
-    truth_path = task.get("truth_gamma")
-    if truth_path is not None:
-        truth = _read_csv(truth_path)[:, 1]
+    if truth is not None:
         err = float(np.max(np.abs(report.gamma.values - truth))
                     / np.max(np.abs(truth)))
         checks["recovery_error"] = {"value": err, "pass": bool(err <= 0.01),
@@ -536,6 +560,8 @@ def run(argv=None) -> int:
     diagnostics = {}
     cap = contextlib.ExitStack()
     if args.threads is not None:
+        if args.command in FACTORING:
+            _linalg()  # load scipy's OpenBLAS copy so that the cap reaches it
         diagnostics["threads"] = {
             "requested": args.threads,
             "applied": cap.enter_context(blas_threads(args.threads))}

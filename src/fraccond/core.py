@@ -154,7 +154,8 @@ def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
 
 def kernel_rows(grid: Grid, fp: FracParams, lo: int, hi: int) -> np.ndarray:
     """Rows lo <= i < hi of the kernel matrix: a (hi - lo, N) block of
-    kernel weights, zero where i == j."""
+    kernel weights, zero where i == j.  A low-level builder: it takes the s
+    it is given, and every caller passes an fp it has already clamped."""
     W = _inverse_distance_power(grid.nodes, grid.n + 2.0 * fp.s, lo, hi)
     W *= fp.cns * grid.h**grid.n
     return W

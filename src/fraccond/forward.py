@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import FracParams, Grid, kernel_rows, tail_vector
 from .operators import (
@@ -55,10 +54,24 @@ class SolverError(RuntimeError):
         self.cond = cond
 
 
+def _linalg():
+    """scipy.linalg, the LAPACK LU behind every interior factor and solve.
+
+    The one place the package imports it, on first use, so that importing
+    the package and running a command that factors nothing (walk, limits)
+    loads no scipy.linalg.  Importing it loads scipy's own OpenBLAS copy,
+    which blas_threads can cap only once it is loaded: code that opens a
+    thread cap around a factor calls this before it opens the cap.
+    """
+    import scipy.linalg  # loaded here only: keeps the CLI import light
+
+    return scipy.linalg
+
+
 def factor_interior(A_II: np.ndarray, context: str):
     """LU-factor an interior block, raising SolverError when it is
     numerically singular (pivot collapse beyond 1e-12 of the largest)."""
-    lu, piv = scipy.linalg.lu_factor(A_II)
+    lu, piv = _linalg().lu_factor(A_II)
     d = np.abs(np.diag(lu))
     if d.min() <= 1e-12 * max(d.max(), 1.0):
         raise SolverError(f"{context}: interior block numerically singular",
@@ -139,7 +152,7 @@ def solve_dirichlet(op: NonlocalOperator, g: np.ndarray,
     lu, piv = factor_interior(A[np.ix_(I, I)], "solve_dirichlet")
     u = np.zeros(grid.N)
     u[E] = g[E]
-    u[I] = scipy.linalg.lu_solve((lu, piv), rhs)
+    u[I] = _linalg().lu_solve((lu, piv), rhs)
     return u
 
 
@@ -182,7 +195,7 @@ class _DnEvaluator:
         A_II = self.A_II.copy()
         A_II[np.diag_indices_from(A_II)] += q_int
         lu = factor_interior(A_II, self.context)
-        U = scipy.linalg.lu_solve(lu, self.neg_S)
+        U = _linalg().lu_solve(lu, self.neg_S)
         M = self.A_W2I @ U
         M += self.D
         M *= self.h
@@ -191,7 +204,7 @@ class _DnEvaluator:
     def observation_block(self, U: np.ndarray, lu) -> np.ndarray:
         """V = A_II^-1 (-A_I,W2), from the factors evaluate() returned
         (A is symmetric, so A_I,W2 = A_W2,I^T)."""
-        return U if self.same else scipy.linalg.lu_solve(lu, -self.A_W2I.T)
+        return U if self.same else _linalg().lu_solve(lu, -self.A_W2I.T)
 
     def dn_matrix(self, q_int) -> DnMatrix:
         """The DN matrix of A + diag(q) for unit sources on W1."""
@@ -311,7 +324,7 @@ def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
     I = grid.interior_idx
     E = grid.exterior_idx
     A_II[np.diag_indices_from(A_II)] += q_I
-    u_I = scipy.linalg.lu_solve(factor_interior(A_II, "dn_gap"), -Af[I])
+    u_I = _linalg().lu_solve(factor_interior(A_II, "dn_gap"), -Af[I])
     return grid.h**grid.n * float(v[E] @ Af[E] + Av[I] @ u_I)
 
 

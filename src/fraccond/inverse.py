@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import blas_threads
 from .core import FracParams, Grid, kernel_rows, tail_vector
-from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
+from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator, _linalg,
                       factor_interior)
 from .operators import Conductivity, _from_kernel, assemble_laplacian
 
@@ -186,9 +185,12 @@ def _gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
 
     Its BLAS/LAPACK operands have only |I| rows (tens to a few hundred),
     where OpenBLAS's default of one thread per CPU runs them an order of
-    magnitude slower than one thread.  The fit records the thread count it
-    ran at: 1, or None when no OpenBLAS setter was found.
+    magnitude slower than one thread.  scipy.linalg is loaded before the
+    scope opens, so the cap also reaches scipy's OpenBLAS copy, which runs
+    the LU factors.  The fit records the thread count it ran at: 1, or None
+    when no OpenBLAS setter was found.
     """
+    _linalg()
     with blas_threads(1) as capped:
         q, fit = _damped_gauss_newton(grid, fp, cfg, W1, W2, observed, mask,
                                       g_W1)
@@ -331,7 +333,7 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
         A_II, "recover_m_from_q: 0 is an eigenvalue of "
         "(-Delta)^s + q on omega")
     m = np.zeros(grid.N)
-    m[I] = scipy.linalg.lu_solve((lu, piv), -q.values[I])
+    m[I] = _linalg().lu_solve((lu, piv), -q.values[I])
     return m
 
 

@@ -145,8 +145,10 @@ def frac_gradient(grid: Grid, fp: FracParams, u: np.ndarray) -> PairField:
 
     i.e. the vector of the continuum definition resolved along the
     direction from x_i to x_j; its modulus is C^{1/2}/sqrt(2)
-    |u_j - u_i| / |x_j - x_i|^{n/2+s}.
+    |u_j - u_i| / |x_j - x_i|^{n/2+s}.  s is clamped once, as assembly
+    clamps it.
     """
+    fp = fp.clamped()
     u = np.asarray(u, dtype=float)
     c = np.sqrt(fp.cns / 2.0)
     du = u[None, :] - u[:, None]  # u_j - u_i
@@ -161,7 +163,9 @@ def node_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
 
 def pair_inner(grid: Grid, fp: FracParams, v: PairField, w: PairField) -> float:
     """L^2(R^{2n}) inner product: pair sum times h^{2n} plus the exact
-    window-exterior block carried by the edge coefficients."""
+    window-exterior block carried by the edge coefficients.  s is clamped
+    once, as in frac_gradient."""
+    fp = fp.clamped()
     core = float(np.sum(v.values * w.values)) * grid.h ** (2 * grid.n)
     tails = tail_vector(grid, fp)
     return core + grid.h**grid.n * float(np.sum(tails * v.edge * w.edge))
@@ -171,7 +175,10 @@ def frac_divergence_adjoint(grid: Grid, fp: FracParams, v: PairField) -> np.ndar
     """Adjoint of frac_gradient: the unique nodal field d with
 
         node_inner(d, u) == pair_inner(v, frac_gradient(u))   for all u.
+
+    s is clamped once, as in frac_gradient.
     """
+    fp = fp.clamped()
     c = np.sqrt(fp.cns / 2.0)
     K = _halfkernel(grid, fp)
     anti = v.values.T - v.values  # anti[k, j] = v(j, k) - v(k, j)

@@ -171,18 +171,144 @@ class TestThreadsFlag:
         assert "threads" not in manifest(out)["diagnostics"]
 
 
-def test_cli_import_leaves_quadrature_modules_unloaded():
-    # the continuum reference's scipy modules load only when used
+def fresh_interpreter(code: str) -> dict:
+    """Run code in a new interpreter that imports fraccond from this
+    checkout; code prints one JSON object, which is returned."""
     import fraccond
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraccond.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, fraccond.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
-            "'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out.splitlines()[-1])
+
+
+_SCIPY_LOADED = ("import json, sys\n"
+                 "def scipy_loaded():\n"
+                 "    return sorted(m for m in sys.modules "
+                 "if m.startswith('scipy'))\n")
+
+
+def test_cli_import_leaves_quadrature_modules_unloaded(tmp_path):
+    # scipy loads only where it is used: importing the package and running
+    # a walk, which factors no matrix, load no scipy module at all
+    cfg = write_cfg(tmp_path, "w.json", **TestWalkCommand.WALK)
+    argv = ["walk", "--config", cfg, "--out", str(tmp_path / "w")]
+    got = fresh_interpreter(
+        _SCIPY_LOADED
+        + "import fraccond, fraccond.cli\n"
+        "imported = scipy_loaded()\n"
+        f"code = fraccond.cli.run({argv!r})\n"
+        "print(json.dumps({'imported': imported, 'code': code, "
+        "'walked': scipy_loaded()}))\n")
+    assert got == {"imported": [], "code": 0, "walked": []}
+
+
+def test_limits_loads_special_not_linalg(tmp_path):
+    cfg = write_cfg(tmp_path, "l.json",
+                    grid={"L": 12.0, "N": 512, "omega": [-4.0, 4.0]},
+                    gamma={"profile": "constant"},
+                    task={"study": "grad", "s_list": [0.9]})
+    argv = ["limits", "--config", cfg, "--out", str(tmp_path / "lim")]
+    got = fresh_interpreter(
+        _SCIPY_LOADED
+        + "import fraccond.cli\n"
+        f"code = fraccond.cli.run({argv!r})\n"
+        "print(json.dumps({'code': code, 'loaded': scipy_loaded()}))\n")
+    assert got["code"] == 0
+    assert "scipy.special" in got["loaded"]
+    assert not [m for m in got["loaded"] if m.startswith("scipy.linalg")]
+
+
+class TestThreadCapOrdering:
+    """A thread cap reaches only the OpenBLAS copies already loaded.  Every
+    cap the package opens must find as many copies as an eager import of
+    scipy.linalg would: the LU runs in scipy's copy."""
+
+    COUNT_AT_EACH_SCOPE = (
+        "import json\n"
+        "from fraccond import _blas\n"
+        "import fraccond.cli\n"
+        "find = _blas._openblas_copies\n"
+        "seen = []\n"
+        "def recording():\n"
+        "    copies = find()\n"
+        "    seen.append(len(copies))\n"
+        "    return copies\n"
+        "_blas._openblas_copies = recording\n"
+        "code = fraccond.cli.run(ARGV)\n"
+        "import scipy.linalg\n"
+        "print(json.dumps({'code': code, 'seen': seen, "
+        "'eager': len(find())}))\n")
+
+    def counts(self, argv):
+        return fresh_interpreter(
+            self.COUNT_AT_EACH_SCOPE.replace("ARGV", repr(argv)))
+
+    def test_invert_gauss_newton_scope(self, tmp_path):
+        cfg = write_cfg(tmp_path, "dn.json", grid={"N": 32})
+        dn_out = tmp_path / "dn"
+        assert run(["dn", "--config", cfg, "--out", str(dn_out)]) == 0
+        inv_cfg = write_cfg(
+            tmp_path, "inv.json", grid={"N": 32}, gamma={"profile": "constant"},
+            task={"observed_dn": str(dn_out / "dn_matrix.csv")})
+        got = self.counts(["invert", "--config", inv_cfg,
+                           "--out", str(tmp_path / "inv")])
+        assert got["code"] == 0
+        assert got["seen"] == [got["eager"]]
+
+    def test_forward_threads_scope(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
+        got = self.counts(["forward", "--config", cfg, "--out",
+                           str(tmp_path / "fw"), "--threads", "1"])
+        assert got["code"] == 0
+        assert got["seen"] == [got["eager"]]
+
+
+class TestMalformedInputCsv:
+    """An input CSV that is not a numeric table of the expected shape is a
+    config error (exit 2) with a one-line message naming the file."""
+
+    @staticmethod
+    def assert_rejected(code, capsys, path):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("body", ["x\n0.5\n0.25\n",
+                                      "x,gamma\n0.5,one\n",
+                                      "x,gamma\n0.5,1.0\n"])
+    def test_forward_gamma_from_file(self, tmp_path, capsys, body):
+        bad = tmp_path / "gamma.csv"
+        bad.write_text(body)  # one column / not numeric / wrong length
+        cfg = write_cfg(tmp_path, "c.json",
+                        gamma={"profile": "from-file", "path": str(bad)})
+        code = run(["forward", "--config", cfg, "--out", str(tmp_path / "fw")])
+        self.assert_rejected(code, capsys, bad)
+
+    def test_invert_observed_dn_not_numeric(self, tmp_path, capsys):
+        bad = tmp_path / "dn_matrix.csv"
+        bad.write_text("src0,src1\n1.0,abc\n")
+        cfg = write_cfg(tmp_path, "inv.json", gamma={"profile": "constant"},
+                        task={"observed_dn": str(bad)})
+        code = run(["invert", "--config", cfg, "--out", str(tmp_path / "inv")])
+        self.assert_rejected(code, capsys, bad)
+
+    @pytest.mark.parametrize("body", ["x\n0.5\n", "x,gamma\n0.5,?\n"])
+    def test_invert_truth_gamma(self, tmp_path, capsys, body):
+        cfg = write_cfg(tmp_path, "dn.json")
+        dn_out = tmp_path / "dn"
+        assert run(["dn", "--config", cfg, "--out", str(dn_out)]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "truth.csv"
+        bad.write_text(body)
+        inv_cfg = write_cfg(
+            tmp_path, "inv.json", gamma={"profile": "constant"},
+            task={"observed_dn": str(dn_out / "dn_matrix.csv"),
+                  "truth_gamma": str(bad)})
+        code = run(["invert", "--config", inv_cfg,
+                    "--out", str(tmp_path / "inv")])
+        self.assert_rejected(code, capsys, bad)
 
 
 class TestReduceCommand:

@@ -133,6 +133,46 @@ class TestDivergenceAdjoint:
             assert np.max(np.abs(comp - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+class TestOrderClamp:
+    # above S_MAX the gradient/divergence pair is the S_MAX pair, as the
+    # assembled operators are
+    def test_pair_at_0995_is_the_099_pair(self):
+        g = small_grid(48)
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal(g.N)
+        vals = rng.standard_normal((g.N, g.N))
+        np.fill_diagonal(vals, 0.0)
+        v = PairField(vals, rng.standard_normal(g.N))
+        hi, ref = FracParams(0.995), FracParams(0.99)
+        pf = frac_gradient(g, hi, u)
+        assert np.array_equal(pf.values, frac_gradient(g, ref, u).values)
+        assert np.array_equal(frac_divergence_adjoint(g, hi, v),
+                              frac_divergence_adjoint(g, ref, v))
+        assert pair_inner(g, hi, v, pf) == pair_inner(g, ref, v, pf)
+
+    def test_duality_identity_at_0995(self):
+        g = small_grid(48)
+        fp = FracParams(0.995)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            u = rng.standard_normal(g.N)
+            vals = rng.standard_normal((g.N, g.N))
+            np.fill_diagonal(vals, 0.0)
+            v = PairField(vals, rng.standard_normal(g.N))
+            lhs = node_inner(g, frac_divergence_adjoint(g, fp, v), u)
+            rhs = pair_inner(g, fp, v, frac_gradient(g, fp, u))
+            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+    def test_composition_at_0995_equals_assembled_laplacian(self):
+        g = Grid(L=1.0, N=128, a=-0.3, b=0.3)
+        fp = FracParams(0.995)
+        A = assemble_laplacian(g, fp).matrix
+        u = np.random.default_rng(13).standard_normal(g.N)
+        comp = frac_divergence_adjoint(g, fp, frac_gradient(g, fp, u))
+        ref = A @ u
+        assert np.max(np.abs(comp - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 class TestAssembleLaplacian:
     def test_constant_maps_to_tail(self):
         g = small_grid()
