@@ -13,12 +13,11 @@ Re-running a command with identical config and seed reproduces every data
 file byte-for-byte (the manifest's wall_clock_s field is the only
 non-reproducible output).
 
-scipy is loaded only by the code that needs it: scipy.linalg (the LU) by
-forward, dn, reduce and invert, scipy.special by limits, and nothing by
-walk.  A thread cap reaches only the OpenBLAS copies already loaded, so the
-package loads scipy.linalg before it opens any thread cap around code that
-factors a matrix: run() before the --threads cap of those four commands,
-the inversion before its one-thread Gauss-Newton scope.
+scipy is loaded only by limits (scipy.special).  forward, dn, reduce,
+invert and walk load no scipy module: the interior solves run in numpy's
+LAPACK, so numpy's bundled OpenBLAS runs every BLAS call of those
+commands, and a thread cap (--threads, the inversion's one-thread
+Gauss-Newton scope) reaches it as soon as numpy is imported.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .core import S_MAX, S_MIN, FracParams, Grid
 from .forward import (
     DnMatrix,
     SolverError,
-    _linalg,
     assemble_dn,
     dn_gap,
     solve_dirichlet,
@@ -58,8 +56,6 @@ from .walk import (Ensemble, WalkParams, master_step, q_master_step,
 
 FMT = "%.17g"
 SCHEMA_NAME = "fraccond-config-v1"
-# the commands that LU-factor a matrix, and so run scipy's OpenBLAS copy
-FACTORING = frozenset({"forward", "dn", "reduce", "invert"})
 
 
 class ConfigError(ValueError):
@@ -192,9 +188,8 @@ def _write_csv(path: str, header: str, columns) -> str:
 
 def _read_csv(path: str) -> np.ndarray:
     """A numeric CSV with one header line, as a 2-D array; a file that does
-    not parse is a config error that names it."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
+    not parse is a config error that names it, one that cannot be read
+    (missing, a directory) raises OSError."""
     try:
         return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
@@ -531,9 +526,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the config seed")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap on the BLAS threads of numpy's and scipy's "
-                        "bundled OpenBLAS (never raises their count); the "
-                        "manifest records whether it was applied")
+                   help="cap on the BLAS threads of numpy's bundled "
+                        "OpenBLAS, which runs every solve (never raises its "
+                        "count); the manifest records whether it was applied")
     return p
 
 
@@ -550,8 +545,8 @@ def run(argv=None) -> int:
         outdir = args.out or cfg.get("output_dir", ".")
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads={args.threads} must be >= 1")
-    except FileNotFoundError as exc:
-        print(f"fraccond: missing input file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"fraccond: I/O error: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
@@ -560,8 +555,6 @@ def run(argv=None) -> int:
     diagnostics = {}
     cap = contextlib.ExitStack()
     if args.threads is not None:
-        if args.command in FACTORING:
-            _linalg()  # load scipy's OpenBLAS copy so that the cap reaches it
         diagnostics["threads"] = {
             "requested": args.threads,
             "applied": cap.enter_context(blas_threads(args.threads))}
@@ -573,8 +566,8 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"fraccond: missing input file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"fraccond: I/O error: {exc}", file=sys.stderr)
         return 3
     except (SolverError, ReconstructionError, FloatingPointError) as exc:
         print(f"fraccond: {args.command}: numerical failure: {exc}",

@@ -18,8 +18,11 @@ conductivity matrix and of (-Delta)^s, and the pass keeps only running
 maxima, length-N vectors and the |I| x |I| interior blocks, so memory is
 O(block N + |I|^2).  verify_reduction compares the two sides of the
 identity on the interior rows only; dn_gap evaluates each DN pairing
-<Lambda f, v> from one interior LU and one solve instead of assembling a
-DN matrix.
+<Lambda f, v> from one interior solve instead of assembling a DN matrix.
+
+Every interior block is checked by factor_interior and solved with
+np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
+so none of these paths loads scipy.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ BLOCK_BYTES = 4 << 20
 
 
 class SolverError(RuntimeError):
-    """Raised when the interior block cannot be factorized reliably."""
+    """Raised when the interior block cannot be solved reliably."""
 
     def __init__(self, message: str, cond: float | None = None):
         if cond is not None:
@@ -54,29 +57,22 @@ class SolverError(RuntimeError):
         self.cond = cond
 
 
-def _linalg():
-    """scipy.linalg, the LAPACK LU behind every interior factor and solve.
+def factor_interior(A_II: np.ndarray, context: str) -> np.ndarray:
+    """Check an interior block before it is solved with np.linalg.solve
+    (LAPACK gesv), raising SolverError when it is numerically singular.
 
-    The one place the package imports it, on first use, so that importing
-    the package and running a command that factors nothing (walk, limits)
-    loads no scipy.linalg.  Importing it loads scipy's own OpenBLAS copy,
-    which blas_threads can cap only once it is loaded: code that opens a
-    thread cap around a factor calls this before it opens the cap.
+    Every interior block here is symmetric ((-Delta)^s + diag q, and the
+    conductivity block up to round-off), so its smallest |eigenvalue| is
+    its 2-norm distance to a singular matrix: the block is rejected when
+    that falls to 1e-12 of the largest |eigenvalue| (or of 1), and cond is
+    their ratio.  Returns the block, which callers solve against.
     """
-    import scipy.linalg  # loaded here only: keeps the CLI import light
-
-    return scipy.linalg
-
-
-def factor_interior(A_II: np.ndarray, context: str):
-    """LU-factor an interior block, raising SolverError when it is
-    numerically singular (pivot collapse beyond 1e-12 of the largest)."""
-    lu, piv = _linalg().lu_factor(A_II)
-    d = np.abs(np.diag(lu))
-    if d.min() <= 1e-12 * max(d.max(), 1.0):
+    lam = np.abs(np.linalg.eigvalsh(A_II))
+    if lam.min() <= 1e-12 * max(lam.max(), 1.0):
+        cond = lam.max() / lam.min() if lam.min() > 0 else np.inf
         raise SolverError(f"{context}: interior block numerically singular",
-                          cond=float(np.linalg.cond(A_II)))
-    return lu, piv
+                          cond=float(cond))
+    return A_II
 
 
 @dataclass
@@ -149,10 +145,10 @@ def solve_dirichlet(op: NonlocalOperator, g: np.ndarray,
     A = op.matrix
     rhs = np.zeros(I.size) if F is None else np.asarray(F, dtype=float)[I]
     rhs = rhs - A[np.ix_(I, E)] @ g[E]
-    lu, piv = factor_interior(A[np.ix_(I, I)], "solve_dirichlet")
+    A_II = factor_interior(A[np.ix_(I, I)], "solve_dirichlet")
     u = np.zeros(grid.N)
     u[E] = g[E]
-    u[I] = _linalg().lu_solve((lu, piv), rhs)
+    u[I] = np.linalg.solve(A_II, rhs)
     return u
 
 
@@ -162,10 +158,11 @@ class _DnEvaluator:
 
     A is a symmetric operator matrix ((-Delta)^s, the conductivity
     operator); its blocks are sliced once.  An evaluation adds diag(q) to a
-    copy of the interior block and LU-factors that.  With unit sources (g_W1
-    None) the data is the (|W2|, |W1|) DN matrix; with a fixed source g on
-    W1 it is the (|W2|, 1) response column, i.e. the same map with the one
-    source g @ e_W1.  `context` names the caller in a SolverError.
+    copy of the interior block and solves against that with numpy's LAPACK
+    (gesv).  With unit sources (g_W1 None) the data is the (|W2|, |W1|) DN
+    matrix; with a fixed source g on W1 it is the (|W2|, 1) response
+    column, i.e. the same map with the one source g @ e_W1.  `context`
+    names the caller in a SolverError.
     """
 
     def __init__(self, grid: Grid, A: np.ndarray, W1: np.ndarray,
@@ -191,20 +188,20 @@ class _DnEvaluator:
 
     def evaluate(self, q_int):
         """DN data M, the source solution block U = A_II^-1 (-A_I,W1) and
-        the LU factors of A_II + diag(q)."""
+        the checked block A_II + diag(q)."""
         A_II = self.A_II.copy()
         A_II[np.diag_indices_from(A_II)] += q_int
-        lu = factor_interior(A_II, self.context)
-        U = _linalg().lu_solve(lu, self.neg_S)
+        A_II = factor_interior(A_II, self.context)
+        U = np.linalg.solve(A_II, self.neg_S)
         M = self.A_W2I @ U
         M += self.D
         M *= self.h
-        return M, U, lu
+        return M, U, A_II
 
-    def observation_block(self, U: np.ndarray, lu) -> np.ndarray:
-        """V = A_II^-1 (-A_I,W2), from the factors evaluate() returned
-        (A is symmetric, so A_I,W2 = A_W2,I^T)."""
-        return U if self.same else _linalg().lu_solve(lu, -self.A_W2I.T)
+    def observation_block(self, U: np.ndarray, A_II: np.ndarray) -> np.ndarray:
+        """V = A_II^-1 (-A_I,W2), solved against the block evaluate()
+        returned (A is symmetric, so A_I,W2 = A_W2,I^T)."""
+        return U if self.same else np.linalg.solve(A_II, -self.A_W2I.T)
 
     def dn_matrix(self, q_int) -> DnMatrix:
         """The DN matrix of A + diag(q) for unit sources on W1."""
@@ -324,7 +321,7 @@ def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
     I = grid.interior_idx
     E = grid.exterior_idx
     A_II[np.diag_indices_from(A_II)] += q_I
-    u_I = _linalg().lu_solve(factor_interior(A_II, "dn_gap"), -Af[I])
+    u_I = np.linalg.solve(factor_interior(A_II, "dn_gap"), -Af[I])
     return grid.h**grid.n * float(v[E] @ Af[E] + Av[I] @ u_I)
 
 
@@ -335,8 +332,8 @@ def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
         left  = <Lambda_q f, v> - <Lambda_gamma f, v>
         right = h^n sum_{exterior} f_i v_i ((-Delta)^s m)_i
 
-    computed independently: left from two DN pairings, each with one LU of
-    its operator's interior block and one solve, right from the direct
+    computed independently: left from two DN pairings, each one solve
+    against its operator's interior block, right from the direct
     exterior sum.  One pass over the row blocks gathers A f, A v and A_II
     for both operators and (-Delta)^s m, so memory is O(block N + |I|^2).
     """
@@ -355,7 +352,7 @@ def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
             Af[lo:hi] = A @ f
             Av[lo:hi] = A @ v
             A_II[a:b] = A[np.ix_(rows, I)]
-    del C, L  # the last row blocks, freed before the two LUs
+    del C, L  # the last row blocks, freed before the two solves
     q_I = -lap_m[I] / g[I]
     left = (_dn_pairing(grid, L_II, q_I, Lf, Lv, v)
             - _dn_pairing(grid, C_II, 0.0, Cf, Cv, v))

@@ -10,7 +10,8 @@ and set gamma = (1 + m)^2.
 
 The forward map q -> Schroedinger DN data is forward._DnEvaluator on the
 Laplacian, assembled once per inversion; an evaluation only adds diag(q)
-to the interior block and LU-factors it.
+to the interior block, checks it (factor_interior) and solves against it
+with numpy's LAPACK (gesv).
 
 The Jacobian of the DN data in the interior q values is the Khatri-Rao
 product J[l, k, i] = h U[i, k] V[i, l] of the interior solution blocks for
@@ -34,7 +35,7 @@ import numpy as np
 
 from ._blas import blas_threads
 from .core import FracParams, Grid, kernel_rows, tail_vector
-from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator, _linalg,
+from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
                       factor_interior)
 from .operators import Conductivity, _from_kernel, assemble_laplacian
 
@@ -103,8 +104,8 @@ def _forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
     """
     data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
                         g_W1, _SINGULAR_Q)
-    M, U, lu = data.evaluate(q_int)
-    V = data.observation_block(U, lu)
+    M, U, A_II = data.evaluate(q_int)
+    V = data.observation_block(U, A_II)
     J = data.h * np.einsum("il,ik->lki", V, U)
     if g_W1 is None:
         return M, J
@@ -185,12 +186,11 @@ def _gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
 
     Its BLAS/LAPACK operands have only |I| rows (tens to a few hundred),
     where OpenBLAS's default of one thread per CPU runs them an order of
-    magnitude slower than one thread.  scipy.linalg is loaded before the
-    scope opens, so the cap also reaches scipy's OpenBLAS copy, which runs
-    the LU factors.  The fit records the thread count it ran at: 1, or None
-    when no OpenBLAS setter was found.
+    magnitude slower than one thread.  The interior solves run in numpy's
+    OpenBLAS too, so the cap covers every BLAS/LAPACK call of the loop.
+    The fit records the thread count it ran at: 1, or None when no OpenBLAS
+    setter was found.
     """
-    _linalg()
     with blas_threads(1) as capped:
         q, fit = _damped_gauss_newton(grid, fp, cfg, W1, W2, observed, mask,
                                       g_W1)
@@ -226,13 +226,13 @@ def _damped_gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
         M[excluded] = 0.0
         return M
 
-    def normal_equations(U, lu, R):
-        return _NormalEquations(data.observation_block(U, lu), U, R,
+    def normal_equations(U, A_II, R):
+        return _NormalEquations(data.observation_block(U, A_II), U, R,
                                 excluded, data.h)
 
-    M, U, lu = data.evaluate(q)
+    M, U, A_II = data.evaluate(q)
     R = residual(M)
-    ne = normal_equations(U, lu, R)
+    ne = normal_equations(U, A_II, R)
     lam = cfg.reg_lambda * max(float(ne.mu[-1]), 0.0)
 
     def objective(Rv, qv):
@@ -254,7 +254,7 @@ def _damped_gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
         if stop_reason == "converged":
             break
         if it:
-            ne = normal_equations(U, lu, R)
+            ne = normal_equations(U, A_II, R)
         delta = ne.step(q, lam)
         phi0 = objective(R, q)
         t, trials = 1.0, 0
@@ -262,7 +262,7 @@ def _damped_gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
             trials += 1
             q_try = q + t * delta
             try:
-                M_try, U_try, lu_try = data.evaluate(q_try)
+                M_try, U_try, A_II_try = data.evaluate(q_try)
             except SolverError:
                 t *= cfg.step_damping
                 continue
@@ -273,7 +273,7 @@ def _damped_gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
         else:
             stop_reason = "damping_floor"  # keep the best iterate
             break
-        q, R, U, lu = q_try, R_try, U_try, lu_try
+        q, R, U, A_II = q_try, R_try, U_try, A_II_try
         record(t, trials)
         if iterations[-1].data_residual < cfg.tol:
             stop_reason = "converged"
@@ -329,11 +329,10 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
     rows = _from_kernel(kernel_rows(grid, fp, lo, hi), tail_vector(grid, fp), 1.0, lo)
     A_II = rows[:, I]
     A_II[np.diag_indices_from(A_II)] += q.values[I]
-    lu, piv = factor_interior(
-        A_II, "recover_m_from_q: 0 is an eigenvalue of "
-        "(-Delta)^s + q on omega")
+    factor_interior(A_II, "recover_m_from_q: 0 is an eigenvalue of "
+                    "(-Delta)^s + q on omega")
     m = np.zeros(grid.N)
-    m[I] = _linalg().lu_solve((lu, piv), -q.values[I])
+    m[I] = np.linalg.solve(A_II, -q.values[I])
     return m
 
 

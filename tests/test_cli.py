@@ -220,14 +220,40 @@ def test_limits_loads_special_not_linalg(tmp_path):
     assert not [m for m in got["loaded"] if m.startswith("scipy.linalg")]
 
 
+def invert_config(tmp_path) -> str:
+    """An N=32 invert config whose observed DN matrix is a dn run's output."""
+    cfg = write_cfg(tmp_path, "dn.json", grid={"N": 32})
+    dn_out = tmp_path / "dn"
+    assert run(["dn", "--config", cfg, "--out", str(dn_out)]) == 0
+    return write_cfg(tmp_path, "inv.json", grid={"N": 32},
+                     gamma={"profile": "constant"},
+                     task={"observed_dn": str(dn_out / "dn_matrix.csv")})
+
+
+@pytest.mark.parametrize("command", ["forward", "dn", "reduce", "invert"])
+def test_solver_commands_load_no_scipy(tmp_path, command):
+    # the interior solves run in numpy's LAPACK: no command that solves a
+    # Dirichlet block loads any scipy module
+    cfg = (invert_config(tmp_path) if command == "invert"
+           else write_cfg(tmp_path, "c.json", grid={"N": 32}))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
+    got = fresh_interpreter(
+        _SCIPY_LOADED
+        + "import fraccond.cli\n"
+        f"code = fraccond.cli.run({argv!r})\n"
+        "print(json.dumps({'code': code, 'loaded': scipy_loaded()}))\n")
+    assert got == {"code": 0, "loaded": []}
+
+
 class TestThreadCapOrdering:
-    """A thread cap reaches only the OpenBLAS copies already loaded.  Every
-    cap the package opens must find as many copies as an eager import of
-    scipy.linalg would: the LU runs in scipy's copy."""
+    """A thread cap reaches only the OpenBLAS copies already loaded.  The
+    interior solves run in numpy's copy, which importing the package loads,
+    so every cap the package opens finds at least that copy, and the run
+    loads no scipy (no copy the cap could have missed)."""
 
     COUNT_AT_EACH_SCOPE = (
-        "import json\n"
-        "from fraccond import _blas\n"
+        _SCIPY_LOADED
+        + "from fraccond import _blas\n"
         "import fraccond.cli\n"
         "find = _blas._openblas_copies\n"
         "seen = []\n"
@@ -237,32 +263,54 @@ class TestThreadCapOrdering:
         "    return copies\n"
         "_blas._openblas_copies = recording\n"
         "code = fraccond.cli.run(ARGV)\n"
-        "import scipy.linalg\n"
         "print(json.dumps({'code': code, 'seen': seen, "
-        "'eager': len(find())}))\n")
+        "'loaded': scipy_loaded()}))\n")
 
     def counts(self, argv):
         return fresh_interpreter(
             self.COUNT_AT_EACH_SCOPE.replace("ARGV", repr(argv)))
 
-    def test_invert_gauss_newton_scope(self, tmp_path):
-        cfg = write_cfg(tmp_path, "dn.json", grid={"N": 32})
-        dn_out = tmp_path / "dn"
-        assert run(["dn", "--config", cfg, "--out", str(dn_out)]) == 0
-        inv_cfg = write_cfg(
-            tmp_path, "inv.json", grid={"N": 32}, gamma={"profile": "constant"},
-            task={"observed_dn": str(dn_out / "dn_matrix.csv")})
-        got = self.counts(["invert", "--config", inv_cfg,
-                           "--out", str(tmp_path / "inv")])
+    def assert_every_scope_capped(self, got):
         assert got["code"] == 0
-        assert got["seen"] == [got["eager"]]
+        assert len(got["seen"]) == 1 and got["seen"][0] >= 1
+        assert got["loaded"] == []
+
+    def test_invert_gauss_newton_scope(self, tmp_path):
+        self.assert_every_scope_capped(self.counts(
+            ["invert", "--config", invert_config(tmp_path),
+             "--out", str(tmp_path / "inv")]))
 
     def test_forward_threads_scope(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
-        got = self.counts(["forward", "--config", cfg, "--out",
-                           str(tmp_path / "fw"), "--threads", "1"])
-        assert got["code"] == 0
-        assert got["seen"] == [got["eager"]]
+        self.assert_every_scope_capped(self.counts(
+            ["forward", "--config", cfg, "--out", str(tmp_path / "fw"),
+             "--threads", "1"]))
+
+
+class TestUnreadableInput:
+    """An input path that cannot be read (here a directory) is an I/O
+    error: exit 3 with a one-line message naming the path."""
+
+    @staticmethod
+    def assert_io_error(code, capsys, path):
+        err = capsys.readouterr().err
+        assert code == 3
+        assert str(path) in err and len(err.strip().splitlines()) == 1
+
+    def test_gamma_path_is_directory(self, tmp_path, capsys):
+        folder = tmp_path / "gamma_dir"
+        folder.mkdir()
+        cfg = write_cfg(tmp_path, "c.json",
+                        gamma={"profile": "from-file", "path": str(folder)})
+        code = run(["forward", "--config", cfg, "--out", str(tmp_path / "fw")])
+        self.assert_io_error(code, capsys, folder)
+
+    def test_config_is_directory(self, tmp_path, capsys):
+        folder = tmp_path / "cfg_dir"
+        folder.mkdir()
+        code = run(["forward", "--config", str(folder),
+                    "--out", str(tmp_path / "fw")])
+        self.assert_io_error(code, capsys, folder)
 
 
 class TestMalformedInputCsv:

@@ -11,6 +11,7 @@ from fraccond.forward import (
     dn_from_operator,
     dn_gap,
     dn_pointwise,
+    factor_interior,
     liouville_reduce,
     solve_dirichlet,
     verify_reduction,
@@ -125,6 +126,53 @@ class TestSolveDirichlet:
         with pytest.raises(SolverError) as err:
             solve_dirichlet(op, e)
         assert err.value.cond is None or err.value.cond > 1e12
+
+
+class TestFactorInterior:
+    """The singularity check of every interior block: the smallest against
+    the largest |eigenvalue|, with the threshold 1e-12."""
+
+    @staticmethod
+    def interior_block(operator):
+        g = Grid(L=1.0, N=48, a=-0.3, b=0.3)
+        fp = FracParams(0.5)
+        op = (assemble_laplacian(g, fp) if operator == "laplacian"
+              else assemble_conductivity(g, fp, bump_gamma(g)))
+        I = g.interior_idx
+        return op.matrix[np.ix_(I, I)]
+
+    @staticmethod
+    def shifted(block, smallest):
+        """block - c I with c chosen so that the smallest eigenvalue of the
+        result is `smallest` (up to round-off)."""
+        out = block.copy()
+        out[np.diag_indices_from(out)] -= np.linalg.eigvalsh(block)[0] - smallest
+        return out
+
+    @pytest.mark.parametrize("operator", ["laplacian", "conductivity"])
+    def test_singular_block_raises_with_condition(self, operator):
+        block = self.shifted(self.interior_block(operator), 0.0)
+        with pytest.raises(SolverError, match="singular") as err:
+            factor_interior(block, "test")
+        assert err.value.cond > 1e12
+
+    @pytest.mark.parametrize("operator", ["laplacian", "conductivity"])
+    def test_accepts_condition_1e10(self, operator):
+        block = self.interior_block(operator)
+        lam = np.linalg.eigvalsh(block)
+        block = self.shifted(block, 1e-10 * (lam[-1] - lam[0]))
+        assert 0.5e10 < np.linalg.cond(block) < 2e10
+        assert factor_interior(block, "test") is block
+
+    def test_dirichlet_solve_is_numpy_solve(self):
+        g = grid128()
+        op = assemble_conductivity(g, FracParams(0.5), bump_gamma(g))
+        I, E = g.interior_idx, g.exterior_idx
+        gdat = np.zeros(g.N)
+        gdat[E] = np.random.default_rng(5).uniform(-1.0, 1.0, E.size)
+        A = op.matrix
+        ref = np.linalg.solve(A[np.ix_(I, I)], -(A[np.ix_(I, E)] @ gdat[E]))
+        assert np.array_equal(solve_dirichlet(op, gdat)[I], ref)
 
 
 class TestAssembleDn:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fraccond import _blas, inverse
+from fraccond import _blas, forward, inverse
 from fraccond.core import FracParams, Grid
 from fraccond.forward import (
     DnMatrix,
@@ -42,6 +42,16 @@ def bump_potential(g, amp=0.8, width=0.12):
     q = np.zeros(g.N)
     q[g.interior_idx] = bump_m(amp, 0.0, width)(g.nodes)[g.interior_idx]
     return q
+
+
+def panel_data(seed, N=256):
+    """Conductivity DN data of the CLI's random profile with this seed."""
+    g = inverse_grid(N)
+    fp = FracParams(0.5)
+    gam = make_conductivity(g, profile_from_name(
+        "random", seed=seed, amplitude=0.3, width=0.15))
+    E = g.exterior_idx
+    return assemble_dn(g, fp, gam, E, E), g, fp
 
 
 class TestConfig:
@@ -498,6 +508,30 @@ class TestInversionReportDiagnostics:
         assert peak < 10e6, peak / 1e6
 
 
+class TestFactorCount:
+    """Every forward evaluation checks its interior block once, so a fit
+    that stops converged or at max_iter calls factor_interior once for the
+    start, once per line-search trial and once in recover_m_from_q."""
+
+    @pytest.mark.parametrize("seed, stop", [(0, "converged"), (3, "max_iter")])
+    def test_one_check_per_evaluation(self, monkeypatch, seed, stop):
+        observed, g, fp = panel_data(seed)
+        factor = forward.factor_interior
+        contexts = []
+
+        def counting(A_II, context):
+            contexts.append(context)
+            return factor(A_II, context)
+
+        monkeypatch.setattr(forward, "factor_interior", counting)
+        monkeypatch.setattr(inverse, "factor_interior", counting)
+        rep = reconstruct_gamma(observed, g, fp)
+        assert rep.stop_reason == stop
+        trials = sum(it.trials for it in rep.iterations)
+        assert len(contexts) == 1 + trials + 1
+        assert contexts[-1].startswith("recover_m_from_q")
+
+
 class TestOneBlasThread:
     """The Gauss-Newton loop runs on one BLAS thread and restores the
     process's thread counts; only the summation order changes."""
@@ -506,18 +540,9 @@ class TestOneBlasThread:
     def blas_counts():
         return [get() for get, _ in _blas._openblas_copies()]
 
-    @staticmethod
-    def panel_data(seed, N=256):
-        g = inverse_grid(N)
-        fp = FracParams(0.5)
-        gam = make_conductivity(g, profile_from_name(
-            "random", seed=seed, amplitude=0.3, width=0.15))
-        E = g.exterior_idx
-        return assemble_dn(g, fp, gam, E, E), g, fp
-
     @pytest.mark.parametrize("seed", [1, 2])
     def test_same_fit_as_uncapped(self, monkeypatch, seed):
-        observed, g, fp = self.panel_data(seed)
+        observed, g, fp = panel_data(seed)
         before = self.blas_counts()
         capped = reconstruct_gamma(observed, g, fp)
         assert self.blas_counts() == before
@@ -531,7 +556,7 @@ class TestOneBlasThread:
         assert np.max(np.abs(capped.gamma.values - free.gamma.values)) <= 1e-8
 
     def test_counts_restored_when_the_fit_raises(self, monkeypatch):
-        observed, g, fp = self.panel_data(1, N=64)
+        observed, g, fp = panel_data(1, N=64)
         before = self.blas_counts()
         inside = []
 
