@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from ._blas import blas_threads
-from .core import S_MAX, S_MIN, FracParams, Grid
+from .core import FracParams, Grid
 from .forward import (
     DnMatrix,
     SolverError,
@@ -128,32 +128,37 @@ def build_grid(cfg: dict) -> Grid:
 
 
 def _number(value, convert, where: str):
-    """A config value passed through int or float; a value that does not
-    convert is a config error."""
+    """A config value passed through int or float.  A value that does not
+    convert, a bool, and for int a float that is not integral (32.0 is 32,
+    32.7 is an error) are config errors."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}={value!r} is not a number")
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}={value!r} is not an integer")
     try:
         return convert(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}={value!r} is not a number") from None
 
 
-def _check_order(value, where: str) -> float:
-    """A fractional order from the config, rejected unless it is a number
-    in the range the operators support."""
+def _check_order(value, where: str) -> FracParams:
+    """The FracParams of a fractional order from the config; a value that is
+    not a number or that FracParams rejects is a config error."""
     s = _number(value, float, where)
-    if not S_MIN <= s <= S_MAX:
-        raise ConfigError(f"{where}={s} outside [{S_MIN}, {S_MAX}]")
-    return s
+    try:
+        return FracParams(s)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def build_frac(cfg: dict) -> FracParams:
     fblock = cfg["frac"]
-    try:
-        s = _check_order(fblock["s"], "frac.s")
-        return FracParams(s, _number(fblock.get("n", 1), int, "frac.n"))
-    except KeyError as exc:
-        raise ConfigError(f"frac block missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"frac: {exc}") from exc
+    if "s" not in fblock:
+        raise ConfigError("frac block missing key 's'")
+    n = _number(fblock.get("n", 1), int, "frac.n")
+    if n != 1:
+        raise ConfigError(f"frac.n={n} must be 1: the lattice is 1-D")
+    return _check_order(fblock["s"], "frac.s")
 
 
 def build_gamma(cfg: dict, grid: Grid, seed: int) -> Conductivity:
@@ -252,6 +257,8 @@ def _exterior_set(grid: Grid, selector, name: str) -> np.ndarray:
 def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
     task = cfg.get("task", {})
     src = task.get("source", {"type": "zero"})
+    if not isinstance(src, dict):
+        raise ConfigError("task.source must be an object {type, ...}")
     kind = src.get("type", "zero")
     g = np.zeros(grid.N)
     if kind == "unit":
@@ -449,7 +456,7 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
     s_list = task.get("s_list", [0.6, 0.8, 0.9, 0.95])
     if not (isinstance(s_list, list) and s_list):
         raise ConfigError("task.s_list must be a non-empty array of orders")
-    s_list = [_check_order(s, "task.s_list entry") for s in s_list]
+    s_list = [_check_order(s, "task.s_list entry").s for s in s_list]
     if study not in ("grad", "bilinear", "operator", "decay", "all"):
         raise ConfigError("task.study must be grad|bilinear|operator|decay|all")
     files, checks = [], {}

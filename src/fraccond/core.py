@@ -11,22 +11,21 @@ Conventions used throughout the package:
   at the cutoff radius L + h/2.  This keeps every node, including the two
   endpoint nodes, strictly inside the truncation radius and makes the
   punctured lattice sum plus tail an exact partition of the whole-line
-  integral.
+  integral;
+* the lattice is one-dimensional (n = 1 in the paper's R^n), so a kernel
+  weight is C_{1,s} h / |x_i - x_j|^{1+2s};
+* the fractional order lies in [S_MIN, S_MAX]: FracParams rejects any
+  other, so every routine uses the s it is given.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-logger = logging.getLogger("fraccond")
-
-# fractional orders outside this range produce degenerate kernels; operator
-# assembly and bilinear_form clamp into it (with a log message), and the CLI
-# rejects a config order outside it
+# fractional orders outside this range produce degenerate kernels
 S_MIN = 0.05
 S_MAX = 0.99
 
@@ -57,26 +56,15 @@ def surface_measure(n: int) -> float:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Fractional order s, spatial dimension n, cached constant C_{n,s}."""
+    """Fractional order s in [S_MIN, S_MAX] and its cached constant C_{1,s}."""
 
     s: float
-    n: int = 1
     cns: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"FracParams: s={self.s} outside (0, 1)")
-        if self.n != 1:
-            raise ValueError("FracParams: only n = 1 is supported")
-        object.__setattr__(self, "cns", cns(self.n, self.s))
-
-    def clamped(self) -> "FracParams":
-        """Copy with s clamped into the assembly range [S_MIN, S_MAX]."""
-        if S_MIN <= self.s <= S_MAX:
-            return self
-        s = min(max(self.s, S_MIN), S_MAX)
-        logger.warning("fractional order %g clamped to %g for assembly", self.s, s)
-        return FracParams(s, self.n)
+        if not S_MIN <= self.s <= S_MAX:
+            raise ValueError(f"FracParams: s={self.s} outside [{S_MIN}, {S_MAX}]")
+        object.__setattr__(self, "cns", cns(1, self.s))
 
 
 @dataclass(frozen=True)
@@ -92,7 +80,6 @@ class Grid:
     N: int
     a: float
     b: float
-    n: int = 1
     h: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
     interior_idx: np.ndarray = field(init=False, repr=False)
@@ -100,8 +87,6 @@ class Grid:
     cutoff: float = field(init=False)
 
     def __post_init__(self):
-        if self.n != 1:
-            raise ValueError("Grid: only n = 1 is supported")
         if self.N < 4:
             raise ValueError(f"Grid: need at least 4 nodes, got N={self.N}")
         if not self.L > 0:
@@ -132,11 +117,11 @@ class Grid:
 
 
 def kernel_weight(grid: Grid, fp: FracParams, i: int, j: int) -> float:
-    """Quadrature weight C_{n,s} h^n / |x_i - x_j|^{n+2s} for an off-diagonal pair."""
+    """Quadrature weight C_{1,s} h / |x_i - x_j|^{1+2s} for an off-diagonal pair."""
     if i == j:
         raise ValueError("kernel_weight: i == j (singular diagonal)")
     d = abs(grid.nodes[i] - grid.nodes[j])
-    return fp.cns * grid.h**grid.n / d ** (grid.n + 2.0 * fp.s)
+    return fp.cns * grid.h / d ** (1.0 + 2.0 * fp.s)
 
 
 def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
@@ -154,10 +139,9 @@ def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
 
 def kernel_rows(grid: Grid, fp: FracParams, lo: int, hi: int) -> np.ndarray:
     """Rows lo <= i < hi of the kernel matrix: a (hi - lo, N) block of
-    kernel weights, zero where i == j.  A low-level builder: it takes the s
-    it is given, and every caller passes an fp it has already clamped."""
-    W = _inverse_distance_power(grid.nodes, grid.n + 2.0 * fp.s, lo, hi)
-    W *= fp.cns * grid.h**grid.n
+    kernel weights, zero where i == j."""
+    W = _inverse_distance_power(grid.nodes, 1.0 + 2.0 * fp.s, lo, hi)
+    W *= fp.cns * grid.h
     return W
 
 
@@ -169,10 +153,10 @@ def kernel_matrix(grid: Grid, fp: FracParams) -> np.ndarray:
 def tail_weight(grid: Grid, fp: FracParams, i: int) -> float:
     """Exact kernel mass beyond the truncation radius, seen from node i.
 
-    Closed form of C_{n,s} * integral of |y - x_i|^{-n-2s} over |y| > R with
+    Closed form of C_{1,s} * integral of |y - x_i|^{-1-2s} over |y| > R with
     R = grid.cutoff = L + h/2 (fields vanish there by convention):
 
-        C_{n,s}/(2s) [ (R - x_i)^{-2s} + (R + x_i)^{-2s} ]
+        C_{1,s}/(2s) [ (R - x_i)^{-2s} + (R + x_i)^{-2s} ]
     """
     x = grid.nodes[i]
     R = grid.cutoff

@@ -175,7 +175,7 @@ class _DnEvaluator:
                 raise ValueError(f"DN map: {nm} must be a subset of exterior_idx")
         I = grid.interior_idx
         self.W1, self.W2, self.context = W1, W2, context
-        self.h = grid.h**grid.n
+        self.h = grid.h
         self.A_II = A[np.ix_(I, I)]
         self.A_W2I = A[np.ix_(W2, I)]
         S = A[np.ix_(I, W1)]
@@ -243,7 +243,6 @@ def _operator_rows(grid: Grid, fp: FracParams, g: np.ndarray):
     grouping of rows, and so the roundoff of each row of a block matvec,
     the same as in the full-matrix product.
     """
-    fp = fp.clamped()
     tail = tail_vector(grid, fp)
     step = max(BLOCK_BYTES // (8 * grid.N) // 8, 1) * 8
     for lo in range(0, grid.N, step):
@@ -322,7 +321,7 @@ def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
     E = grid.exterior_idx
     A_II[np.diag_indices_from(A_II)] += q_I
     u_I = np.linalg.solve(factor_interior(A_II, "dn_gap"), -Af[I])
-    return grid.h**grid.n * float(v[E] @ Af[E] + Av[I] @ u_I)
+    return grid.h * float(v[E] @ Af[E] + Av[I] @ u_I)
 
 
 def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
@@ -356,7 +355,7 @@ def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
     q_I = -lap_m[I] / g[I]
     left = (_dn_pairing(grid, L_II, q_I, Lf, Lv, v)
             - _dn_pairing(grid, C_II, 0.0, Cf, Cv, v))
-    right = grid.h**grid.n * float(np.sum(f[E] * v[E] * lap_m[E]))
+    right = grid.h * float(np.sum(f[E] * v[E] * lap_m[E]))
     return left, right
 
 

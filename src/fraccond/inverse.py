@@ -323,7 +323,6 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
     from the interior rows of (-Delta)^s only (omega's nodes are
     consecutive), not from the full N x N matrix.
     """
-    fp = fp.clamped()
     I = grid.interior_idx
     lo, hi = int(I[0]), int(I[-1]) + 1
     rows = _from_kernel(kernel_rows(grid, fp, lo, hi), tail_vector(grid, fp), 1.0, lo)

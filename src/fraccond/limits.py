@@ -11,9 +11,8 @@ them the Gaussian energies are accurate to ~1e-5 relative across
 s in [0.3, 0.95] already at N ~ 2048.
 
 The lattice-sum defect is evaluated in closed form, zeta(2s - 1) +
-2^{2s-2} / (2 - 2s).  Each corrected energy clamps s once into
-[S_MIN, S_MAX], so the lattice sum and the near-field term of one call use
-the same s (a study row still reports the requested s).
+2^{2s-2} / (2 - 2s).  Every s goes through FracParams, so a study rejects
+an order outside [S_MIN, S_MAX] before it evaluates anything at it.
 
 The three h-refinement studies (grad, bilinear, operator) are one private
 driver, `_refined_rows`: per s and per (kind, u, v) pair it doubles N from
@@ -139,9 +138,7 @@ def grad_norm_sq(grid: Grid, fp: FracParams, u: np.ndarray,
 def corrected_bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
                             u: np.ndarray, v: np.ndarray) -> float:
     """Weighted energy pairing with the near-diagonal correction; the
-    diagonal term carries gamma (both kernel factors collapse to x).  s is
-    clamped once, so the lattice sum and the correction use the same s."""
-    fp = fp.clamped()
+    diagonal term carries gamma (both kernel factors collapse to x)."""
     base = bilinear_form(grid, fp, gamma, u, v)
     du = central_diff(grid, u)
     dv = central_diff(grid, v)
@@ -193,12 +190,11 @@ def _refined_rows(m_fn, pairs, s_list, L: float, omega, cap: int):
     """The one loop behind every limit study.  Per s and per (kind, u_fn,
     v_fn) pair: corrected_bilinear_form with the conductivity of m_fn,
     h-converged up to N = cap, against local_grad_pairing on the final grid.
-    Yields (fp, grid, gamma, row) so a caller can add rows on that grid.
-    s is clamped once per s (one log record); the row keeps the requested s."""
+    Yields (fp, grid, gamma, row) so a caller can add rows on that grid."""
     a, b = _omega(L, omega)
     for s in s_list:
+        fp = FracParams(s)
         _warn_high_s(s)
-        fp = FracParams(s).clamped()
         for kind, u_fn, v_fn in pairs:
 
             def evaluate(N):
@@ -289,7 +285,6 @@ def gradient_distributional_decay(u_fn, t_fn, s_list, L: float = 6.0,
     np.fill_diagonal(T, 0.0)
     out = []
     for s in s_list:
-        fp = FracParams(s).clamped()
-        pf = frac_gradient(g, fp, u)
-        out.append(float(np.sum(pf.values * T)) * g.h ** (2 * g.n))
+        pf = frac_gradient(g, FracParams(s), u)
+        out.append(float(np.sum(pf.values * T)) * g.h**2)
     return np.array(out)

@@ -12,7 +12,8 @@ the exact analytic tail beyond the truncation radius.  The symmetric
 puncture is the principal value; no extra correction term enters the
 assembled matrices, which keeps the algebraic identities (gradient/
 divergence duality, the conductivity-to-Schroedinger reduction) exact at
-matrix level.
+matrix level.  Every routine uses fp's s as given (FracParams holds it in
+[S_MIN, S_MAX]).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (FracParams, Grid, _inverse_distance_power, kernel_matrix,
                    tail_vector)
 
 EDGE_DECAY_TOL = 1e-12
+BILINEAR_BLOCK = 512
 
 
 @dataclass
@@ -132,8 +134,8 @@ def delta_diff(u: np.ndarray, i: int, k: int) -> float:
 
 
 def _halfkernel(grid: Grid, fp: FracParams) -> np.ndarray:
-    """|x_i - x_j|^{-n/2 - s} with zero diagonal."""
-    return _inverse_distance_power(grid.nodes, grid.n / 2.0 + fp.s)
+    """|x_i - x_j|^{-1/2 - s} with zero diagonal."""
+    return _inverse_distance_power(grid.nodes, 0.5 + fp.s)
 
 
 def frac_gradient(grid: Grid, fp: FracParams, u: np.ndarray) -> PairField:
@@ -145,10 +147,8 @@ def frac_gradient(grid: Grid, fp: FracParams, u: np.ndarray) -> PairField:
 
     i.e. the vector of the continuum definition resolved along the
     direction from x_i to x_j; its modulus is C^{1/2}/sqrt(2)
-    |u_j - u_i| / |x_j - x_i|^{n/2+s}.  s is clamped once, as assembly
-    clamps it.
+    |u_j - u_i| / |x_j - x_i|^{n/2+s}.
     """
-    fp = fp.clamped()
     u = np.asarray(u, dtype=float)
     c = np.sqrt(fp.cns / 2.0)
     du = u[None, :] - u[:, None]  # u_j - u_i
@@ -158,31 +158,26 @@ def frac_gradient(grid: Grid, fp: FracParams, u: np.ndarray) -> PairField:
 
 def node_inner(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """L^2(R^n) inner product: node sum times h^n."""
-    return float(np.dot(u, v)) * grid.h**grid.n
+    return float(np.dot(u, v)) * grid.h
 
 
 def pair_inner(grid: Grid, fp: FracParams, v: PairField, w: PairField) -> float:
     """L^2(R^{2n}) inner product: pair sum times h^{2n} plus the exact
-    window-exterior block carried by the edge coefficients.  s is clamped
-    once, as in frac_gradient."""
-    fp = fp.clamped()
-    core = float(np.sum(v.values * w.values)) * grid.h ** (2 * grid.n)
+    window-exterior block carried by the edge coefficients."""
+    core = float(np.sum(v.values * w.values)) * grid.h**2
     tails = tail_vector(grid, fp)
-    return core + grid.h**grid.n * float(np.sum(tails * v.edge * w.edge))
+    return core + grid.h * float(np.sum(tails * v.edge * w.edge))
 
 
 def frac_divergence_adjoint(grid: Grid, fp: FracParams, v: PairField) -> np.ndarray:
     """Adjoint of frac_gradient: the unique nodal field d with
 
         node_inner(d, u) == pair_inner(v, frac_gradient(u))   for all u.
-
-    s is clamped once, as in frac_gradient.
     """
-    fp = fp.clamped()
     c = np.sqrt(fp.cns / 2.0)
     K = _halfkernel(grid, fp)
     anti = v.values.T - v.values  # anti[k, j] = v(j, k) - v(k, j)
-    d = -c * grid.h**grid.n * np.sum(anti * K, axis=1)
+    d = -c * grid.h * np.sum(anti * K, axis=1)
     return d + tail_vector(grid, fp) * v.edge
 
 
@@ -210,7 +205,6 @@ def assemble_laplacian(grid: Grid, fp: FracParams) -> NonlocalOperator:
     punctured row sum plus the exact tail, so constants are annihilated up
     to the tail term and the matrix is symmetric positive semidefinite.
     """
-    fp = fp.clamped()
     A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), 1.0)
     return NonlocalOperator(A, "laplacian", grid, fp)
 
@@ -222,7 +216,6 @@ def assemble_conductivity(grid: Grid, fp: FracParams, gamma: Conductivity) -> No
     tail keeps weight one because gamma is 1 beyond the window, and the
     whole row is premultiplied by gamma_i^{1/2}.
     """
-    fp = fp.clamped()
     A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), gamma.sqrt)
     return NonlocalOperator(A, "conductivity", grid, fp)
 
@@ -266,28 +259,27 @@ def spectral_laplacian_oracle(grid: Grid, fp: FracParams, u: np.ndarray,
 
 
 def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
-                  u: np.ndarray, v: np.ndarray, block: int = 512) -> float:
+                  u: np.ndarray, v: np.ndarray) -> float:
     """Weighted energy pairing
 
         C/2 sum_{i != j} g_i g_j (u_j - u_i)(v_j - v_i) / |x_j - x_i|^{n+2s} h^{2n}
         + h^n sum_i g_i u_i v_i tail_i,       g = gamma^{1/2},
 
-    evaluated as a blocked double sum (independent of the assembled matrix;
-    equals u . A_gamma v under the h^n node pairing exactly).  s is clamped
-    into [S_MIN, S_MAX] as in the assembly routines.
+    evaluated as a double sum over blocks of BILINEAR_BLOCK rows
+    (independent of the assembled matrix; equals u . A_gamma v under the h^n
+    node pairing exactly).
     """
-    fp = fp.clamped()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     g = gamma.sqrt
-    p = grid.n + 2.0 * fp.s
+    p = 1.0 + 2.0 * fp.s
     acc = 0.0
-    for lo in range(0, grid.N, block):
-        hi = min(lo + block, grid.N)
+    for lo in range(0, grid.N, BILINEAR_BLOCK):
+        hi = min(lo + BILINEAR_BLOCK, grid.N)
         K = _inverse_distance_power(grid.nodes, p, lo, hi)
         du = u[None, :] - u[lo:hi, None]
         dv = v[None, :] - v[lo:hi, None]
         acc += float(np.sum((g[lo:hi, None] * g[None, :]) * du * dv * K))
-    core = 0.5 * fp.cns * acc * grid.h ** (2 * grid.n)
+    core = 0.5 * fp.cns * acc * grid.h**2
     tails = tail_vector(grid, fp)
-    return core + grid.h**grid.n * float(np.sum(g * u * v * tails))
+    return core + grid.h * float(np.sum(g * u * v * tails))

@@ -17,7 +17,10 @@ def bump_m(amplitude: float = 0.3, center: float = 0.0, width: float = 0.3):
     """Smooth compactly supported bump, peak `amplitude` at `center`.
 
     m(x) = amplitude * exp(1 - 1/(1 - t^2)) on |t| < 1, t = (x-center)/width.
+    Raises ValueError unless width > 0.
     """
+    if not width > 0:
+        raise ValueError(f"bump_m: width={width} must be > 0")
 
     def m(x):
         x = np.asarray(x, dtype=float)

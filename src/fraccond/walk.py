@@ -2,12 +2,13 @@
 generator identity connecting the walk to the conductivity operator.
 
 A particle found at site x + hk jumps to x with probability proportional to
-gamma^{1/2}(x + hk) |k|^{-n-2s} (incoming form); the time step is tau =
-h^{2s}.  The Monte Carlo simulator needs outgoing probabilities and uses
-the row-normalized transpose of the incoming kernel:
+gamma^{1/2}(x + hk) |k|^{-1-2s} (incoming form); the time step is tau =
+h^{2s}, with s the order of the FracParams given.  The Monte Carlo
+simulator needs outgoing probabilities and uses the row-normalized
+transpose of the incoming kernel:
 
-    Q(y -> y + j)  propto  |j|^{-n-2s} / D(y + j),
-    D(t) = sum_{k != 0} gamma^{1/2}(t + hk) |k|^{-n-2s},
+    Q(y -> y + j)  propto  |j|^{-1-2s} / D(y + j),
+    D(t) = sum_{k != 0} gamma^{1/2}(t + hk) |k|^{-1-2s},
 
 which coincides with the incoming walk when gamma is constant.  Reads
 beyond the lattice use gamma = 1 and field value 0; particles jumping off
@@ -47,22 +48,17 @@ from .operators import Conductivity
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Lattice spacing, time step tau = h^{2s}, jump cutoff and conductivity."""
+    """Lattice spacing, jump cutoff, order and conductivity; the time step
+    is tau = h^{2s}."""
 
     h: float
-    tau: float
     K: int
     s: float
-    n: int
     gamma_sqrt: np.ndarray  # gamma^{1/2} sampled on the lattice sites
 
     def __post_init__(self):
-        if self.n != 1:
-            raise ValueError("WalkParams: only n = 1 is supported")
         if self.K < 1:
             raise ValueError("WalkParams: jump cutoff K must be >= 1")
-        if abs(self.tau - self.h ** (2.0 * self.s)) > 1e-14 * self.h ** (2.0 * self.s):
-            raise ValueError("WalkParams: tau must equal h^(2s)")
         gs = np.asarray(self.gamma_sqrt, dtype=float)
         object.__setattr__(self, "gamma_sqrt", gs)
         gs.setflags(write=False)
@@ -70,10 +66,14 @@ class WalkParams:
     @classmethod
     def from_grid(cls, grid: Grid, fp: FracParams, gamma: Conductivity,
                   K: int | None = None) -> "WalkParams":
-        """Walk on grid's lattice; s is clamped once, as assembly clamps it."""
-        fp = fp.clamped()
+        """Walk on grid's lattice at fp's order; K defaults to
+        default_jump_cutoff(s)."""
         K = default_jump_cutoff(fp.s) if K is None else K
-        return cls(grid.h, grid.h ** (2.0 * fp.s), K, fp.s, fp.n, gamma.sqrt.copy())
+        return cls(grid.h, K, fp.s, gamma.sqrt.copy())
+
+    @property
+    def tau(self) -> float:
+        return self.h ** (2.0 * self.s)
 
     @property
     def n_sites(self) -> int:
@@ -86,12 +86,17 @@ class WalkParams:
 
     @property
     def offset_weights(self) -> np.ndarray:
-        """|k|^{-n-2s} on the truncated offset set."""
-        return np.abs(self.offsets, dtype=float) ** -(self.n + 2.0 * self.s)
+        """|k|^{-1-2s} on the truncated offset set."""
+        return np.abs(self.offsets, dtype=float) ** -(1.0 + 2.0 * self.s)
 
 
-def default_jump_cutoff(s: float, tol: float = 1e-6, cap: int = 2048) -> int:
-    """Smallest K with relative truncated kernel mass below tol (capped).
+JUMP_TAIL_TOL = 1e-6
+JUMP_CUTOFF_CAP = 2048
+
+
+def default_jump_cutoff(s: float) -> int:
+    """Smallest K with relative truncated kernel mass below JUMP_TAIL_TOL,
+    capped at JUMP_CUTOFF_CAP.
 
     The tail fraction of sum_{k != 0} |k|^{-1-2s} beyond K is approximately
     K^{-2s} / (2s) / zeta-sum; small s would need astronomically large K
@@ -99,8 +104,8 @@ def default_jump_cutoff(s: float, tol: float = 1e-6, cap: int = 2048) -> int:
     available from truncation_tail_mass.
     """
     S = full_weight_sum(s)
-    K = int(np.ceil((2.0 * s * S * tol / 2.0) ** (-1.0 / (2.0 * s))))
-    return max(1, min(K, cap))
+    K = int(np.ceil((2.0 * s * S * JUMP_TAIL_TOL / 2.0) ** (-1.0 / (2.0 * s))))
+    return max(1, min(K, JUMP_CUTOFF_CAP))
 
 
 # B_2j / (2j)! for j = 1..4, the Euler-Maclaurin corrections in full_weight_sum
@@ -143,13 +148,13 @@ def _band(ext: np.ndarray, K: int) -> np.ndarray:
 
 
 def _jump_sum(ext: np.ndarray, wp: WalkParams) -> np.ndarray:
-    """The weighted sums sum_{0<|k|<=K} |k|^{-n-2s} ext[K + i + k], i.e. the
+    """The weighted sums sum_{0<|k|<=K} |k|^{-1-2s} ext[K + i + k], i.e. the
     row sums of _band(ext, K) * offset_weights, without forming the table."""
     return np.correlate(ext, np.insert(wp.offset_weights, wp.K, 0.0), "valid")
 
 
 def _outgoing_denominator(wp: WalkParams) -> np.ndarray:
-    """D(t) = sum_{k != 0} gamma^{1/2}(t + hk) |k|^{-n-2s} at the sites
+    """D(t) = sum_{k != 0} gamma^{1/2}(t + hk) |k|^{-1-2s} at the sites
     t = -K .. N+K-1, with gamma = 1 beyond the lattice."""
     return _jump_sum(np.pad(wp.gamma_sqrt, 2 * wp.K, constant_values=1.0), wp)
 
@@ -200,10 +205,8 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     (C_gamma)_ij = -g_i W_ij g_j from W = kernel_matrix.  The continuum
     reference integrates the kernel against cubic-spline interpolants of u
     and gamma^{1/2} over the physical jump range R = K h, evaluated only at
-    sites farther than R from the lattice edge.  fp's s is clamped once, so
-    kernel_matrix and C_{1,s} are those of assembly.
+    sites farther than R from the lattice edge.
     """
-    fp = fp.clamped()
     u = np.asarray(u, dtype=float)
     N, K = wp.n_sites, wp.K
     x = grid.nodes
@@ -278,9 +281,9 @@ def q_master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
 
     This is the deterministic counterpart of the Monte Carlo simulator; it
     coincides with master_step when gamma is constant and the support stays
-    away from the lattice edge.  With Q(y -> y + hk) = |k|^{-n-2s} /
-    (D(y + hk) r(y)) and r the row sums of |k|^{-n-2s} / D(y + hk), this is
-    u'(t) = D(t)^{-1} sum_k |k|^{-n-2s} (u / r)(t - hk), table-free.
+    away from the lattice edge.  With Q(y -> y + hk) = |k|^{-1-2s} /
+    (D(y + hk) r(y)) and r the row sums of |k|^{-1-2s} / D(y + hk), this is
+    u'(t) = D(t)^{-1} sum_k |k|^{-1-2s} (u / r)(t - hk), table-free.
     """
     u = np.asarray(u, dtype=float)
     K, N = wp.K, wp.n_sites

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fraccond import _blas
+from fraccond import _blas, cli
 from fraccond.cli import run
 
 BASE = {
@@ -480,6 +480,15 @@ class TestNumericConfigValues:
         ("forward", {"gamma": {"center": "x"}}),
         ("forward", {"gamma": {"width": [0.1]}}),
         ("forward", {"gamma": {"profile": "double-bump", "separation": "x"}}),
+        ("forward", {"task": {"source": "unit"}}),
+        ("forward", {"grid": {"N": 32.7}}),
+        ("forward", {"seed": 1.5}),
+        ("walk", {"task": {"K": 4.5}}),
+        ("invert", {"task": dict(INVERT, max_iter=2.5)}),
+        ("forward", {"frac": {"n": 1.9}}),
+        ("forward", {"frac": {"n": True}}),
+        ("forward", {"grid": {"L": True}}),
+        ("walk", {"task": {"steps": True}}),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)
@@ -496,6 +505,8 @@ class TestNumericConfigValues:
         ("dn", {"frac": {"n": 2}}),
         ("limits", {"task": {"study": "decay", "s_list": []}}),
         ("limits", {"task": {"study": "decay", "s_list": 0.6}}),
+        ("forward", {"gamma": {"profile": "bump", "width": 0}}),
+        ("forward", {"gamma": {"profile": "random", "width": -0.1}}),
     ])
     def test_out_of_range_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)
@@ -503,6 +514,28 @@ class TestNumericConfigValues:
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", grid={"N": 32.0}, frac={"n": 1.0},
+                        seed=3.0)
+        out = tmp_path / "o"
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 0
+        assert len(np.loadtxt(out / "solution.csv", delimiter=",",
+                              skiprows=1)) == 32
+
+
+class TestConfigSchema:
+    def test_schema_file_lists_the_cli_keys(self):
+        path = os.path.join(os.path.dirname(cli.__file__),
+                            "config_schema_v1.json")
+        with open(path) as fh:
+            blocks = json.load(fh)["blocks"]
+        assert set(blocks) == cli._TOP_KEYS
+        assert set(blocks["grid"]["keys"]) == cli._GRID_KEYS
+        assert set(blocks["frac"]["keys"]) == cli._FRAC_KEYS
+        assert set(blocks["gamma"]["keys"]) == cli._GAMMA_KEYS
+        assert {command: set(keys) for command, keys
+                in blocks["task"]["per_command_keys"].items()} == cli._TASK_KEYS
 
 
 class TestDeterministicReruns:

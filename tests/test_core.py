@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from fraccond.core import (
     tail_vector,
     tail_weight,
 )
+from fraccond.limits import grad_limit_study, gradient_distributional_decay
+from fraccond.profiles import gaussian
 
 
 class TestGammaFn:
@@ -77,21 +80,33 @@ class TestCns:
 
 class TestFracParams:
     def test_caches_constant(self):
-        fp = FracParams(0.37, 1)
+        fp = FracParams(0.37)
         assert fp.cns == pytest.approx(cns(1, 0.37), rel=1e-14)
-
-    def test_clamp(self):
-        fp = FracParams(0.995)
-        assert fp.clamped().s == 0.99
-        assert FracParams(0.5).clamped() is not None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FracParams(1.2)
 
-    def test_only_one_dimension(self):
-        with pytest.raises(ValueError, match="only n = 1 is supported"):
-            FracParams(0.5, 2)
+    @pytest.mark.parametrize("s", [0.01, 0.049, 0.05, 0.99, 0.995, 0.999])
+    def test_order_range_checked_once(self, s, caplog):
+        # [S_MIN, S_MAX] = [0.05, 0.99] with both ends inclusive; an order
+        # outside it is rejected, never clamped, also by the limit studies
+        if 0.05 <= s <= 0.99:
+            assert FracParams(s).s == s
+            return
+        u = gaussian(0.0, 1.0)
+
+        def t(x, y):
+            return np.exp(-((x + 1.0) ** 2 + (y - 0.6) ** 2) / 0.5)
+
+        with caplog.at_level(logging.DEBUG, logger="fraccond"):
+            for call in (lambda: FracParams(s),
+                         lambda: grad_limit_study(u, [s]),
+                         lambda: gradient_distributional_decay(u, t, [s],
+                                                               L=6.0, N=256)):
+                with pytest.raises(ValueError, match=r"outside \[0\.05, 0\.99\]"):
+                    call()
+        assert not [r for r in caplog.records if "clamped" in r.getMessage()]
 
 
 class TestGrid:

@@ -1,5 +1,3 @@
-import dataclasses
-import logging
 import math
 import warnings
 
@@ -17,7 +15,6 @@ from fraccond.limits import (
     lattice_defect,
     operator_limit_check,
 )
-from fraccond.operators import Conductivity
 from fraccond.profiles import bump_m, gaussian, make_conductivity
 
 SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
@@ -37,37 +34,6 @@ class TestLatticeDefect:
         zeta_minus_half = -0.2078862249773545660
         expected = zeta_minus_half + 2.0 ** -1.5 / 1.5
         assert lattice_defect(0.25) == pytest.approx(expected, abs=1e-13)
-
-
-class TestOneClampedOrder:
-    # above S_MAX every corrected energy uses s = S_MAX throughout
-
-    def test_corrected_bilinear_form(self):
-        g = study_grid(N=1024)
-        gam = Conductivity.constant(g)
-        u = gaussian(0.0, 1.0)(g.nodes)
-        assert corrected_bilinear_form(g, FracParams(0.995), gam, u, u) \
-            == corrected_bilinear_form(g, FracParams(0.99), gam, u, u)
-
-    def test_grad_norm_sq(self):
-        g = study_grid(N=1024)
-        u = gaussian(0.0, 1.0)(g.nodes)
-        assert grad_norm_sq(g, FracParams(0.995), u) \
-            == grad_norm_sq(g, FracParams(0.99), u)
-
-
-    def test_study_logs_one_clamp_per_s(self, caplog):
-        # the refinement loop evaluates each s on several grids; the clamp
-        # is logged once per s and the rows are the S_MAX rows with the
-        # requested s
-        u = gaussian(0.0, 1.0)
-        with caplog.at_level(logging.WARNING, logger="fraccond"):
-            st = grad_limit_study(u, [0.995, 0.999])
-        clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
-        assert [r.args[0] for r in clamps] == [0.995, 0.999]
-        ref = grad_limit_study(u, [0.99]).rows[0]
-        for row, s in zip(st.rows, (0.995, 0.999)):
-            assert row == dataclasses.replace(ref, s=s)
 
 
 class TestGradNormSq:
@@ -262,11 +228,6 @@ class TestDistributionalDecay:
             lambda x: np.full_like(np.asarray(x, dtype=float), 1.3), t,
             [0.6, 0.9], L=6.0, N=256)
         assert np.max(np.abs(vals)) == 0.0
-
-    def test_order_above_s_max_is_clamped(self):
-        u, t = self.u_and_t()
-        vals = gradient_distributional_decay(u, t, [0.99, 0.995], L=6.0, N=256)
-        assert vals[1] == vals[0]
 
     def test_transposing_test_function_flips_sign(self):
         u, t = self.u_and_t()

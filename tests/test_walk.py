@@ -1,4 +1,3 @@
-import logging
 import warnings
 
 import numpy as np
@@ -34,24 +33,19 @@ class TestWalkParams:
     def test_tau_invariant(self):
         g, fp, gam, wp = walk_setup()
         assert wp.tau == g.h ** (2 * fp.s)
-        with pytest.raises(ValueError):
-            WalkParams(h=0.1, tau=0.2, K=8, s=0.5, n=1,
-                       gamma_sqrt=np.ones(16))
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            WalkParams(h=0.1, tau=0.1, K=0, s=0.5, n=1, gamma_sqrt=np.ones(16))
+            WalkParams(h=0.1, K=0, s=0.5, gamma_sqrt=np.ones(16))
 
     def test_default_cutoff_tail_rule(self):
         # at s = 0.9 the 1e-6 rule is reachable; tail mass must sit below it
-        K = default_jump_cutoff(0.9, tol=1e-6)
-        wp = WalkParams(h=0.1, tau=0.1 ** 1.8, K=K, s=0.9, n=1,
-                        gamma_sqrt=np.ones(32))
+        K = default_jump_cutoff(0.9)
+        wp = WalkParams(h=0.1, K=K, s=0.9, gamma_sqrt=np.ones(32))
         assert truncation_tail_mass(wp) < 1e-6
         # at s = 0.5 the rule caps out; mass is still reported honestly
-        assert default_jump_cutoff(0.5, tol=1e-6) == 2048
-        wp_c = WalkParams(h=0.1, tau=0.1, K=2048, s=0.5, n=1,
-                          gamma_sqrt=np.ones(32))
+        assert default_jump_cutoff(0.5) == 2048
+        wp_c = WalkParams(h=0.1, K=2048, s=0.5, gamma_sqrt=np.ones(32))
         assert truncation_tail_mass(wp_c) > 1e-6
 
     def test_master_step_preserves_nonnegativity(self):
@@ -346,30 +340,16 @@ class TestWalkGeneratorIdentity:
         assert other >= 1e-3 * scale
 
 
-class TestClampOnce:
-    # the walk clamps s into [S_MIN, S_MAX] as assembly does, so a walk at
-    # s = 0.995 is the s = 0.99 walk and meets the identity against the
-    # assembly kernel
-    def test_walk_params_use_clamped_order(self, caplog):
-        g, _, gam, ref = walk_setup(N=65, K=8, s=0.99)
-        with caplog.at_level(logging.WARNING, logger="fraccond"):
-            wp = WalkParams.from_grid(g, FracParams(0.995), gam, 8)
-        clamps = [r for r in caplog.records if "clamped" in r.getMessage()]
-        assert [r.args for r in clamps] == [(0.995, 0.99)]
-        assert (wp.h, wp.tau, wp.K, wp.s, wp.n) == (ref.h, ref.tau, ref.K, ref.s, ref.n)
-        assert wp.tau == g.h ** (2.0 * 0.99)
-        assert np.array_equal(wp.gamma_sqrt, ref.gamma_sqrt)
-        assert WalkParams.from_grid(g, FracParams(0.995), gam).K \
-            == default_jump_cutoff(0.99)
-
-    def test_generator_residual_uses_clamped_order(self):
-        # K = 24 keeps the quad reference to the 17 sites within 1.5 of 0
-        g, _, gam, _ = walk_setup(N=65, K=24, s=0.99)
-        wp = WalkParams.from_grid(g, FracParams(0.995), gam, 24)
+class TestTopOrder:
+    def test_generator_identity_at_s_max(self):
+        # the walk at S_MAX = 0.99, the largest order FracParams takes, meets
+        # the identity against the assembly kernel; K = 24 keeps the quad
+        # reference to the 17 sites within 1.5 of 0
+        g, fp, gam, wp = walk_setup(N=65, K=24, s=0.99)
         u = np.exp(-2.0 * g.nodes**2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # quad's convergence warnings at s near 1
-            res = generator_residual(u, wp, g, FracParams(0.995))
+            res = generator_residual(u, wp, g, fp)
         assert res.lattice_residual <= 1.5e-15 * np.max(np.abs(u)) / wp.tau
 
 
