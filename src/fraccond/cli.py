@@ -13,11 +13,10 @@ Re-running a command with identical config and seed reproduces every data
 file byte-for-byte (the manifest's wall_clock_s field is the only
 non-reproducible output).
 
-scipy is loaded only by limits (scipy.special).  forward, dn, reduce,
-invert and walk load no scipy module: the interior solves run in numpy's
-LAPACK, so numpy's bundled OpenBLAS runs every BLAS call of those
-commands, and a thread cap (--threads, the inversion's one-thread
-Gauss-Newton scope) reaches it as soon as numpy is imported.
+No command loads a scipy module.  The interior solves run in numpy's
+LAPACK, so numpy's bundled OpenBLAS runs every BLAS call, and a thread cap
+(--threads, the inversion's one-thread Gauss-Newton scope) reaches it as
+soon as numpy is imported; limits takes zeta from core._zeta.
 """
 
 from __future__ import annotations

@@ -49,6 +49,37 @@ def cns(n: int, s: float) -> float:
     )
 
 
+# B_2j / (2j)! for j = 1..6, the Euler-Maclaurin corrections in _zeta
+_BERNOULLI_OVER_FACTORIAL = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0,
+                             -1.0 / 1209600.0, 1.0 / 47900160.0,
+                             -691.0 / 1307674368000.0)
+
+
+def _zeta(sigma: float) -> float:
+    """Riemann zeta(sigma) for real sigma != 1, continued analytically.
+
+    The head sum_{k < M} k^{-sigma} with M = 12 plus the Euler-Maclaurin
+    tail of f(x) = x^{-sigma} from M,
+
+        M^{1-sigma} / (sigma - 1) + f(M) / 2
+        + sum_{j=1}^{6} B_2j / (2j)! (sigma)_{2j-1} M^{1-sigma-2j}.
+
+    The same expansion holds for sigma < 1 (analytic continuation).  A
+    short head matters there: for sigma < 0 a long head grows like
+    M^{1-sigma} and cancels against the tail.  Over sigma in [-0.9, 2.98]
+    the error is below 2.5e-14 absolute, and below 6e-16 relative for
+    sigma > 1.
+    """
+    M = 12
+    head = sum(k ** -sigma for k in range(1, M))
+    tail = M ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * M ** -sigma
+    rising = sigma  # the rising factorial (sigma)_{2j-1}
+    for j, coef in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        tail += coef * rising * M ** (1.0 - sigma - 2 * j)
+        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
+    return head + tail
+
+
 def surface_measure(n: int) -> float:
     """omega_{n-1}: surface measure of the unit sphere in R^n (omega_0 = 2)."""
     return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)

@@ -27,7 +27,7 @@ from .core import (FracParams, Grid, _inverse_distance_power, kernel_matrix,
                    tail_vector)
 
 EDGE_DECAY_TOL = 1e-12
-BILINEAR_BLOCK = 512
+BILINEAR_BLOCK = 64
 
 
 @dataclass
@@ -265,9 +265,11 @@ def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
         C/2 sum_{i != j} g_i g_j (u_j - u_i)(v_j - v_i) / |x_j - x_i|^{n+2s} h^{2n}
         + h^n sum_i g_i u_i v_i tail_i,       g = gamma^{1/2},
 
-    evaluated as a double sum over blocks of BILINEAR_BLOCK rows
-    (independent of the assembled matrix; equals u . A_gamma v under the h^n
-    node pairing exactly).
+    evaluated over the pairs i < j only, doubled: a pair's term is the same
+    for (i, j) and (j, i) bit for bit.  Blocks of BILINEAR_BLOCK rows i meet
+    the columns j >= lo, so the sum needs O(BILINEAR_BLOCK N) memory and is
+    independent of the assembled matrix; it equals u . A_gamma v under the
+    h^n node pairing up to round-off.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -276,10 +278,12 @@ def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
     acc = 0.0
     for lo in range(0, grid.N, BILINEAR_BLOCK):
         hi = min(lo + BILINEAR_BLOCK, grid.N)
-        K = _inverse_distance_power(grid.nodes, p, lo, hi)
-        du = u[None, :] - u[lo:hi, None]
-        dv = v[None, :] - v[lo:hi, None]
-        acc += float(np.sum((g[lo:hi, None] * g[None, :]) * du * dv * K))
-    core = 0.5 * fp.cns * acc * grid.h**2
+        T = _inverse_distance_power(grid.nodes[lo:], p, 0, hi - lo)
+        T[np.tril_indices(hi - lo, -1)] = 0.0  # j < i: counted from row j
+        T *= g[lo:hi, None] * g[None, lo:]
+        T *= u[None, lo:] - u[lo:hi, None]
+        T *= v[None, lo:] - v[lo:hi, None]
+        acc += float(T.sum())
+    core = fp.cns * acc * grid.h**2
     tails = tail_vector(grid, fp)
     return core + grid.h * float(np.sum(g * u * v * tails))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FracParams, Grid, kernel_matrix
+from .core import FracParams, Grid, _zeta, kernel_matrix
 from .operators import Conductivity
 
 
@@ -108,29 +108,10 @@ def default_jump_cutoff(s: float) -> int:
     return max(1, min(K, JUMP_CUTOFF_CAP))
 
 
-# B_2j / (2j)! for j = 1..4, the Euler-Maclaurin corrections in full_weight_sum
-_BERNOULLI_OVER_FACTORIAL = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0,
-                             -1.0 / 1209600.0)
-
-
 def full_weight_sum(s: float) -> float:
-    """S = sum_{k in Z, k != 0} |k|^{-1-2s} = 2 zeta(1 + 2s).
-
-    The first M = 64 terms are summed and the tail k > M is the
-    Euler-Maclaurin series of f(x) = x^{-p}, p = 1 + 2s,
-
-        M^{1-p} / (p - 1) - f(M) / 2 + sum_{j=1}^{4} B_2j / (2j)! (p)_{2j-1} M^{1-p-2j},
-
-    whose next term is below 1e-21: the result is exact to round-off.
-    """
-    M, p = 64, 1.0 + 2.0 * s
-    head = np.sum(np.arange(1, M + 1, dtype=float) ** -p)
-    tail = M ** (1.0 - p) / (p - 1.0) - 0.5 * M ** -p
-    rising = p  # the rising factorial (p)_{2j-1}
-    for j, coef in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
-        tail += coef * rising * M ** (1.0 - p - 2 * j)
-        rising *= (p + 2 * j - 1) * (p + 2 * j)
-    return 2.0 * (head + tail)
+    """S = sum_{k in Z, k != 0} |k|^{-1-2s} = 2 zeta(1 + 2s), exact to
+    round-off (core._zeta)."""
+    return 2.0 * _zeta(1.0 + 2.0 * s)
 
 
 def truncation_tail_mass(wp: WalkParams) -> float:

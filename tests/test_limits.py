@@ -35,6 +35,14 @@ class TestLatticeDefect:
         expected = zeta_minus_half + 2.0 ** -1.5 / 1.5
         assert lattice_defect(0.25) == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99])
+    def test_matches_scipy_zeta(self, s):
+        # the package's own zeta against scipy's, on the closed form
+        from scipy.special import zeta
+
+        expected = float(zeta(2.0 * s - 1.0)) + 2.0 ** (2.0 * s - 2.0) / (2.0 - 2.0 * s)
+        assert lattice_defect(s) == pytest.approx(expected, abs=1e-13)
+
 
 class TestGradNormSq:
     def test_constant_tail_only(self):

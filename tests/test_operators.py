@@ -269,7 +269,41 @@ class TestAssembleConductivity:
         assert np.all(np.diag(D)[g.exterior_idx] == 0.0)
 
 
+def ordered_pair_bilinear_form(grid, fp, gamma, u, v):
+    """The docstring's full ordered double sum over i != j, in blocks of
+    rows: the reference the half-pair sum is checked against."""
+    g = gamma.sqrt
+    block = 512
+    p = 1.0 + 2.0 * fp.s
+    acc = 0.0
+    for lo in range(0, grid.N, block):
+        hi = min(lo + block, grid.N)
+        d = np.abs(grid.nodes[lo:hi, None] - grid.nodes[None, :])
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        d[diag] = 1.0
+        K = d ** -p
+        K[diag] = 0.0
+        du = u[None, :] - u[lo:hi, None]
+        dv = v[None, :] - v[lo:hi, None]
+        acc += float(np.sum((g[lo:hi, None] * g[None, :]) * du * dv * K))
+    core = 0.5 * fp.cns * acc * grid.h**2
+    return core + grid.h * float(np.sum(g * u * v * tail_vector(grid, fp)))
+
+
 class TestBilinearForm:
+    @pytest.mark.parametrize("N", [65, 129, 1000])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.99])
+    def test_matches_ordered_pair_sum(self, N, s):
+        # N is no multiple of the block size, so the last block is partial
+        g = small_grid(N=N)
+        fp = FracParams(s)
+        gam = make_conductivity(g, bump_m(0.3, 0.0, 0.2))
+        rng = np.random.default_rng(N)
+        u = rng.standard_normal(g.N)
+        v = np.cos(3.0 * g.nodes) + rng.standard_normal(g.N)
+        assert bilinear_form(g, fp, gam, u, v) == pytest.approx(
+            ordered_pair_bilinear_form(g, fp, gam, u, v), rel=1e-13)
+
     def test_symmetry(self):
         g = small_grid()
         fp = FracParams(0.55)
