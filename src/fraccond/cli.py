@@ -13,10 +13,11 @@ Re-running a command with identical config and seed reproduces every data
 file byte-for-byte (the manifest's wall_clock_s field is the only
 non-reproducible output).
 
-No command loads a scipy module.  The interior solves run in numpy's
-LAPACK, so numpy's bundled OpenBLAS runs every BLAS call, and a thread cap
-(--threads, the inversion's one-thread Gauss-Newton scope) reaches it as
-soon as numpy is imported; limits takes zeta from core._zeta.
+The package needs numpy alone and imports no scipy module.  The interior
+solves run in numpy's LAPACK, so numpy's bundled OpenBLAS runs every BLAS
+call, and a thread cap (--threads, the inversion's one-thread Gauss-Newton
+scope) reaches it as soon as numpy is imported; limits takes zeta from
+core._zeta.
 """
 
 from __future__ import annotations
@@ -341,11 +342,10 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
     obs_path = task.get("observed_dn")
     if obs_path is None:
         raise ConfigError("task.observed_dn is required for invert")
-    settings = {key: _number(task.get(key, default), convert, f"task.{key}")
-                for key, convert, default in (("reg_lambda", float, 1e-12),
-                                              ("max_iter", int, 40),
-                                              ("tol", float, 1e-9),
-                                              ("step_damping", float, 0.5))}
+    settings = {key: _number(task[key], convert, f"task.{key}")
+                for key, convert in (("reg_lambda", float), ("max_iter", int),
+                                     ("tol", float), ("step_damping", float))
+                if key in task}
     try:
         inv_cfg = InversionConfig(**settings)
     except ValueError as exc:

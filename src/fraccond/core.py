@@ -55,11 +55,12 @@ _BERNOULLI_OVER_FACTORIAL = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0,
                              -691.0 / 1307674368000.0)
 
 
-def _zeta(sigma: float) -> float:
-    """Riemann zeta(sigma) for real sigma != 1, continued analytically.
+def _zeta(sigma: float, start: int = 1) -> float:
+    """sum_{k >= start} k^{-sigma} for real sigma != 1: the Riemann zeta at
+    start = 1 (continued analytically), else the Hurwitz zeta(sigma, start).
 
-    The head sum_{k < M} k^{-sigma} with M = 12 plus the Euler-Maclaurin
-    tail of f(x) = x^{-sigma} from M,
+    The head sum_{start <= k < M} k^{-sigma} with M = max(start, 12) plus
+    the Euler-Maclaurin tail of f(x) = x^{-sigma} from M,
 
         M^{1-sigma} / (sigma - 1) + f(M) / 2
         + sum_{j=1}^{6} B_2j / (2j)! (sigma)_{2j-1} M^{1-sigma-2j}.
@@ -68,10 +69,11 @@ def _zeta(sigma: float) -> float:
     short head matters there: for sigma < 0 a long head grows like
     M^{1-sigma} and cancels against the tail.  Over sigma in [-0.9, 2.98]
     the error is below 2.5e-14 absolute, and below 6e-16 relative for
-    sigma > 1.
+    sigma > 1.  A sum from start > 1 takes no difference of two sums, so
+    a small tail keeps its relative accuracy.
     """
-    M = 12
-    head = sum(k ** -sigma for k in range(1, M))
+    M = max(start, 12)
+    head = sum(k ** -sigma for k in range(start, M))
     tail = M ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * M ** -sigma
     rising = sigma  # the rising factorial (sigma)_{2j-1}
     for j, coef in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):

@@ -22,7 +22,7 @@ identity on the interior rows only; dn_gap evaluates each DN pairing
 
 Every interior block is checked by factor_interior and solved with
 np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
-so none of these paths loads scipy.
+the one BLAS the package calls.
 """
 
 from __future__ import annotations

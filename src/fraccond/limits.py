@@ -122,20 +122,18 @@ def _warn_edges(grid: Grid, u: np.ndarray, name: str):
                       stacklevel=3)
 
 
-def grad_norm_sq(grid: Grid, fp: FracParams, u: np.ndarray,
-                 near_field: bool = True) -> float:
+def grad_norm_sq(grid: Grid, fp: FracParams, u: np.ndarray) -> float:
     """Squared fractional-gradient norm of a nodal field.
 
     Punctured pair sum (C/2) sum (u_j - u_i)^2 / |x_j - x_i|^{n+2s} h^{2n}
-    plus the exact window tail; `near_field` adds the analytic diagonal
-    correction (see module docstring), i.e. it is corrected_bilinear_form
-    on the constant conductivity.  With near_field=False this is the raw
-    lattice functional, which collapses to 0 as s -> 1 at fixed h.
+    plus the exact window tail and the analytic diagonal correction (see
+    module docstring), i.e. corrected_bilinear_form on the constant
+    conductivity.  Without the correction (bilinear_form) the raw lattice
+    functional collapses to 0 as s -> 1 at fixed h.
     """
     u = np.asarray(u, dtype=float)
     _warn_edges(grid, u, "grad_norm_sq")
-    energy = corrected_bilinear_form if near_field else bilinear_form
-    return energy(grid, fp, Conductivity.constant(grid), u, u)
+    return corrected_bilinear_form(grid, fp, Conductivity.constant(grid), u, u)
 
 
 def corrected_bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,

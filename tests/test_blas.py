@@ -7,7 +7,7 @@ from fraccond._blas import blas_threads
 def counts():
     """Thread counts of the loaded OpenBLAS copies, read back."""
     copies = _blas._openblas_copies()
-    assert copies, "no OpenBLAS thread setter found in numpy or scipy"
+    assert copies, "no OpenBLAS thread setter found in numpy"
     return [get() for get, _ in copies]
 
 

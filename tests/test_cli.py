@@ -190,8 +190,8 @@ _SCIPY_LOADED = ("import json, sys\n"
 
 
 def test_cli_import_leaves_quadrature_modules_unloaded(tmp_path):
-    # scipy loads only where it is used: importing the package and running
-    # a walk, which factors no matrix, load no scipy module at all
+    # the package imports no scipy module: importing it and running a walk
+    # load none at all
     cfg = write_cfg(tmp_path, "w.json", **TestWalkCommand.WALK)
     argv = ["walk", "--config", cfg, "--out", str(tmp_path / "w")]
     got = fresh_interpreter(
@@ -202,6 +202,26 @@ def test_cli_import_leaves_quadrature_modules_unloaded(tmp_path):
         "print(json.dumps({'imported': imported, 'code': code, "
         "'walked': scipy_loaded()}))\n")
     assert got == {"imported": [], "code": 0, "walked": []}
+
+
+def test_walk_paths_run_with_scipy_blocked(tmp_path):
+    # the package needs numpy alone: with every scipy import made to fail,
+    # the walk generator check and a walk run both go through
+    cfg = write_cfg(tmp_path, "w.json", **TestWalkCommand.WALK)
+    argv = ["walk", "--config", cfg, "--out", str(tmp_path / "w")]
+    got = fresh_interpreter(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import fraccond, fraccond.cli\n"
+        "from fraccond.walk import WalkParams, generator_residual\n"
+        "g = fraccond.Grid(L=6.0, N=129, a=-2.0, b=2.0)\n"
+        "fp = fraccond.FracParams(0.5)\n"
+        "wp = WalkParams.from_grid(g, fp, fraccond.Conductivity.constant(g), 8)\n"
+        "res = generator_residual(np.exp(-4.0 * g.nodes**2), wp, g, fp)\n"
+        f"code = fraccond.cli.run({argv!r})\n"
+        "print(json.dumps({'sites': res.sites_checked, 'code': code}))\n")
+    assert got == {"sites": 113, "code": 0}
 
 
 def test_limits_loads_no_scipy(tmp_path):

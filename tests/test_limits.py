@@ -15,6 +15,7 @@ from fraccond.limits import (
     lattice_defect,
     operator_limit_check,
 )
+from fraccond.operators import Conductivity, bilinear_form
 from fraccond.profiles import bump_m, gaussian, make_conductivity
 
 SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
@@ -48,8 +49,8 @@ class TestGradNormSq:
     def test_constant_tail_only(self):
         g = study_grid(N=256)
         fp = FracParams(0.5)
-        with pytest.warns(UserWarning):
-            v = grad_norm_sq(g, fp, np.ones(g.N), near_field=False)
+        u = np.ones(g.N)
+        v = bilinear_form(g, fp, Conductivity.constant(g), u, u)
         tail_only = g.h * float(np.sum(tail_vector(g, fp)))
         assert v == pytest.approx(tail_only, rel=1e-12)
 
@@ -82,7 +83,7 @@ class TestGradNormSq:
         # lattice functional decays toward 0 as s -> 1
         g = study_grid()
         u = np.exp(-g.nodes**2 / 2.0)
-        vals = [grad_norm_sq(g, FracParams(s), u, near_field=False)
+        vals = [bilinear_form(g, FracParams(s), Conductivity.constant(g), u, u)
                 for s in (0.5, 0.9, 0.99)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.25 * vals[0]

@@ -9,6 +9,7 @@ from fraccond.profiles import bump_m, make_conductivity
 from fraccond.walk import (
     Ensemble,
     WalkParams,
+    _continuum_integral,
     default_jump_cutoff,
     full_weight_sum,
     generator_residual,
@@ -343,14 +344,55 @@ class TestWalkGeneratorIdentity:
 class TestTopOrder:
     def test_generator_identity_at_s_max(self):
         # the walk at S_MAX = 0.99, the largest order FracParams takes, meets
-        # the identity against the assembly kernel; K = 24 keeps the quad
-        # reference to the 17 sites within 1.5 of 0
+        # the identity against the assembly kernel; u is not small within
+        # R = 4.5 of the edges, which the continuum comparison reports
         g, fp, gam, wp = walk_setup(N=65, K=24, s=0.99)
         u = np.exp(-2.0 * g.nodes**2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # quad's convergence warnings at s near 1
+        with pytest.warns(UserWarning, match="not supported away from"):
             res = generator_residual(u, wp, g, fp)
         assert res.lattice_residual <= 1.5e-15 * np.max(np.abs(u)) / wp.tau
+
+    def test_continuum_reference_raises_no_warning(self):
+        # the cell z <= h is integrated exactly, so the z^{-1-2s}
+        # singularity near s = 1 leaves nothing for a warning to flag
+        g, fp, gam, wp = walk_setup(N=65, K=8, s=0.99)
+        u = np.exp(-2.0 * g.nodes**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = generator_residual(u, wp, g, fp)
+        assert np.isfinite(res.continuum_residual)
+
+
+def quad_continuum_integral(u, g, wp, x, sites):
+    """The kernel integral of _continuum_integral by adaptive quadrature
+    over scipy's not-a-knot CubicSpline interpolants, one site at a time."""
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
+    spline_u, spline_g = CubicSpline(x, u), CubicSpline(x, g)
+    p = 1.0 + 2.0 * wp.s
+    out = []
+    for i in sites:
+        xi, ui = x[i], u[i]
+
+        def sym(z):
+            return (spline_g(xi + z) * (spline_u(xi + z) - ui)
+                    + spline_g(xi - z) * (spline_u(xi - z) - ui)) / z**p
+
+        out.append(quad(sym, 1e-12, wp.K * wp.h, limit=200,
+                        points=[wp.h / 2.0, wp.h])[0])
+    return np.array(out)
+
+
+class TestContinuumIntegral:
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    def test_matches_quad_oracle(self, s):
+        g, fp, gam, wp = walk_setup(N=129, K=16, s=s)
+        u = np.exp(-4.0 * g.nodes**2)
+        sites = np.arange(wp.K, g.N - wp.K)
+        got = _continuum_integral(u, wp, sites)
+        ref = quad_continuum_integral(u, wp.gamma_sqrt, wp, g.nodes, sites)
+        assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
 
 
 class TestFullWeightSum:
@@ -359,6 +401,17 @@ class TestFullWeightSum:
         for s in np.linspace(0.05, 0.99, 50):
             ref = 2.0 * float(scipy.special.zeta(1.0 + 2.0 * s))
             assert abs(full_weight_sum(s) - ref) <= 1e-14 * ref, s
+
+    def test_tail_mass_matches_hurwitz_zeta(self):
+        # the discarded mass is summed directly, not as S minus the kept
+        # sum, so it keeps full relative accuracy at the default cutoff
+        import scipy.special
+        for K in (1, 4, 16, 2048):
+            for s in (0.05, 0.3, 0.5, 0.8, 0.99):
+                wp = WalkParams(h=0.1, K=K, s=s, gamma_sqrt=np.ones(4))
+                ref = float(scipy.special.zeta(1.0 + 2.0 * s, K + 1)
+                            / scipy.special.zeta(1.0 + 2.0 * s))
+                assert abs(truncation_tail_mass(wp) - ref) <= 1e-14 * ref, (K, s)
 
 
 class TestSamplerEdges:
