@@ -2,16 +2,20 @@
 
 Subcommands: forward | dn | reduce | invert | walk | limits.
 Every command reads a JSON config (schema fraccond-config-v1, shipped as
-config_schema_v1.json next to this module), writes CSV outputs with 17
-significant digits and an atomically written manifest.json that echoes the
-config, records per-check pass/fail values and, under "diagnostics", how
-the run went (the inversion's stop reason, the BLAS thread cap).
+config_schema_v1.json next to this module), writes CSV outputs and an
+atomically written manifest.json that echoes the config, records per-check
+pass/fail values and, under "diagnostics", how the run went (the
+inversion's stop reason, the BLAS thread cap).  Every CSV value is %.17g
+(up to 17 significant digits, trailing zeros dropped): _write_csv hands a
+2-D table to the package's own formatter (fraccond._csv), whose files are
+byte for byte those of np.savetxt at that format, and which formats a
+value by "%.17g" itself where its exact integer route does not apply.
 
 Exit codes: 0 success, 2 config error (also an input CSV that is not a
 numeric table of the expected shape), 3 I/O error, 4 numerical failure.
 Re-running a command with identical config and seed reproduces every data
-file byte-for-byte (the manifest's wall_clock_s field is the only
-non-reproducible output).
+file byte-for-byte (the manifest's wall_clock_s field, a perf_counter
+duration, is the only non-reproducible output).
 
 The package needs numpy alone and imports no scipy module.  The interior
 solves run in numpy's LAPACK, so numpy's bundled OpenBLAS runs every BLAS
@@ -33,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from ._blas import blas_threads
+from ._csv import write_table
 from .core import FracParams, Grid
 from .forward import (
     DnMatrix,
@@ -54,7 +59,6 @@ from .profiles import bump_m, gaussian, make_conductivity, profile_from_name
 from .walk import (Ensemble, WalkParams, master_step, q_master_step,
                    simulate, truncation_tail_mass)
 
-FMT = "%.17g"
 SCHEMA_NAME = "fraccond-config-v1"
 
 
@@ -185,9 +189,10 @@ def build_gamma(cfg: dict, grid: Grid, seed: int) -> Conductivity:
 
 # ---------------------------------------------------------------- io
 
-def _write_csv(path: str, header: str, columns) -> str:
-    arr = np.column_stack(columns)
-    np.savetxt(path, arr, fmt=FMT, delimiter=",", header=header, comments="")
+def _write_csv(path: str, header: str, table) -> str:
+    """A 2-D table (rows of columns) as CSV under one header line, each
+    value as ``%.17g``; returns the path."""
+    write_table(path, table, header)
     return path
 
 
@@ -223,7 +228,7 @@ def _write_manifest(outdir: str, command: str, cfg: dict, seed: int,
         "command": command,
         "config": cfg,
         "seed": seed,
-        "wall_clock_s": time.time() - t0,
+        "wall_clock_s": time.perf_counter() - t0,
         "checks": checks,
         "diagnostics": diagnostics,
         "outputs": sorted(os.path.basename(p) for p in outputs),
@@ -285,7 +290,7 @@ def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
     scale = float(np.max(np.abs(op.matrix)) * max(np.max(np.abs(u)), 1e-300))
     rel = resid / scale
     files = [_write_csv(os.path.join(outdir, "solution.csv"), "x,u",
-                        (grid.nodes, u))]
+                        np.column_stack((grid.nodes, u)))]
     checks = {"interior_residual": {"value": rel, "pass": bool(rel <= 1e-10),
                                     "criterion": "<= 1e-10 relative"}}
     return files, checks, {}
@@ -298,14 +303,14 @@ def cmd_dn(cfg, grid, fp, gamma, seed, outdir):
     M = assemble_dn(grid, fp, gamma, W1, W2)
     files = [
         _write_csv(os.path.join(outdir, "dn_matrix.csv"),
-                   ",".join(f"src{k}" for k in W1),
-                   tuple(M.matrix[:, j] for j in range(W1.size))),
+                   ",".join(f"src{k}" for k in W1), M.matrix),
         _write_csv(os.path.join(outdir, "dn_sources.csv"), "index,x",
-                   (W1.astype(float), grid.nodes[W1])),
+                   np.column_stack((W1.astype(float), grid.nodes[W1]))),
         _write_csv(os.path.join(outdir, "dn_observations.csv"), "index,x",
-                   (W2.astype(float), grid.nodes[W2])),
+                   np.column_stack((W2.astype(float), grid.nodes[W2]))),
         _write_csv(os.path.join(outdir, "gamma.csv"), "x,gamma,m",
-                   (grid.nodes, gamma.values, gamma.m_values)),
+                   np.column_stack((grid.nodes, gamma.values,
+                                    gamma.m_values))),
     ]
     checks = {}
     if np.array_equal(W1, W2):
@@ -327,7 +332,7 @@ def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
     gap_err = abs(left - right) / max(abs(right), 1e-300)
     files = [_write_csv(os.path.join(outdir, "reduction.csv"),
                         "reduction_residual,dn_gap_left,dn_gap_right",
-                        ([resid], [left], [right]))]
+                        [[resid, left, right]])]
     checks = {
         "reduction_residual": {"value": resid, "pass": bool(resid <= 1e-10),
                                "criterion": "<= 1e-10 relative to matrix scale"},
@@ -362,17 +367,18 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
     its = report.iterations
     files = [
         _write_csv(os.path.join(outdir, "recovered_gamma.csv"), "x,gamma,m,q",
-                   (grid.nodes, report.gamma.values, report.m, report.q.values)),
+                   np.column_stack((grid.nodes, report.gamma.values, report.m,
+                                    report.q.values))),
         _write_csv(os.path.join(outdir, "iterations.csv"),
                    "iteration,residual,step_length,trials,lambda,objective,"
                    "data_residual",
-                   (np.arange(len(its), dtype=float),
-                    report.residual_history,
-                    [it.step_length for it in its],
-                    [float(it.trials) for it in its],
-                    np.full(len(its), report.lambda_used),
-                    [it.objective for it in its],
-                    [it.data_residual for it in its])),
+                   np.column_stack((np.arange(len(its), dtype=float),
+                                    report.residual_history,
+                                    [it.step_length for it in its],
+                                    [float(it.trials) for it in its],
+                                    np.full(len(its), report.lambda_used),
+                                    [it.objective for it in its],
+                                    [it.data_residual for it in its]))),
     ]
     hist = report.residual_history
     monotone = all(a >= b for a, b in zip(hist, hist[1:]))
@@ -417,7 +423,7 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
     ens = Ensemble.point_source(particles, site, rng_seed=seed)
     _, hist = simulate(ens, wp, steps)
     files = [_write_csv(os.path.join(outdir, f"histogram_{steps:04d}.csv"),
-                        "x,density", (grid.nodes, hist))]
+                        "x,density", np.column_stack((grid.nodes, hist)))]
     checks = {
         "tail_mass_fraction": {"value": truncation_tail_mass(wp),
                                "pass": True,
@@ -434,10 +440,10 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
             v = q_master_step(v, wp)
             u = master_step(u, wp)
         files.append(_write_csv(os.path.join(outdir, f"master_{steps:04d}.csv"),
-                                "x,density", (grid.nodes, u)))
+                                "x,density", np.column_stack((grid.nodes, u))))
         files.append(_write_csv(os.path.join(outdir,
                                              f"transpose_{steps:04d}.csv"),
-                                "x,density", (grid.nodes, v)))
+                                "x,density", np.column_stack((grid.nodes, v))))
         tv_q = 0.5 * float(np.sum(np.abs(hist - v)))
         checks["mc_transpose_tv"] = {"value": tv_q, "pass": bool(tv_q <= 0.02),
                                      "criterion": "total variation <= 0.02"}
@@ -466,10 +472,12 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
         files.append(_write_csv(
             os.path.join(outdir, f"limit_{name}.csv"),
             "s,value,reference,gap,n_used,converged",
-            ([r.s for r in st.rows], [r.value for r in st.rows],
-             [r.reference for r in st.rows], [r.gap for r in st.rows],
-             [float(r.n_used) for r in st.rows],
-             [float(r.converged) for r in st.rows])))
+            np.column_stack(([r.s for r in st.rows],
+                             [r.value for r in st.rows],
+                             [r.reference for r in st.rows],
+                             [r.gap for r in st.rows],
+                             [float(r.n_used) for r in st.rows],
+                             [float(r.converged) for r in st.rows]))))
 
     def dump(name, st):
         write_study(name, st)
@@ -498,7 +506,7 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
 
         vals = gradient_distributional_decay(ub, t_fn, s_list, L=grid.L / 2.0)
         files.append(_write_csv(os.path.join(outdir, "limit_decay.csv"),
-                                "s,pairing", (s_list, vals)))
+                                "s,pairing", np.column_stack((s_list, vals))))
         mags = np.abs(vals)
         dec = bool(mags[-1] <= 0.5 * mags[0])
         checks["decay_halving"] = {
@@ -540,7 +548,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         cfg = load_config(args.config, args.command)
         grid = build_grid(cfg)

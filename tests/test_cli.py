@@ -8,6 +8,8 @@ import pytest
 
 from fraccond import _blas, cli
 from fraccond.cli import run
+from fraccond.core import FracParams
+from fraccond.forward import assemble_dn
 
 BASE = {
     "schema": "fraccond-config-v1",
@@ -88,6 +90,28 @@ class TestDnInvertRoundTrip:
         assert checks["recovery_error"]["pass"]
         assert checks["recovery_error"]["value"] <= 0.01
         assert checks["monotone_residuals"]["pass"]
+
+    def test_dn_matrix_rows_are_observations(self, tmp_path):
+        # W1 != W2: the CSV holds the DN matrix itself, one row per
+        # observation node and one column per source, as np.savetxt would
+        W1, W2 = [-0.9, -0.5], [0.3, 0.95]
+        cfg = write_cfg(tmp_path, "dn.json", task={"W1": W1, "W2": W2})
+        out = tmp_path / "dn"
+        assert run(["dn", "--config", cfg, "--out", str(out)]) == 0
+        config = cli.load_config(cfg, "dn")
+        grid = cli.build_grid(config)
+        gamma = cli.build_gamma(config, grid, config["seed"])
+        want = assemble_dn(grid, FracParams(0.5), gamma,
+                           cli._exterior_set(grid, W1, "W1"),
+                           cli._exterior_set(grid, W2, "W2")).matrix
+        assert want.shape[0] != want.shape[1]
+        text = (out / "dn_matrix.csv").read_bytes()
+        header = text.split(b"\n", 1)[0].decode()
+        assert header.count("src") == want.shape[1]
+        oracle = tmp_path / "oracle.csv"
+        np.savetxt(oracle, want, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
+        assert text == oracle.read_bytes()
 
     def test_stop_reason_and_iteration_log(self, tmp_path):
         cfg = write_cfg(tmp_path, "dn.json")
@@ -571,3 +595,11 @@ class TestDeterministicReruns:
         for name in os.listdir(out1):
             if name.endswith(".csv"):
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_wall_clock_is_a_monotonic_duration(self, tmp_path, monkeypatch):
+        # a system clock stepped back by an hour per reading during the run
+        readings = iter(range(2 * 10**9, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(readings)))
+        cfg = write_cfg(tmp_path, "c.json")
+        assert run(["forward", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert manifest(tmp_path)["wall_clock_s"] >= 0.0
