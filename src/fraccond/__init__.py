@@ -45,7 +45,7 @@ from .inverse import (
     recover_potential_full,
     single_measurement_fit,
 )
-from .walk import Ensemble, WalkParams, generator_residual, incoming_weights, master_step, simulate
+from .walk import Ensemble, WalkParams, generator_residual, master_step, simulate
 from .limits import (
     LimitStudy,
     bilinear_limit_study,

@@ -16,8 +16,12 @@ the lattice are absorbed.  Every lattice quantity is a weighted sum of a
 padded nodal vector over each site's jump targets x_i + hk, 0 < |k| <= K:
 a correlation with the offset weights, so the master steps need O(N)
 memory.  Only the outgoing kernel that simulate samples is built as a
-banded (N, 2K) table; simulate searches each particle's own cdf row of it
-with a branchless binary search, vectorized over the particles.
+banded (N, 2K) table.  simulate turns its cdf rows into an exact bucket
+("guide") table, N x BUCKETS int32 (2 MB at N=513): a draw d from site y
+lands on the entry stored for bucket floor(d BUCKETS) of row y, one lookup
+per particle step.  A bucket that one of the row's cdf entries splits is
+marked ambiguous, and only the particles that draw it (about 3 % at K=16)
+are resolved by a branchless binary search of their cdf row.
 
 Walk-generator identity: with g = gamma^{1/2}, the kernel-matrix
 conductivity operator C_gamma, D_i the incoming row sum and m_off,i the
@@ -140,20 +144,6 @@ def _outgoing_denominator(wp: WalkParams) -> np.ndarray:
     """D(t) = sum_{k != 0} gamma^{1/2}(t + hk) |k|^{-1-2s} at the sites
     t = -K .. N+K-1, with gamma = 1 beyond the lattice."""
     return _jump_sum(np.pad(wp.gamma_sqrt, 2 * wp.K, constant_values=1.0), wp)
-
-
-def incoming_weights(wp: WalkParams, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized incoming jump probabilities P(x_i, k) over 0 < |k| <= K.
-
-    Returns (offsets, probabilities); probabilities sum to 1 exactly by
-    construction (the k = 0 slot is excluded).
-    """
-    if not 0 <= i < wp.n_sites:
-        raise ValueError(f"incoming_weights: site {i} outside the lattice")
-    K = wp.K
-    ge = np.pad(wp.gamma_sqrt, K, constant_values=1.0)
-    f = _band(ge[i:i + 2 * K + 1], K)[0] * wp.offset_weights
-    return wp.offsets.copy(), f / f.sum()
 
 
 def master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
@@ -329,6 +319,69 @@ class Ensemble:
         return cls(np.full(n_particles, site, dtype=np.int64), rng_seed)
 
 
+BUCKETS = 1024
+"""Buckets per site in simulate's table.  A power of two, so d * BUCKETS is
+exact and its integer part is the bucket of the draw d."""
+_AMBIGUOUS = -1  # table entry of a bucket that a cdf entry splits
+_BUILD_CELLS = 1 << 16  # table entries plus cdf entries per block of the build
+
+
+def _landings(keys: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """keys[y, a] repeated over the buckets first[y, a - 1] <= b < first[y, a]
+    of row y, flat, with first clipped to BUCKETS and first[y, -1] taken as
+    0: BUCKETS entries per row when each row's last first is BUCKETS."""
+    np.minimum(first, BUCKETS, out=first)
+    counts = np.diff(first, axis=1, prepend=0.0).astype(np.intp)
+    return np.repeat(keys, counts.ravel())
+
+
+def _bucket_table(cdf: np.ndarray) -> np.ndarray:
+    """Indexed search table (Chen & Asau, 1974) for the cdf rows of the
+    2K jump targets of each site: T[y, b] is BUCKETS times the site that
+    every draw d in [b, b + 1) / BUCKETS from site y jumps to, or _AMBIGUOUS
+    if an entry of cdf[y] lies strictly inside that interval.
+
+    Each row must be nondecreasing but for its last entry, which must be
+    exactly 1 (round-off may lift the entries before it above 1).  A draw
+    lands on entry searchsorted(cdf[y], d, side="right"), the number of
+    entries <= d.  In bucket units c = cdf * BUCKETS, exact since BUCKETS is
+    a power of two, that count is #{ceil(c) <= b} at the bucket's lower edge
+    and #{floor(c) <= b} just below its upper one; it cannot change in
+    between, so the two agree unless some c lies in (b, b + 1).  Rows are
+    built in blocks, so no temporary grows with N.
+    """
+    N, width = cdf.shape
+    K = width // 2
+    table = np.empty((N, BUCKETS), np.int32)
+    rows = max(1, _BUILD_CELLS // (width + BUCKETS))
+    for y in range(0, N, rows):
+        c = cdf[y:y + rows] * BUCKETS
+        keys = _band(np.arange(y - K, y + len(c) + K, dtype=np.int32) * BUCKETS, K)
+        lower = _landings(keys, np.ceil(c))
+        lower[lower != _landings(keys, np.floor(c, out=c))] = _AMBIGUOUS
+        table[y:y + len(c)] = lower.reshape(len(c), BUCKETS)
+    return table
+
+
+def _search(cdf: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf[row], draw, side="right") for every (row, draw)
+    pair: a branchless binary search (Khuong & Morin, ACM JEA 2017) run for
+    all pairs at once, ceil(log2 width) gathers."""
+    width = cdf.shape[1]
+    flat = cdf.ravel()
+    start = rows * width
+    idx = start.copy()
+    n = width
+    # invariant: the answer is one of idx .. idx + n - 1 (the row's last
+    # cdf entry is 1 > draw); flat[half - 1:][idx] is flat[idx + half - 1]
+    # without an index temporary
+    while n > 1:
+        half = n // 2
+        idx += half * (flat[half - 1:][idx] <= draws)
+        n -= half
+    return idx - start
+
+
 def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.ndarray]:
     """Advance the ensemble `steps` jumps; returns the new ensemble and the
     empirical site histogram (counts / initial_count).
@@ -337,38 +390,53 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     step index), so equal seeds give bit-identical trajectories and
     simulate(simulate(e, a), b) == simulate(e, a + b).
 
-    Each draw is located in its own site's cdf row by a branchless binary
-    search (Khuong & Morin, ACM JEA 2017) run for all particles at once:
-    ceil(log2 2K) gathers per step, landing exactly where
-    searchsorted(cdf[site], draw, side="right") does.
+    A particle at site y carries the key y * BUCKETS.  Each step adds the
+    bucket floor(d * BUCKETS) of its draw d and reads the next key from the
+    bucket table (_bucket_table): one lookup, landing exactly where
+    searchsorted(cdf[y], d, side="right") does.  Only a draw in an ambiguous
+    bucket, about 3 % of them at K = 16, goes through _search.  A key
+    outside [0, N * BUCKETS), one unsigned compare, is an absorbed particle.
+    The table takes 4 N BUCKETS bytes; the particles 20 bytes each.
     """
     N, K = wp.n_sites, wp.K
     if ens.positions.size and (ens.positions.min() < 0 or ens.positions.max() >= N):
         raise ValueError("simulate: particle positions outside the lattice")
-    width = 2 * K
+    if (N + K) * BUCKETS > np.iinfo(np.int32).max:
+        raise ValueError("simulate: lattice plus jump range too long for int32 keys")
     cdf = np.cumsum(outgoing_table(wp), axis=1)
     cdf[:, -1] = 1.0  # the last bin takes any draw a roundoff-short row total misses
-    cdf = cdf.ravel()
-    targets = _band(np.arange(-K, N + K), K).ravel()
-    pos = ens.positions.copy()
+    table = _bucket_table(cdf).ravel()
+    end = N * BUCKETS
+    n = ens.positions.size
+    key = np.multiply(ens.positions, BUCKETS, out=np.empty(n, np.int32))
+    index = np.empty(n, np.intp)
+    draws = np.empty(n)
     for step in range(steps):
-        if pos.size == 0:
+        if n == 0:
             break
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=ens.rng_seed,
                                    spawn_key=(ens.step_count + step,)))
-        draws = rng.random(pos.size)
-        # invariant: the answer is one of idx .. idx + n - 1 (the row's last
-        # cdf entry is 1 > draw); cdf[half - 1:][idx] is cdf[idx + half - 1]
-        # without an index temporary
-        idx = pos * width
-        n = width
-        while n > 1:
-            half = n // 2
-            idx += half * (cdf[half - 1:][idx] <= draws)
-            n -= half
-        pos = targets[idx]
-        pos = pos[(pos >= 0) & (pos < N)]  # absorb off-lattice jumps
+        k = key[:n]
+        # floor(draw * BUCKETS) plus the key; the index buffer then holds
+        # row * BUCKETS + bucket for every particle
+        np.multiply(rng.random(out=draws[:n]), BUCKETS, out=index[:n],
+                    casting="unsafe")
+        index[:n] += k
+        table.take(index[:n], out=k, mode="clip")  # in range; "raise" would buffer out
+        flagged = np.flatnonzero(k.view(np.uint32) >= end)  # ambiguous or absorbed
+        amb = flagged[k[flagged] == _AMBIGUOUS]
+        if amb.size:
+            rows = index[amb] // BUCKETS
+            k[amb] = (rows + wp.offsets[_search(cdf, rows, draws[amb])]) * BUCKETS
+        gone = flagged[k[flagged].view(np.uint32) >= end]
+        if gone.size:
+            keep = np.ones(n, dtype=bool)
+            keep[gone] = False
+            n -= gone.size
+            key[:n] = k[keep]
+    del draws, index  # freed before the positions are built: the peak stays the loop's
+    pos = key[:n] // BUCKETS
     hist = np.bincount(pos, minlength=N).astype(float) / ens.initial_count
     out = Ensemble(pos, ens.rng_seed, ens.step_count + steps, ens.initial_count)
     return out, hist

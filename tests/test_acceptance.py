@@ -41,10 +41,11 @@ from fraccond.walk import (
     Ensemble,
     WalkParams,
     generator_residual,
-    incoming_weights,
     master_step,
     simulate,
 )
+
+from oracles import incoming_weights
 
 
 def report(num, text):

@@ -459,6 +459,34 @@ class TestWalkCommand:
         assert checks["mc_transpose_tv"]["pass"]
         assert "mc_master_tv" not in checks
 
+    # 20000 particles at the default cutoff: a correct run whose histogram
+    # is 0.0245 in total variation from the transpose evolution, above the
+    # old fixed bound of 0.02 but inside its sampling noise (about 0.023)
+    SMALL = {
+        "grid": {"L": 1.0, "N": 129, "omega": [-0.15, 0.15]},
+        "gamma": {"profile": "random", "amplitude": 0.3, "width": 0.15},
+        "task": {"steps": 5, "particles": 20000},
+        "seed": 7,
+    }
+
+    def test_tv_bound_follows_particle_count(self, tmp_path):
+        cfg = write_cfg(tmp_path, "w.json", **self.SMALL)
+        out = tmp_path / "w"
+        assert run(["walk", "--config", cfg, "--out", str(out)]) == 0
+        check = manifest(out)["checks"]["mc_transpose_tv"]
+        assert check["pass"] and check["value"] > 0.02
+        assert "20000 particles" in check["criterion"]
+
+    def test_tv_bound_rejects_a_shifted_histogram(self, tmp_path):
+        cfg = write_cfg(tmp_path, "w.json", **self.SMALL)
+        out = tmp_path / "w"
+        assert run(["walk", "--config", cfg, "--out", str(out)]) == 0
+        v = np.loadtxt(out / "transpose_0005.csv", delimiter=",", skiprows=1)[:, 1]
+        bound = cli._mc_tv_bound(v, 20000)
+        assert bound > 0.02
+        assert cli._tv_check(v, v, bound, 20000)["pass"]
+        assert not cli._tv_check(np.roll(v, 1), v, bound, 20000)["pass"]
+
 
 class TestLimitsCommand:
     def test_grad_study_writes_table(self, tmp_path):
@@ -550,6 +578,8 @@ class TestNumericConfigValues:
         ("limits", {"task": {"study": "decay", "s_list": 0.6}}),
         ("forward", {"gamma": {"profile": "bump", "width": 0}}),
         ("forward", {"gamma": {"profile": "random", "width": -0.1}}),
+        # the walk's int32 particle keys reach (N + K) * BUCKETS
+        ("walk", {"task": {"K": 2**21}}),
     ])
     def test_out_of_range_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)

@@ -7,19 +7,23 @@ from fraccond.core import FracParams, Grid, tail_vector
 from fraccond.operators import Conductivity, assemble_conductivity
 from fraccond.profiles import bump_m, make_conductivity
 from fraccond.walk import (
+    BUCKETS,
     Ensemble,
     WalkParams,
+    _AMBIGUOUS,
+    _bucket_table,
     _continuum_integral,
     default_jump_cutoff,
     full_weight_sum,
     generator_residual,
-    incoming_weights,
     master_step,
     outgoing_table,
     q_master_step,
     simulate,
     truncation_tail_mass,
 )
+
+from oracles import incoming_weights
 
 
 def walk_setup(N=257, K=32, s=0.5, gamma_amp=0.3, L=6.0):
@@ -429,6 +433,19 @@ class TestSamplerEdges:
         assert np.array_equal(out.positions, pos)
         assert np.array_equal(hist, ref_hist)
 
+    @pytest.mark.parametrize("site", [0, 64, 128])
+    def test_default_cutoff_equals_per_site_search(self, site):
+        # the CLI's default K = 2048 at N = 129: most cdf entries crowd the
+        # first and last buckets of each row, and jumps leave both ends
+        g, fp, gam, wp = walk_setup(N=129, K=default_jump_cutoff(0.5),
+                                    gamma_amp=0.3)
+        ens = Ensemble.point_source(20_000, site, rng_seed=11 + site)
+        out, hist = simulate(ens, wp, 6)
+        pos, ref_hist = simulate_per_site(ens, wp, 6)
+        assert wp.K == 2048
+        assert np.array_equal(out.positions, pos)
+        assert np.array_equal(hist, ref_hist)
+
     def test_memory_per_particle(self):
         import tracemalloc
         g, fp, gam, wp = walk_setup(N=513, K=16, gamma_amp=0.3)
@@ -441,3 +458,47 @@ class TestSamplerEdges:
         finally:
             tracemalloc.stop()
         assert peak < 48 * n
+
+
+def searchsorted_table(cdf):
+    """The bucket table from np.searchsorted, row by row: the landing at
+    each bucket's lower edge b / BUCKETS and at the largest double below
+    its upper edge, _AMBIGUOUS where the two differ."""
+    K = cdf.shape[1] // 2
+    offsets = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
+    edges = np.arange(BUCKETS + 1) / BUCKETS
+    table = np.empty((cdf.shape[0], BUCKETS), dtype=np.int64)
+    for y, row in enumerate(cdf):
+        lo = np.searchsorted(row, edges[:-1], side="right")
+        hi = np.searchsorted(row, np.nextafter(edges[1:], 0.0), side="right")
+        table[y] = np.where(lo == hi, (y + offsets[lo]) * BUCKETS, _AMBIGUOUS)
+    return table
+
+
+class TestBucketTable:
+    @pytest.mark.parametrize("K", [1, 16, 2048])
+    def test_matches_searchsorted_at_bucket_ends(self, K):
+        g, fp, gam, wp = walk_setup(N=129, K=K, gamma_amp=0.3)
+        cdf = np.cumsum(outgoing_table(wp), axis=1)
+        cdf[:, -1] = 1.0
+        table = _bucket_table(cdf)
+        assert table.dtype == np.int32
+        assert np.array_equal(table, searchsorted_table(cdf))
+        ambiguous = np.mean(table == _AMBIGUOUS)
+        assert 0.0 < ambiguous < 0.5, ambiguous
+
+    def test_entries_on_bucket_edges(self):
+        # K = 4; entries 0.25 and 0.5 sit on bucket edges, two lie strictly
+        # inside a bucket, and one round-off entry exceeds the final 1
+        row = [0.0, 0.25, 0.25, 0.5, 0.5 + 2.0**-12, 0.75 - 2.0**-11,
+               1.0 + 2.0**-52, 1.0]
+        cdf = np.array([row, row])
+        table = _bucket_table(cdf)
+        assert np.array_equal(table, searchsorted_table(cdf))
+        offsets = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
+        for y in (0, 1):
+            site = y + offsets[[1, 1, 3, 3, 3]]  # entries <= the draw
+            got = table[y, [0, 255, 256, 257, 511]]
+            assert np.array_equal(got, site * BUCKETS)
+            assert table[y, 512] == table[y, 767] == _AMBIGUOUS
+            assert table[y, 768] == (y + offsets[6]) * BUCKETS
