@@ -9,7 +9,7 @@ a long-jump random walk, and checks the s -> 1 limits.
 
 __version__ = "0.1.0"
 
-from .core import FracParams, Grid, cns, gamma_fn, kernel_weight, tail_weight
+from .core import FracParams, Grid, cns, gamma_fn
 from .operators import (
     Conductivity,
     NonlocalOperator,
@@ -18,20 +18,16 @@ from .operators import (
     assemble_laplacian,
     assemble_schrodinger,
     bilinear_form,
-    delta_diff,
     frac_divergence_adjoint,
     frac_gradient,
-    spectral_laplacian_oracle,
 )
 from .forward import (
     DnMatrix,
-    ExteriorDatum,
     Potential,
     SolverError,
     assemble_dn,
     assemble_dn_schrodinger,
     dn_gap,
-    dn_pointwise,
     liouville_reduce,
     solve_dirichlet,
     verify_reduction,

@@ -82,11 +82,6 @@ def _zeta(sigma: float, start: int = 1) -> float:
     return head + tail
 
 
-def surface_measure(n: int) -> float:
-    """omega_{n-1}: surface measure of the unit sphere in R^n (omega_0 = 2)."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
-
-
 @dataclass(frozen=True)
 class FracParams:
     """Fractional order s in [S_MIN, S_MAX] and its cached constant C_{1,s}."""
@@ -149,14 +144,6 @@ class Grid:
         exterior.setflags(write=False)
 
 
-def kernel_weight(grid: Grid, fp: FracParams, i: int, j: int) -> float:
-    """Quadrature weight C_{1,s} h / |x_i - x_j|^{1+2s} for an off-diagonal pair."""
-    if i == j:
-        raise ValueError("kernel_weight: i == j (singular diagonal)")
-    d = abs(grid.nodes[i] - grid.nodes[j])
-    return fp.cns * grid.h / d ** (1.0 + 2.0 * fp.s)
-
-
 def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
                             hi: int | None = None) -> np.ndarray:
     """|x_i - x_j|^(-p) for the rows lo <= i < hi and every j, zero where i == j."""
@@ -183,24 +170,14 @@ def kernel_matrix(grid: Grid, fp: FracParams) -> np.ndarray:
     return kernel_rows(grid, fp, 0, grid.N)
 
 
-def tail_weight(grid: Grid, fp: FracParams, i: int) -> float:
-    """Exact kernel mass beyond the truncation radius, seen from node i.
+def tail_vector(grid: Grid, fp: FracParams) -> np.ndarray:
+    """Exact kernel mass beyond the truncation radius, seen from each node.
 
     Closed form of C_{1,s} * integral of |y - x_i|^{-1-2s} over |y| > R with
     R = grid.cutoff = L + h/2 (fields vanish there by convention):
 
         C_{1,s}/(2s) [ (R - x_i)^{-2s} + (R + x_i)^{-2s} ]
     """
-    x = grid.nodes[i]
-    R = grid.cutoff
-    if not -R < x < R:
-        raise ValueError(f"tail_weight: node {i} not strictly inside the window")
-    s = fp.s
-    return fp.cns / (2.0 * s) * ((R - x) ** (-2.0 * s) + (R + x) ** (-2.0 * s))
-
-
-def tail_vector(grid: Grid, fp: FracParams) -> np.ndarray:
-    """tail_weight at every node."""
     x = grid.nodes
     R = grid.cutoff
     s = fp.s

@@ -76,30 +76,6 @@ def factor_interior(A_II: np.ndarray, context: str) -> np.ndarray:
 
 
 @dataclass
-class ExteriorDatum:
-    """Values on the exterior node set, zero elsewhere by convention."""
-
-    values: np.ndarray  # full length N, zero on interior nodes
-
-    @classmethod
-    def from_full(cls, grid: Grid, values: np.ndarray) -> "ExteriorDatum":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.N,):
-            raise ValueError("ExteriorDatum: wrong length")
-        if np.any(values[grid.interior_idx] != 0.0):
-            raise ValueError("ExteriorDatum: support must lie in exterior_idx")
-        return cls(values)
-
-    @classmethod
-    def unit(cls, grid: Grid, node: int) -> "ExteriorDatum":
-        if node not in grid.exterior_idx:
-            raise ValueError(f"ExteriorDatum.unit: node {node} is not exterior")
-        v = np.zeros(grid.N)
-        v[node] = 1.0
-        return cls(v)
-
-
-@dataclass
 class DnMatrix:
     """DN map sampled on exterior source set W1 and observation set W2."""
 
@@ -357,14 +333,3 @@ def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
             - _dn_pairing(grid, C_II, 0.0, Cf, Cv, v))
     right = grid.h * float(np.sum(f[E] * v[E] * lap_m[E]))
     return left, right
-
-
-def dn_pointwise(grid: Grid, fp: FracParams, gamma: Conductivity,
-                 g: np.ndarray) -> np.ndarray:
-    """Pointwise DN route: the conductivity operator applied to the solution,
-    restricted to exterior nodes (flux density; multiply by h^n to match
-    DnMatrix entries)."""
-    g = _check_exterior_support(grid, g, "dn_pointwise: g")
-    op = assemble_conductivity(grid, fp, gamma)
-    u = solve_dirichlet(op, g)
-    return (op.matrix @ u)[grid.exterior_idx]

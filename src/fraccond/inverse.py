@@ -8,6 +8,14 @@ with Tikhonov weight; (2) solve the linear Dirichlet problem
 
 and set gamma = (1 + m)^2.
 
+Step (1) is one private fit, _fit_potential, which every entry point calls
+directly: reconstruct_gamma (conductivity data on W1 = W2 = exterior, the
+diagonal masked), recover_potential_full (full exterior data, any entry
+mask) and single_measurement_fit (one source g on W1 observed on W2).  The
+fit runs on one BLAS thread and records one Iterate per accepted step;
+InversionReport derives converged, data_residual and residual_history from
+its stop_reason and iterations, so each fact is stored once.
+
 The forward map q -> Schroedinger DN data is forward._DnEvaluator on the
 Laplacian, assembled once per inversion; an evaluation only adds diag(q)
 to the interior block, checks it (factor_interior) and solves against it
@@ -80,36 +88,26 @@ class InversionReport:
     q: Potential
     m: np.ndarray
     gamma: Conductivity | None
-    residual_history: list[float] = field(default_factory=list)
     iterations: list[Iterate] = field(default_factory=list)
-    converged: bool = False
     # converged | max_iter | damping_floor
     stop_reason: str = ""
-    data_residual: float = float("nan")
     lambda_used: float = float("nan")
     # BLAS threads the Gauss-Newton loop ran at; None when it was not capped
     blas_threads: int | None = None
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
-def _forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
-                          W1: np.ndarray, W2: np.ndarray,
-                          g_W1: np.ndarray | None):
-    """Schroedinger DN data and its exact dense Jacobian in the interior q.
+    @property
+    def data_residual(self) -> float:
+        return self.iterations[-1].data_residual if self.iterations \
+            else float("nan")
 
-    With unit sources (g_W1 None) returns the (|W2|, |W1|) matrix M and
-    J[l, k, i] = h * U[i, k] * V[i, l]; with a fixed source g on W1 returns
-    the response column on W2 and J[l, i] = h * w[i] * V[i, l].  This is the
-    dense oracle the structured normal equations are tested against; the
-    inversion never forms J.
-    """
-    data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
-                        g_W1, _SINGULAR_Q)
-    M, U, A_II = data.evaluate(q_int)
-    V = data.observation_block(U, A_II)
-    J = data.h * np.einsum("il,ik->lki", V, U)
-    if g_W1 is None:
-        return M, J
-    return M[:, 0], J[:, 0, :]
+    @property
+    def residual_history(self) -> list[float]:
+        """sqrt of the damped objective at each iterate, non-increasing."""
+        return [np.sqrt(it.objective) for it in self.iterations]
 
 
 class _NormalEquations:
@@ -179,28 +177,9 @@ class _NormalEquations:
         return delta
 
 
-def _gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
-                  W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
-                  mask: np.ndarray, g_W1: np.ndarray | None):
-    """_damped_gauss_newton on one BLAS thread.
-
-    Its BLAS/LAPACK operands have only |I| rows (tens to a few hundred),
-    where OpenBLAS's default of one thread per CPU runs them an order of
-    magnitude slower than one thread.  The interior solves run in numpy's
-    OpenBLAS too, so the cap covers every BLAS/LAPACK call of the loop.
-    The fit records the thread count it ran at: 1, or None when no OpenBLAS
-    setter was found.
-    """
-    with blas_threads(1) as capped:
-        q, fit = _damped_gauss_newton(grid, fp, cfg, W1, W2, observed, mask,
-                                      g_W1)
-    fit["blas_threads"] = 1 if capped else None
-    return q, fit
-
-
-def _damped_gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
-                         W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
-                         mask: np.ndarray, g_W1: np.ndarray | None):
+def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
+                   W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
+                   mask: np.ndarray, g_W1: np.ndarray | None):
     """Damped Gauss-Newton over interior potential values from q = 0.
 
     reg_lambda is dimensionless: it multiplies the top eigenvalue of the
@@ -210,95 +189,89 @@ def _damped_gauss_newton(grid: Grid, fp: FracParams, cfg: InversionConfig,
     (G + lam I) delta = -(g + lam q) of the structured Gram (see
     _NormalEquations).  Line-search trials evaluate the residual only; G
     and g are formed once per accepted step.  Acceptance enforces strict
-    decrease of the damped objective, so the recorded history (sqrt of
-    objective per accepted step) is non-increasing by construction.
-    `observed` and `mask` have the data's (|W2|, columns) shape.  Returns
-    q_int and the InversionReport fields of the fit.
+    decrease of the damped objective, so the residual history (sqrt of
+    the objective per accepted step) is non-increasing by construction.
+    `observed` and `mask` have the data's (|W2|, columns) shape.  Unit-source
+    data (g_W1 None) must cover W1 = W2 = exterior_idx.
+
+    The loop runs on one BLAS thread: its BLAS/LAPACK operands have only
+    |I| rows (tens to a few hundred), where OpenBLAS's default of one thread
+    per CPU runs them an order of magnitude slower.  The interior solves run
+    in numpy's OpenBLAS too, so the cap covers every call of the loop.
+
+    Returns the fitted Potential (zero outside omega), then iterations,
+    stop_reason, lambda_used and blas_threads (1, or None when no OpenBLAS
+    setter was found) in InversionReport's field order.
     """
-    data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
-                        g_W1, _SINGULAR_Q)
-    q = np.zeros(grid.interior_idx.size)
-    scale = max(float(np.linalg.norm(observed[mask])), 1e-30)
-    excluded = np.nonzero(~mask)
-
-    def residual(M):
-        M -= observed
-        M[excluded] = 0.0
-        return M
-
-    def normal_equations(U, A_II, R):
-        return _NormalEquations(data.observation_block(U, A_II), U, R,
-                                excluded, data.h)
-
-    M, U, A_II = data.evaluate(q)
-    R = residual(M)
-    ne = normal_equations(U, A_II, R)
-    lam = cfg.reg_lambda * max(float(ne.mu[-1]), 0.0)
-
-    def objective(Rv, qv):
-        return float(np.vdot(Rv, Rv) + lam * qv @ qv)
-
-    iterations: list[Iterate] = []
-    history: list[float] = []
-
-    def record(step_length, trials):
-        phi = objective(R, q)
-        iterations.append(Iterate(step_length, trials, phi,
-                                  float(np.linalg.norm(R)) / scale))
-        history.append(np.sqrt(phi))
-
-    record(0.0, 0)
-    stop_reason = "converged" if iterations[-1].data_residual < cfg.tol \
-        else "max_iter"
-    for it in range(cfg.max_iter):
-        if stop_reason == "converged":
-            break
-        if it:
-            ne = normal_equations(U, A_II, R)
-        delta = ne.step(q, lam)
-        phi0 = objective(R, q)
-        t, trials = 1.0, 0
-        while t >= DAMPING_FLOOR:
-            trials += 1
-            q_try = q + t * delta
-            try:
-                M_try, U_try, A_II_try = data.evaluate(q_try)
-            except SolverError:
-                t *= cfg.step_damping
-                continue
-            R_try = residual(M_try)
-            if objective(R_try, q_try) < phi0:
-                break
-            t *= cfg.step_damping
-        else:
-            stop_reason = "damping_floor"  # keep the best iterate
-            break
-        q, R, U, A_II = q_try, R_try, U_try, A_II_try
-        record(t, trials)
-        if iterations[-1].data_residual < cfg.tol:
-            stop_reason = "converged"
-    return q, dict(residual_history=history, iterations=iterations,
-                   converged=stop_reason == "converged",
-                   stop_reason=stop_reason,
-                   data_residual=iterations[-1].data_residual,
-                   lambda_used=lam)
-
-
-def _recover_potential_details(observed: DnMatrix, grid: Grid, fp: FracParams,
-                               cfg: InversionConfig,
-                               entry_mask: np.ndarray | None):
     E = grid.exterior_idx
-    if not (np.array_equal(observed.source_idx, E)
-            and np.array_equal(observed.obs_idx, E)):
-        raise ValueError("recover_potential_full: observed must cover "
+    if g_W1 is None and not (np.array_equal(W1, E)
+                             and np.array_equal(W2, E)):
+        raise ValueError("DN data fit: observed must cover "
                          "W1 = W2 = exterior_idx")
-    mask = np.ones(observed.matrix.shape, dtype=bool) if entry_mask is None \
-        else np.asarray(entry_mask, dtype=bool)
-    q_int, fit = _gauss_newton(grid, fp, cfg, E, E, observed.matrix, mask,
-                               None)
+    with blas_threads(1) as capped:
+        data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
+                            g_W1, _SINGULAR_Q)
+        q = np.zeros(grid.interior_idx.size)
+        scale = max(float(np.linalg.norm(observed[mask])), 1e-30)
+        excluded = np.nonzero(~mask)
+
+        def residual(M):
+            M -= observed
+            M[excluded] = 0.0
+            return M
+
+        def normal_equations(U, A_II, R):
+            return _NormalEquations(data.observation_block(U, A_II), U, R,
+                                    excluded, data.h)
+
+        M, U, A_II = data.evaluate(q)
+        R = residual(M)
+        ne = normal_equations(U, A_II, R)
+        lam = cfg.reg_lambda * max(float(ne.mu[-1]), 0.0)
+
+        def objective(Rv, qv):
+            return float(np.vdot(Rv, Rv) + lam * qv @ qv)
+
+        iterations: list[Iterate] = []
+
+        def record(step_length, trials):
+            iterations.append(Iterate(step_length, trials, objective(R, q),
+                                      float(np.linalg.norm(R)) / scale))
+
+        record(0.0, 0)
+        stop_reason = "converged" if iterations[-1].data_residual < cfg.tol \
+            else "max_iter"
+        for it in range(cfg.max_iter):
+            if stop_reason == "converged":
+                break
+            if it:
+                ne = normal_equations(U, A_II, R)
+            delta = ne.step(q, lam)
+            phi0 = objective(R, q)
+            t, trials = 1.0, 0
+            while t >= DAMPING_FLOOR:
+                trials += 1
+                q_try = q + t * delta
+                try:
+                    M_try, U_try, A_II_try = data.evaluate(q_try)
+                except SolverError:
+                    t *= cfg.step_damping
+                    continue
+                R_try = residual(M_try)
+                if objective(R_try, q_try) < phi0:
+                    break
+                t *= cfg.step_damping
+            else:
+                stop_reason = "damping_floor"  # keep the best iterate
+                break
+            q, R, U, A_II = q_try, R_try, U_try, A_II_try
+            record(t, trials)
+            if iterations[-1].data_residual < cfg.tol:
+                stop_reason = "converged"
     q_full = np.zeros(grid.N)
-    q_full[grid.interior_idx] = q_int
-    return Potential(q_full, interior_supported=True), fit
+    q_full[grid.interior_idx] = q
+    return (Potential(q_full, interior_supported=True), iterations,
+            stop_reason, lam, 1 if capped else None)
 
 
 def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
@@ -311,7 +284,10 @@ def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
     default uses all of them, which is appropriate for Schroedinger data.
     """
     cfg = cfg or InversionConfig()
-    return _recover_potential_details(observed, grid, fp, cfg, entry_mask)[0]
+    mask = np.ones(observed.matrix.shape, dtype=bool) if entry_mask is None \
+        else np.asarray(entry_mask, dtype=bool)
+    return _fit_potential(grid, fp, cfg, observed.source_idx, observed.obs_idx,
+                          observed.matrix, mask, None)[0]
 
 
 def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
@@ -344,15 +320,16 @@ def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,
     """
     cfg = cfg or InversionConfig()
     offdiag = ~np.eye(observed.matrix.shape[0], dtype=bool)
-    pot, fit = _recover_potential_details(observed, grid, fp, cfg,
-                                          entry_mask=offdiag)
+    pot, *fit = _fit_potential(grid, fp, cfg, observed.source_idx,
+                               observed.obs_idx, observed.matrix, offdiag,
+                               None)
     m = recover_m_from_q(pot, grid, fp)
     if np.min(1.0 + m) <= 0.0:
         raise ReconstructionError(
             "reconstruct_gamma: recovered 1 + m is not positive; "
             "gamma would violate its lower bound")
     gamma = Conductivity.from_m(grid, m)
-    return InversionReport(q=pot, m=m, gamma=gamma, **fit)
+    return InversionReport(pot, m, gamma, *fit)
 
 
 def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
@@ -387,15 +364,12 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     p2 = np.argsort(W2)
     W1, g_W1 = W1[p1], g_W1[p1]
     W2, observed = W2[p2], observed[p2]
-    q_int, fit = _gauss_newton(grid, fp, cfg, W1, W2, observed[:, None],
+    pot, *fit = _fit_potential(grid, fp, cfg, W1, W2, observed[:, None],
                                np.ones((W2.size, 1), dtype=bool), g_W1)
-    q_full = np.zeros(grid.N)
-    q_full[grid.interior_idx] = q_int
-    pot = Potential(q_full, interior_supported=True)
     try:
         m = recover_m_from_q(pot, grid, fp)
         gamma = Conductivity.from_m(grid, m) if np.min(1.0 + m) > 0 else None
     except SolverError:
         m = np.full(grid.N, np.nan)
         gamma = None
-    return InversionReport(q=pot, m=m, gamma=gamma, **fit)
+    return InversionReport(pot, m, gamma, *fit)

@@ -18,7 +18,6 @@ matrix level.  Every routine uses fp's s as given (FracParams holds it in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from .core import (FracParams, Grid, _inverse_distance_power, kernel_matrix,
                    tail_vector)
 
-EDGE_DECAY_TOL = 1e-12
 BILINEAR_BLOCK = 64
 
 
@@ -87,7 +85,6 @@ class NonlocalOperator:
     """Dense symmetric matrix realization of a nonlocal operator."""
 
     matrix: np.ndarray
-    kind: str  # laplacian | conductivity | schrodinger
     grid: Grid
     fp: FracParams
 
@@ -119,18 +116,6 @@ class PairField:
     @classmethod
     def zero(cls, N: int) -> "PairField":
         return cls(np.zeros((N, N)), np.zeros(N))
-
-
-def delta_diff(u: np.ndarray, i: int, k: int) -> float:
-    """Symmetric second difference u_{i+k} + u_{i-k} - 2 u_i.
-
-    Indices outside the node range read 0 (window truncation).
-    """
-    u = np.asarray(u)
-    N = u.shape[0]
-    up = u[i + k] if 0 <= i + k < N else 0.0
-    um = u[i - k] if 0 <= i - k < N else 0.0
-    return float(up + um - 2.0 * u[i])
 
 
 def _halfkernel(grid: Grid, fp: FracParams) -> np.ndarray:
@@ -201,12 +186,12 @@ def _from_kernel(W: np.ndarray, tail: np.ndarray, g, lo: int = 0) -> np.ndarray:
 def assemble_laplacian(grid: Grid, fp: FracParams) -> NonlocalOperator:
     """Dense matrix of (-Delta)^s on the truncated window.
 
-    A_ij = -kernel_weight(i, j) off-diagonal; the diagonal collects the
+    A_ij = -kernel_matrix[i, j] off-diagonal; the diagonal collects the
     punctured row sum plus the exact tail, so constants are annihilated up
     to the tail term and the matrix is symmetric positive semidefinite.
     """
     A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), 1.0)
-    return NonlocalOperator(A, "laplacian", grid, fp)
+    return NonlocalOperator(A, grid, fp)
 
 
 def assemble_conductivity(grid: Grid, fp: FracParams, gamma: Conductivity) -> NonlocalOperator:
@@ -217,45 +202,22 @@ def assemble_conductivity(grid: Grid, fp: FracParams, gamma: Conductivity) -> No
     whole row is premultiplied by gamma_i^{1/2}.
     """
     A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), gamma.sqrt)
-    return NonlocalOperator(A, "conductivity", grid, fp)
+    return NonlocalOperator(A, grid, fp)
 
 
 def assemble_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray) -> NonlocalOperator:
-    """(-Delta)^s + q with the potential restricted to interior nodes."""
+    """(-Delta)^s + q with the potential restricted to interior nodes.
+
+    No module in src/ calls it (the DN routes add q to the interior block
+    only); the tests use it as the dense reference, and
+    perfbench/tracing.py wraps it by name.
+    """
     lap = assemble_laplacian(grid, fp)
     A = lap.matrix.copy()
     q_int = np.zeros(grid.N)
     q_int[grid.interior_idx] = np.asarray(q, dtype=float)[grid.interior_idx]
     A[np.arange(grid.N), np.arange(grid.N)] += q_int
-    return NonlocalOperator(A, "schrodinger", grid, fp)
-
-
-def spectral_laplacian_oracle(grid: Grid, fp: FracParams, u: np.ndarray,
-                              pad: int = 1) -> np.ndarray:
-    """DFT-symbol route: inverse transform of |xi|^{2s} u_hat.
-
-    Treats the window as one period; ``pad`` > 1 embeds the field in a
-    pad-times longer zero block before applying the symbol, which pushes
-    the periodic images of the operator's heavy tails far away (used by
-    the cross-check against the assembled matrix).  Warns when u is not
-    negligible at the window edges.
-    """
-    u = np.asarray(u, dtype=float)
-    if max(abs(u[0]), abs(u[-1])) > EDGE_DECAY_TOL:
-        warnings.warn(
-            "spectral_laplacian_oracle: field not negligible at window edges; "
-            "periodization error is uncontrolled",
-            stacklevel=2,
-        )
-    if pad > 1:
-        full = np.zeros(pad * grid.N)
-        k0 = (pad - 1) * grid.N // 2
-        full[k0:k0 + grid.N] = u
-    else:
-        full, k0 = u, 0
-    xi = 2.0 * np.pi * np.fft.fftfreq(full.size, d=grid.h)
-    out = np.fft.ifft(np.abs(xi) ** (2.0 * fp.s) * np.fft.fft(full)).real
-    return out[k0:k0 + grid.N]
+    return NonlocalOperator(A, grid, fp)
 
 
 def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,

@@ -1,9 +1,84 @@
 """Reference routines the tests compare the package against.  No code in
 src/ calls them."""
 
+import math
+import warnings
+
 import numpy as np
 
+from fraccond.core import FracParams, Grid
+from fraccond.forward import (_DnEvaluator, _check_exterior_support,
+                              solve_dirichlet)
+from fraccond.operators import (Conductivity, assemble_conductivity,
+                                assemble_laplacian)
 from fraccond.walk import WalkParams, _band
+
+EDGE_DECAY_TOL = 1e-12
+
+
+def surface_measure(n: int) -> float:
+    """omega_{n-1}: surface measure of the unit sphere in R^n (omega_0 = 2)."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def spectral_laplacian_oracle(grid: Grid, fp: FracParams, u: np.ndarray,
+                              pad: int = 1) -> np.ndarray:
+    """DFT-symbol route: inverse transform of |xi|^{2s} u_hat.
+
+    Treats the window as one period; ``pad`` > 1 embeds the field in a
+    pad-times longer zero block before applying the symbol, which pushes
+    the periodic images of the operator's heavy tails far away (used by
+    the cross-check against the assembled matrix).  Warns when u is not
+    negligible at the window edges.
+    """
+    u = np.asarray(u, dtype=float)
+    if max(abs(u[0]), abs(u[-1])) > EDGE_DECAY_TOL:
+        warnings.warn(
+            "spectral_laplacian_oracle: field not negligible at window edges; "
+            "periodization error is uncontrolled",
+            stacklevel=2,
+        )
+    if pad > 1:
+        full = np.zeros(pad * grid.N)
+        k0 = (pad - 1) * grid.N // 2
+        full[k0:k0 + grid.N] = u
+    else:
+        full, k0 = u, 0
+    xi = 2.0 * np.pi * np.fft.fftfreq(full.size, d=grid.h)
+    out = np.fft.ifft(np.abs(xi) ** (2.0 * fp.s) * np.fft.fft(full)).real
+    return out[k0:k0 + grid.N]
+
+
+def dn_pointwise(grid: Grid, fp: FracParams, gamma: Conductivity,
+                 g: np.ndarray) -> np.ndarray:
+    """Pointwise DN route: the conductivity operator applied to the solution,
+    restricted to exterior nodes (flux density; multiply by h^n to match
+    DnMatrix entries)."""
+    g = _check_exterior_support(grid, g, "dn_pointwise: g")
+    op = assemble_conductivity(grid, fp, gamma)
+    u = solve_dirichlet(op, g)
+    return (op.matrix @ u)[grid.exterior_idx]
+
+
+def forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
+                         W1: np.ndarray, W2: np.ndarray,
+                         g_W1: np.ndarray | None):
+    """Schroedinger DN data and its exact dense Jacobian in the interior q.
+
+    With unit sources (g_W1 None) returns the (|W2|, |W1|) matrix M and
+    J[l, k, i] = h * U[i, k] * V[i, l]; with a fixed source g on W1 returns
+    the response column on W2 and J[l, i] = h * w[i] * V[i, l].  This is the
+    dense oracle the structured normal equations are tested against; the
+    inversion never forms J.
+    """
+    data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
+                        g_W1, "forward_and_jacobian")
+    M, U, A_II = data.evaluate(q_int)
+    V = data.observation_block(U, A_II)
+    J = data.h * np.einsum("il,ik->lki", V, U)
+    if g_W1 is None:
+        return M, J
+    return M[:, 0], J[:, 0, :]
 
 
 def incoming_weights(wp: WalkParams, i: int) -> tuple[np.ndarray, np.ndarray]:

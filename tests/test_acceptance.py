@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from fraccond.cli import run as cli_run
-from fraccond.core import FracParams, Grid, cns, surface_measure
+from fraccond.core import FracParams, Grid, cns
 from fraccond.forward import (
     assemble_dn,
     dn_gap,
@@ -28,7 +28,6 @@ from fraccond.operators import (
     bilinear_form,
     frac_divergence_adjoint,
     frac_gradient,
-    spectral_laplacian_oracle,
 )
 from fraccond.profiles import (
     bump_m,
@@ -45,7 +44,8 @@ from fraccond.walk import (
     simulate,
 )
 
-from oracles import incoming_weights
+from oracles import (incoming_weights, spectral_laplacian_oracle,
+                     surface_measure)
 
 
 def report(num, text):

@@ -13,13 +13,12 @@ from fraccond.core import (
     gamma_fn,
     kernel_matrix,
     kernel_rows,
-    kernel_weight,
-    surface_measure,
     tail_vector,
-    tail_weight,
 )
 from fraccond.limits import grad_limit_study, gradient_distributional_decay
 from fraccond.profiles import gaussian
+
+from oracles import surface_measure
 
 
 class TestGammaFn:
@@ -136,26 +135,28 @@ class TestKernelWeight:
         # h = 0.1 grid: C h / h^2 = (1/pi) * 10
         g = Grid(L=1.0, N=21, a=-0.3, b=0.3)
         fp = FracParams(0.5)
-        w = kernel_weight(g, fp, 10, 11)
+        w = kernel_matrix(g, fp)[10, 11]
         assert w == pytest.approx(10.0 / math.pi, rel=1e-12)
 
     def test_symmetry(self):
         g = Grid(L=1.0, N=33, a=-0.3, b=0.3)
-        fp = FracParams(0.7)
+        W = kernel_matrix(g, FracParams(0.7))
         for i, j in [(0, 5), (3, 20), (31, 2)]:
-            assert kernel_weight(g, fp, i, j) == kernel_weight(g, fp, j, i)
+            assert W[i, j] == W[j, i]
 
     def test_distance_homogeneity(self):
         g = Grid(L=1.0, N=33, a=-0.3, b=0.3)
         fp = FracParams(0.6)
-        near = kernel_weight(g, fp, 10, 12)
-        far = kernel_weight(g, fp, 10, 14)  # doubled separation
+        W = kernel_matrix(g, fp)
+        near = W[10, 12]
+        far = W[10, 14]  # doubled separation
         assert near / far == pytest.approx(2.0 ** (1 + 2 * 0.6), rel=1e-12)
 
     def test_diagonal_rejected(self):
+        # the singular i == j weight is left out: the diagonal is exactly 0
         g = Grid(L=1.0, N=33, a=-0.3, b=0.3)
-        with pytest.raises(ValueError):
-            kernel_weight(g, FracParams(0.5), 4, 4)
+        W = kernel_matrix(g, FracParams(0.5))
+        assert np.array_equal(np.diag(W), np.zeros(g.N))
 
 
 class TestTailWeight:
@@ -165,7 +166,7 @@ class TestTailWeight:
         fp = FracParams(0.5)
         i = g.N // 2
         assert g.nodes[i] == pytest.approx(0.0, abs=1e-12)
-        assert tail_weight(g, fp, i) == pytest.approx(0.2 / math.pi, rel=1e-4)
+        assert tail_vector(g, fp)[i] == pytest.approx(0.2 / math.pi, rel=1e-4)
 
     def test_matches_quadrature_oracle(self):
         g = Grid(L=2.0, N=41, a=-0.5, b=0.5)
@@ -176,7 +177,7 @@ class TestTailWeight:
                                        -np.inf, -R)
         right, _ = scipy.integrate.quad(lambda y: (y - x) ** (-1 - 2 * s),
                                         R, np.inf)
-        assert tail_weight(g, fp, i) == pytest.approx(
+        assert tail_vector(g, fp)[i] == pytest.approx(
             fp.cns * (left + right), rel=1e-10)
 
     def test_window_symmetry(self):
@@ -191,7 +192,7 @@ class TestTailWeight:
         for L in (5.0, 20.0, 80.0):
             g = Grid(L=L, N=101, a=-1.0, b=1.0)
             i = g.N // 2
-            vals.append(tail_weight(g, fp, i))
+            vals.append(tail_vector(g, fp)[i])
         assert vals[0] > vals[1] > vals[2]
         # decay rate (1/L)^{2s}: factor 16 between L=5 and L=80 at s=0.5
         assert vals[2] == pytest.approx(vals[0] / 16.0, rel=0.02)

@@ -3,14 +3,12 @@ import pytest
 
 from fraccond.core import FracParams, Grid, kernel_rows, tail_vector
 from fraccond.forward import (
-    ExteriorDatum,
     SolverError,
     _operator_rows,
     assemble_dn,
     assemble_dn_schrodinger,
     dn_from_operator,
     dn_gap,
-    dn_pointwise,
     factor_interior,
     liouville_reduce,
     solve_dirichlet,
@@ -32,6 +30,8 @@ from fraccond.profiles import (
     random_admissible_m,
 )
 
+from oracles import dn_pointwise
+
 
 def grid128():
     return Grid(L=1.0, N=128, a=-0.3, b=0.3)
@@ -39,19 +39,6 @@ def grid128():
 
 def bump_gamma(g, amp=0.3, center=0.0, width=0.2):
     return make_conductivity(g, bump_m(amp, center, width))
-
-
-class TestExteriorDatum:
-    def test_unit_and_validation(self):
-        g = grid128()
-        e = ExteriorDatum.unit(g, int(g.exterior_idx[3]))
-        assert e.values.sum() == 1.0
-        with pytest.raises(ValueError):
-            ExteriorDatum.unit(g, int(g.interior_idx[0]))
-        bad = np.zeros(g.N)
-        bad[g.interior_idx[2]] = 1.0
-        with pytest.raises(ValueError):
-            ExteriorDatum.from_full(g, bad)
 
 
 class TestSolveDirichlet:

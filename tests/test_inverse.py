@@ -19,7 +19,6 @@ from fraccond.forward import (
 from fraccond.inverse import (
     InversionConfig,
     ReconstructionError,
-    _forward_and_jacobian,
     _NormalEquations,
     reconstruct_gamma,
     recover_m_from_q,
@@ -28,6 +27,8 @@ from fraccond.inverse import (
 )
 from fraccond.operators import Conductivity, assemble_laplacian
 from fraccond.profiles import bump_m, make_conductivity, profile_from_name
+
+from oracles import forward_and_jacobian
 
 
 def inverse_grid(N=64):
@@ -54,6 +55,25 @@ def panel_data(seed, N=256):
     return assemble_dn(g, fp, gam, E, E), g, fp
 
 
+def measurement_geometry(N=48):
+    """Disjoint source and observation sets W1, W2 and a source g on W1."""
+    g = Grid(L=1.0, N=N, a=-0.15, b=0.15)
+    x = g.nodes
+    W1 = np.flatnonzero((x > -0.85) & (x < -0.45))
+    W2 = np.flatnonzero((x > 0.45) & (x < 0.85))
+    gfull = np.zeros(g.N)
+    gfull[W1] = np.exp(-((x[W1] + 0.65) / 0.1) ** 2)
+    return g, W1, W2, gfull
+
+
+def single_measurement_report(cfg=None):
+    """single_measurement_fit to the bump conductivity's response."""
+    g, W1, W2, gfull = measurement_geometry()
+    fp = FracParams(0.5)
+    obs = assemble_dn(g, fp, bump_gamma(g), W1, W2).matrix @ gfull[W1]
+    return single_measurement_fit(gfull, obs, W1, W2, g, fp, cfg)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -74,15 +94,15 @@ class TestJacobian:
         nI = g.interior_idx.size
         rng = np.random.default_rng(0)
         q0 = 0.3 * rng.standard_normal(nI)
-        M0, J = _forward_and_jacobian(g, fp, q0, E, E, None)
+        M0, J = forward_and_jacobian(g, fp, q0, E, E, None)
         eps = 1e-6
         for i in range(0, nI, 3):
             qp = q0.copy()
             qp[i] += eps
             qm = q0.copy()
             qm[i] -= eps
-            fd = (_forward_and_jacobian(g, fp, qp, E, E, None)[0]
-                  - _forward_and_jacobian(g, fp, qm, E, E, None)[0]) / (2 * eps)
+            fd = (forward_and_jacobian(g, fp, qp, E, E, None)[0]
+                  - forward_and_jacobian(g, fp, qm, E, E, None)[0]) / (2 * eps)
             assert np.max(np.abs(J[:, :, i] - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -119,8 +139,8 @@ class TestRecoverPotentialFull:
                          * (1 + 1e-6 * rng.standard_normal(clean.matrix.shape)))
         cfg = InversionConfig(reg_lambda=1e-6, tol=1e-7, max_iter=60)
         pot = recover_potential_full(noisy, g, fp, cfg)
-        out, _ = _forward_and_jacobian(g, fp, pot.values[g.interior_idx],
-                                       E, E, None)
+        out, _ = forward_and_jacobian(g, fp, pot.values[g.interior_idx],
+                                      E, E, None)
         resid = np.linalg.norm(out - noisy.matrix) / np.linalg.norm(noisy.matrix)
         err = np.max(np.abs(pot.values - q_star)) / np.max(np.abs(q_star))
         assert resid <= 1e-5
@@ -302,17 +322,8 @@ class TestInjectivityOperator:
 
 
 class TestSingleMeasurement:
-    def setup_geometry(self, N=48):
-        g = Grid(L=1.0, N=N, a=-0.15, b=0.15)
-        x = g.nodes
-        W1 = np.flatnonzero((x > -0.85) & (x < -0.45))
-        W2 = np.flatnonzero((x > 0.45) & (x < 0.85))
-        gfull = np.zeros(g.N)
-        gfull[W1] = np.exp(-((x[W1] + 0.65) / 0.1) ** 2)
-        return g, W1, W2, gfull
-
     def test_unit_gamma_zero_residual_at_zero_potential(self):
-        g, W1, W2, gfull = self.setup_geometry()
+        g, W1, W2, gfull = measurement_geometry()
         fp = FracParams(0.5)
         obs = assemble_dn(g, fp, Conductivity.constant(g), W1, W2).matrix @ gfull[W1]
         rep = single_measurement_fit(gfull, obs, W1, W2, g, fp,
@@ -321,7 +332,7 @@ class TestSingleMeasurement:
         assert np.max(np.abs(rep.q.values)) <= 1e-10
 
     def test_lambda_sweep_reaches_residual_floor(self):
-        g, W1, W2, gfull = self.setup_geometry()
+        g, W1, W2, gfull = measurement_geometry()
         fp = FracParams(0.5)
         gam = bump_gamma(g)
         obs = assemble_dn(g, fp, gam, W1, W2).matrix @ gfull[W1]
@@ -334,7 +345,7 @@ class TestSingleMeasurement:
         assert best <= 1e-8
 
     def test_observation_permutation_invariance(self):
-        g, W1, W2, gfull = self.setup_geometry()
+        g, W1, W2, gfull = measurement_geometry()
         fp = FracParams(0.5)
         gam = bump_gamma(g)
         obs = assemble_dn(g, fp, gam, W1, W2).matrix @ gfull[W1]
@@ -346,7 +357,7 @@ class TestSingleMeasurement:
         assert np.max(np.abs(rep1.q.values - rep2.q.values)) <= 1e-10 * scale
 
     def test_geometry_validation(self):
-        g, W1, W2, gfull = self.setup_geometry()
+        g, W1, W2, gfull = measurement_geometry()
         fp = FracParams(0.5)
         with pytest.raises(ValueError):
             single_measurement_fit(gfull, np.zeros(W1.size), W1, W1, g, fp)
@@ -357,7 +368,7 @@ class TestSingleMeasurement:
 
 class TestStructuredNormalEquations:
     """The Gram J^T J and gradient J^T r contracted from the solution blocks
-    against the dense Jacobian tensor of _forward_and_jacobian."""
+    against the dense Jacobian tensor of forward_and_jacobian."""
 
     @staticmethod
     def setup(W1, W2, mask, g_W1=None):
@@ -371,7 +382,7 @@ class TestStructuredNormalEquations:
         V = data.observation_block(U, lu)
         R = np.where(mask, rng.standard_normal(M.shape), 0.0)
         ne = _NormalEquations(V, U, R, np.nonzero(~mask), data.h)
-        _, J = _forward_and_jacobian(g, fp, q0, W1, W2, g_W1)
+        _, J = forward_and_jacobian(g, fp, q0, W1, W2, g_W1)
         Jm = J.reshape(-1, nI)[mask.reshape(-1)]
         return ne, Jm, R[mask], q0
 
@@ -435,7 +446,7 @@ class TestForwardMapIsDnEvaluator:
         q = bump_potential(g)
         E = g.exterior_idx
         W1, W2 = (E, E) if sets == "same" else (E[:9], E[-12:])
-        M, _ = _forward_and_jacobian(g, fp, q[g.interior_idx], W1, W2, None)
+        M, _ = forward_and_jacobian(g, fp, q[g.interior_idx], W1, W2, None)
         assert np.array_equal(M, assemble_dn_schrodinger(g, fp, q, W1, W2).matrix)
 
     @pytest.mark.parametrize("bad", ["W1", "W2"])
@@ -467,10 +478,10 @@ class TestInversionReportDiagnostics:
         E = g.exterior_idx
         return assemble_dn(g, fp, bump_gamma(g), E, E), g, fp
 
-    def test_converged_iterations_recorded(self):
-        observed, g, fp = self.bump_data()
-        rep = reconstruct_gamma(observed, g, fp)
-        assert rep.stop_reason == "converged" and rep.converged
+    @staticmethod
+    def assert_recorded(rep):
+        """The iterations of an accepted-step loop, and the report fields
+        read from them."""
         its = rep.iterations
         assert len(its) == len(rep.residual_history) >= 2
         assert its[0].step_length == 0.0 and its[0].trials == 0
@@ -478,7 +489,26 @@ class TestInversionReportDiagnostics:
                    for it in its[1:])
         assert np.allclose(np.sqrt([it.objective for it in its]),
                            rep.residual_history, rtol=1e-15, atol=0.0)
-        assert its[-1].data_residual == rep.data_residual < 1e-9
+        assert rep.converged == (rep.stop_reason == "converged")
+
+    def test_converged_iterations_recorded(self):
+        observed, g, fp = self.bump_data()
+        rep = reconstruct_gamma(observed, g, fp)
+        assert rep.stop_reason == "converged" and rep.converged
+        self.assert_recorded(rep)
+        assert rep.iterations[-1].data_residual == rep.data_residual < 1e-9
+
+    @pytest.mark.parametrize("cfg, stop", [
+        (InversionConfig(reg_lambda=1e-12, tol=1e-8), "converged"),
+        (InversionConfig(reg_lambda=1e-12, tol=1e-8, max_iter=3), "max_iter"),
+        (InversionConfig(reg_lambda=1e-6), "damping_floor"),
+    ])
+    def test_single_measurement_iterations_recorded(self, cfg, stop):
+        rep = single_measurement_report(cfg)
+        assert rep.stop_reason == stop
+        self.assert_recorded(rep)
+        assert rep.iterations[-1].data_residual == rep.data_residual
+        assert (rep.data_residual < cfg.tol) == rep.converged
 
     def test_max_iter(self):
         observed, g, fp = self.bump_data()
@@ -554,6 +584,21 @@ class TestOneBlasThread:
         assert len(capped.iterations) == len(free.iterations)
         assert len(capped.residual_history) == len(free.residual_history)
         assert np.max(np.abs(capped.gamma.values - free.gamma.values)) <= 1e-8
+
+    def test_single_measurement_fit_capped(self, monkeypatch):
+        before = self.blas_counts()
+        inside = []
+        step = _NormalEquations.step
+
+        def recording(ne, q, lam):
+            inside.append(self.blas_counts())
+            return step(ne, q, lam)
+
+        monkeypatch.setattr(_NormalEquations, "step", recording)
+        rep = single_measurement_report()
+        assert rep.blas_threads == 1
+        assert inside and all(c == [1] * len(before) for c in inside)
+        assert self.blas_counts() == before
 
     def test_counts_restored_when_the_fit_raises(self, monkeypatch):
         observed, g, fp = panel_data(1, N=64)

@@ -11,14 +11,14 @@ from fraccond.operators import (
     assemble_laplacian,
     assemble_schrodinger,
     bilinear_form,
-    delta_diff,
     frac_divergence_adjoint,
     frac_gradient,
     node_inner,
     pair_inner,
-    spectral_laplacian_oracle,
 )
 from fraccond.profiles import bump_m, make_conductivity
+
+from oracles import spectral_laplacian_oracle
 
 
 def small_grid(N=64, L=1.0):
@@ -44,26 +44,6 @@ class TestConductivity:
         gam = make_conductivity(g, bump_m(0.3, 0.0, 0.2))
         with pytest.raises(ValueError):
             Conductivity(gam.values, gam.m_values, lower=1.2, upper=1.3)
-
-
-class TestDeltaDiff:
-    def test_constant_and_linear_vanish(self):
-        g = small_grid(33)
-        c = np.full(g.N, 3.7)
-        assert delta_diff(c, 16, 5) == 0.0
-        lin = g.nodes.copy()
-        assert delta_diff(lin, 16, 5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_quadratic(self):
-        g = small_grid(33)
-        u = g.nodes**2
-        k = 4
-        assert delta_diff(u, 16, k) == pytest.approx(2 * (k * g.h) ** 2, rel=1e-10)
-
-    def test_out_of_window_reads_zero(self):
-        u = np.ones(8)
-        # i=0, k=3: u[-3] outside -> 0
-        assert delta_diff(u, 0, 3) == pytest.approx(1.0 + 0.0 - 2.0)
 
 
 class TestFracGradient:
