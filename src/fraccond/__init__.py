@@ -24,6 +24,7 @@ from .operators import (
 from .forward import (
     DnMatrix,
     Potential,
+    ReductionCheck,
     SolverError,
     assemble_dn,
     assemble_dn_schrodinger,

@@ -5,7 +5,8 @@ Every command reads a JSON config (schema fraccond-config-v1, shipped as
 config_schema_v1.json next to this module), writes CSV outputs and an
 atomically written manifest.json that echoes the config, records per-check
 pass/fail values and, under "diagnostics", how the run went (the
-inversion's stop reason, the BLAS thread cap).  Every CSV value is %.17g
+inversion's stop reason, the BLAS thread cap, the reduction pass's row
+blocks and DN pairings).  Every CSV value is %.17g
 (up to 17 significant digits, trailing zeros dropped): _write_csv hands a
 2-D table to the package's own formatter (fraccond._csv), whose files are
 byte for byte those of np.savetxt at that format, and which formats a
@@ -43,7 +44,6 @@ from .forward import (
     DnMatrix,
     SolverError,
     assemble_dn,
-    dn_gap,
     solve_dirichlet,
     verify_reduction,
 )
@@ -322,24 +322,33 @@ def cmd_dn(cfg, grid, fp, gamma, seed, outdir):
 
 
 def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
-    resid = verify_reduction(grid, fp, gamma)
     E = grid.exterior_idx
     f = np.zeros(grid.N)
     v = np.zeros(grid.N)
     f[E] = gaussian(-0.6 * grid.L, grid.L / 4)(grid.nodes[E])
     v[E] = gaussian(-0.4 * grid.L, grid.L / 3)(grid.nodes[E])
-    left, right = dn_gap(grid, fp, gamma, f, v)
-    gap_err = abs(left - right) / max(abs(right), 1e-300)
+    check = verify_reduction(grid, fp, gamma, f, v)
+    resid, left, right = check.residual, check.gap_left, check.gap_right
+    gap = abs(left - right)
+    gap_err = gap / max(abs(right), 1e-300)
+    # left is the difference of two pairings; their round-off, a few eps
+    # of their size, stays when right shrinks with gamma - 1
+    floor = 16 * np.finfo(float).eps * (abs(check.pairing_q)
+                                        + abs(check.pairing_gamma))
     files = [_write_csv(os.path.join(outdir, "reduction.csv"),
                         "reduction_residual,dn_gap_left,dn_gap_right",
                         [[resid, left, right]])]
     checks = {
         "reduction_residual": {"value": resid, "pass": bool(resid <= 1e-10),
                                "criterion": "<= 1e-10 relative to matrix scale"},
-        "dn_gap_identity": {"value": gap_err, "pass": bool(gap_err <= 1e-9),
-                            "criterion": "left = right to 1e-9 relative"},
+        "dn_gap_identity": {
+            "value": gap_err, "pass": bool(gap <= 1e-9 * abs(right) + floor),
+            "criterion": "left = right to 1e-9 relative, plus a round-off "
+                         "floor of 16 eps (|P_q| + |P_gamma|)"},
     }
-    return files, checks, {}
+    return files, checks, {"kernel_row_blocks": check.blocks,
+                           "dn_pairing_q": check.pairing_q,
+                           "dn_pairing_gamma": check.pairing_gamma}
 
 
 def cmd_invert(cfg, grid, fp, gamma, seed, outdir):

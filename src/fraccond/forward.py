@@ -11,14 +11,16 @@ Every DN matrix, and the inversion's forward map, comes from one evaluator
 (_DnEvaluator): it slices an operator's blocks once and returns
 h^n (A_W2,W1 + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
 
-The reduction checks (verify_reduction, dn_gap, liouville_reduce) never
-form an N x N matrix.  Each is one pass over row blocks of the kernel
-matrix (_operator_rows): every block gives the same rows of the
-conductivity matrix and of (-Delta)^s, and the pass keeps only running
-maxima, length-N vectors and the |I| x |I| interior blocks, so memory is
-O(block N + |I|^2).  verify_reduction compares the two sides of the
-identity on the interior rows only; dn_gap evaluates each DN pairing
-<Lambda f, v> from one interior solve instead of assembling a DN matrix.
+The reduction checks never form an N x N matrix.  verify_reduction checks
+both identities, the matrix-level reduction and the DN gap identity, in one
+pass over row blocks of the kernel matrix (_operator_rows): every block
+gives the same rows of the conductivity matrix and of (-Delta)^s, and the
+pass keeps only running maxima, length-N vectors and the |I| x |I|
+interior blocks, so memory is O(block N + |I|^2).  The reduction residual
+compares the two sides of the identity on the interior rows only; each DN
+pairing <Lambda f, v> comes from one interior solve after the pass instead
+of a DN matrix.  dn_gap returns the gap half of that check, and
+liouville_reduce gathers (-Delta)^s m from a pass of its own.
 
 Every interior block is checked by factor_interior and solved with
 np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
@@ -212,7 +214,8 @@ def _operator_rows(grid: Grid, fp: FracParams, g: np.ndarray):
     """Stream the conductivity matrix C (g = gamma^{1/2}) and (-Delta)^s L
     in row blocks: yields (lo, hi, C[lo:hi], L[lo:hi]), both blocks from one
     kernel_rows call and bit-identical to the rows of assemble_conductivity
-    and assemble_laplacian.
+    and assemble_laplacian.  The consumer may overwrite both blocks; the
+    stream drops its references before it builds the next pair.
 
     The block height is BLOCK_BYTES over the bytes of one row, rounded
     down to a multiple of 8 rows (at least 8).  The rounding keeps BLAS's
@@ -224,8 +227,11 @@ def _operator_rows(grid: Grid, fp: FracParams, g: np.ndarray):
     for lo in range(0, grid.N, step):
         hi = min(lo + step, grid.N)
         W = kernel_rows(grid, fp, lo, hi)
-        L = _from_kernel(W.copy(), tail, 1.0, lo)
+        # _from_kernel with g = 1, whose products by 1 change no bit
+        L = np.negative(W)
+        L[np.arange(hi - lo), np.arange(lo, hi)] = W.sum(axis=1) + tail[lo:hi]
         yield lo, hi, _from_kernel(W, tail, g, lo), L
+        del W, L
 
 
 def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
@@ -253,35 +259,18 @@ def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potenti
     return Potential(q, interior_supported=supported)
 
 
-def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity) -> float:
-    """Max-norm residual of the matrix identity
+@dataclass(frozen=True)
+class ReductionCheck:
+    """What verify_reduction measured: the reduction residual, both sides
+    of the DN gap identity, the two DN pairings whose difference is the left
+    side, and the number of kernel row blocks the pass built."""
 
-        C_gamma D_{gamma^{-1/2}}  =  D_{gamma^{1/2}} ( L + diag q )
-
-    over interior rows, relative to the scale of C_gamma.  Exact (up to
-    roundoff) for the punctured-sum discretization.  One pass over the
-    row blocks: the scale max |C_ij| and the residual of each block's
-    interior rows are running maxima, so memory is O(block N).
-    """
-    g = gamma.sqrt
-    inv_g = 1.0 / g
-    I = grid.interior_idx
-    resid = scale = 0.0
-    for lo, hi, C, L in _operator_rows(grid, fp, g):
-        scale = max(scale, C.max(), -C.min())
-        a, b = _interior_rows(grid, lo, hi)
-        if a == b:
-            continue
-        rows = I[a:b] - lo
-        q = -(L @ gamma.m_values)[rows] / g[I[a:b]]
-        diff = C[rows]
-        diff *= inv_g[None, :]
-        rhs = L[rows]
-        rhs[np.arange(b - a), I[a:b]] += q
-        rhs *= g[I[a:b], None]
-        diff -= rhs
-        resid = max(resid, np.max(np.abs(diff, out=diff)))
-    return float(resid / scale)
+    residual: float
+    gap_left: float
+    gap_right: float
+    pairing_q: float
+    pairing_gamma: float
+    blocks: int
 
 
 def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
@@ -296,40 +285,84 @@ def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
     I = grid.interior_idx
     E = grid.exterior_idx
     A_II[np.diag_indices_from(A_II)] += q_I
-    u_I = np.linalg.solve(factor_interior(A_II, "dn_gap"), -Af[I])
+    u_I = np.linalg.solve(factor_interior(A_II, "verify_reduction"), -Af[I])
     return grid.h * float(v[E] @ Af[E] + Av[I] @ u_I)
 
 
-def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
-           f: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Both sides of the DN gap identity for exterior-supported f and v:
+def _reduction_residual(C: np.ndarray, L: np.ndarray, nodes: np.ndarray,
+                        g: np.ndarray, q: np.ndarray) -> float:
+    """max |C D_{1/g} - D_g (L + diag q)| over the rows C and L of the
+    given nodes, computed in place: both blocks are overwritten."""
+    C *= (1.0 / g)[None, :]
+    L[np.arange(nodes.size), nodes] += q
+    L *= g[nodes, None]
+    C -= L
+    return np.max(np.abs(C, out=C))
+
+
+def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
+                     f: np.ndarray, v: np.ndarray) -> ReductionCheck:
+    """Both reduction identities from one pass over the row blocks.
+
+    The residual is the max-norm residual of the matrix identity
+
+        C_gamma D_{gamma^{-1/2}}  =  D_{gamma^{1/2}} ( L + diag q )
+
+    over interior rows, relative to the scale max |C_ij|.  Exact (up to
+    roundoff) for the punctured-sum discretization.  The scale is the
+    largest diagonal entry, which is max |C_ij| bit for bit: the kernel is
+    non-negative, rounding is monotone, and each diagonal entry is its row
+    sum plus the tail.
+
+    The DN gap identity, for exterior-supported f and v, reads
 
         left  = <Lambda_q f, v> - <Lambda_gamma f, v>
         right = h^n sum_{exterior} f_i v_i ((-Delta)^s m)_i
 
     computed independently: left from two DN pairings, each one solve
     against its operator's interior block, right from the direct
-    exterior sum.  One pass over the row blocks gathers A f, A v and A_II
-    for both operators and (-Delta)^s m, so memory is O(block N + |I|^2).
+    exterior sum.
+
+    Each block gives (-Delta)^s m, A f and A v for both operators, the
+    rows of C_II and L_II, and the residual of its interior rows, computed
+    in place on the block.  The pass keeps running maxima, length-N
+    vectors and the two |I| x |I| interior blocks, so memory is
+    O(block N + |I|^2).
     """
-    f = _check_exterior_support(grid, f, "dn_gap: f")
-    v = _check_exterior_support(grid, v, "dn_gap: v")
+    f = _check_exterior_support(grid, f, "verify_reduction: f")
+    v = _check_exterior_support(grid, v, "verify_reduction: v")
     g = gamma.sqrt
     I = grid.interior_idx
     E = grid.exterior_idx
+    cols = slice(I[0], I[-1] + 1)  # omega's nodes are one contiguous range
     Cf, Cv, Lf, Lv, lap_m = (np.empty(grid.N) for _ in range(5))
     C_II, L_II = np.empty((I.size, I.size)), np.empty((I.size, I.size))
+    resid = scale = 0.0
+    blocks = 0
     for lo, hi, C, L in _operator_rows(grid, fp, g):
+        blocks += 1
+        scale = max(scale, C.diagonal(lo).max())
         lap_m[lo:hi] = L @ gamma.m_values
+        Cf[lo:hi], Cv[lo:hi] = C @ f, C @ v
+        Lf[lo:hi], Lv[lo:hi] = L @ f, L @ v
         a, b = _interior_rows(grid, lo, hi)
-        rows = I[a:b] - lo
-        for A, Af, Av, A_II in ((C, Cf, Cv, C_II), (L, Lf, Lv, L_II)):
-            Af[lo:hi] = A @ f
-            Av[lo:hi] = A @ v
-            A_II[a:b] = A[np.ix_(rows, I)]
-    del C, L  # the last row blocks, freed before the two solves
+        if a < b:
+            rows = slice(I[a] - lo, I[b - 1] + 1 - lo)
+            C_II[a:b] = C[rows, cols]
+            L_II[a:b] = L[rows, cols]
+            q = -lap_m[I[a:b]] / g[I[a:b]]
+            resid = max(resid, _reduction_residual(C[rows], L[rows], I[a:b], g, q))
+        del C, L  # the stream builds the next pair only once these are gone
     q_I = -lap_m[I] / g[I]
-    left = (_dn_pairing(grid, L_II, q_I, Lf, Lv, v)
-            - _dn_pairing(grid, C_II, 0.0, Cf, Cv, v))
+    pairing_q = _dn_pairing(grid, L_II, q_I, Lf, Lv, v)
+    pairing_gamma = _dn_pairing(grid, C_II, 0.0, Cf, Cv, v)
     right = grid.h * float(np.sum(f[E] * v[E] * lap_m[E]))
-    return left, right
+    return ReductionCheck(float(resid / scale), pairing_q - pairing_gamma,
+                          right, pairing_q, pairing_gamma, blocks)
+
+
+def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,
+           f: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(left, right) of the DN gap identity, from verify_reduction."""
+    check = verify_reduction(grid, fp, gamma, f, v)
+    return check.gap_left, check.gap_right

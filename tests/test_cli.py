@@ -412,6 +412,48 @@ class TestReduceCommand:
         assert checks["reduction_residual"]["value"] <= 1e-10
         assert checks["dn_gap_identity"]["value"] <= 1e-9
 
+    # gamma - 1 of size 1e-6 and 1e-10: right shrinks with it, while
+    # |left - right| stays the round-off (1-2e-15) of two pairings of size
+    # ~0.88, which the 1e-9 relative bound alone cannot absorb
+    NEAR_CONSTANT = {"grid": {"N": 256}, "gamma": {"profile": "random",
+                                                   "width": 0.15}}
+
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e-10])
+    def test_gap_identity_near_constant_gamma(self, tmp_path, amplitude):
+        cfg = write_cfg(tmp_path, "c.json", grid=self.NEAR_CONSTANT["grid"],
+                        gamma=dict(self.NEAR_CONSTANT["gamma"],
+                                   amplitude=amplitude))
+        out = tmp_path / "red"
+        assert run(["reduce", "--config", cfg, "--out", str(out)]) == 0
+        m = manifest(out)
+        gap = m["checks"]["dn_gap_identity"]
+        assert gap["pass"]
+        left, right = np.loadtxt(out / "reduction.csv", delimiter=",",
+                                 skiprows=1)[1:]
+        assert gap["value"] == abs(left - right) / abs(right)
+        diag = m["diagnostics"]
+        assert left == diag["dn_pairing_q"] - diag["dn_pairing_gamma"]
+        assert diag["kernel_row_blocks"] == 1
+
+    def test_gap_identity_off_by_1e8_fails(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        real = cli.verify_reduction
+
+        def pushed(*args):
+            check = real(*args)
+            return dataclasses.replace(
+                check, gap_left=check.gap_left + 1e-8 * abs(check.gap_right))
+
+        monkeypatch.setattr(cli, "verify_reduction", pushed)
+        cfg = write_cfg(tmp_path, "c.json", grid=self.NEAR_CONSTANT["grid"],
+                        gamma=dict(self.NEAR_CONSTANT["gamma"], amplitude=0.3))
+        out = tmp_path / "red"
+        assert run(["reduce", "--config", cfg, "--out", str(out)]) == 4
+        gap = manifest(out)["checks"]["dn_gap_identity"]
+        assert not gap["pass"]
+        assert gap["value"] == pytest.approx(1e-8, rel=1e-3)
+
 
 class TestWalkCommand:
     WALK = {

@@ -271,7 +271,9 @@ class TestLiouvilleReduce:
 class TestVerifyReduction:
     def test_unit_gamma_exact_zero(self):
         g = grid128()
-        assert verify_reduction(g, FracParams(0.5), Conductivity.constant(g)) == 0.0
+        f, v = gap_data(g)
+        assert verify_reduction(g, FracParams(0.5), Conductivity.constant(g),
+                                f, v).residual == 0.0
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("profile", ["bump", "double", "random"])
@@ -284,7 +286,8 @@ class TestVerifyReduction:
         else:
             m_fn = random_admissible_m(seed=42, amplitude=0.3, width=0.25)
         gam = make_conductivity(g, m_fn, lower=0.4, upper=2.5)
-        assert verify_reduction(g, FracParams(s), gam) <= 1e-10
+        f, v = gap_data(g)
+        assert verify_reduction(g, FracParams(s), gam, f, v).residual <= 1e-10
 
 
 class TestDnGap:
@@ -365,9 +368,9 @@ class TestReductionRoute:
         lhs = C * (1.0 / sq)[None, :]
         rhs = sq[:, None] * (L + np.diag(q))
         dense = float(np.max(np.abs(lhs[I] - rhs[I])) / np.max(np.abs(C)))
-        assert verify_reduction(g, fp, gam) == dense
-
         f, v = gap_data(g)
+        assert verify_reduction(g, fp, gam, f, v).residual == dense
+
         E = g.exterior_idx
         oracle = (assemble_dn_schrodinger(g, fp, q, E, E).pair(f[E], v[E])
                   - assemble_dn(g, fp, gam, E, E).pair(f[E], v[E]))
@@ -376,9 +379,13 @@ class TestReductionRoute:
         lap_m = L @ gam.m_values
         assert right == g.h * float(np.sum(f[E] * v[E] * lap_m[E]))
 
-    def test_one_pass_of_kernel_rows_per_call(self, monkeypatch):
+    def test_one_pass_of_kernel_rows_per_call(self, monkeypatch, tmp_path):
         # each check builds every kernel row exactly once, block by block,
-        # and never the full kernel matrix
+        # and never the full kernel matrix; the reduce command runs both
+        # reduction checks in one such pass
+        import json
+
+        import fraccond.cli
         import fraccond.core
         import fraccond.forward
         import fraccond.operators
@@ -399,7 +406,7 @@ class TestReductionRoute:
         g, gam = reduction_case(1000, "bump")
         fp = FracParams(0.5)
         f, v = gap_data(g)
-        for call in (lambda: verify_reduction(g, fp, gam),
+        for call in (lambda: verify_reduction(g, fp, gam, f, v),
                      lambda: dn_gap(g, fp, gam, f, v),
                      lambda: liouville_reduce(g, fp, gam)):
             blocks.clear()
@@ -408,6 +415,22 @@ class TestReductionRoute:
             assert sorted(i for lo, hi in blocks for i in range(lo, hi)) \
                 == list(range(g.N))
 
+        cfg = tmp_path / "reduce.json"
+        cfg.write_text(json.dumps({
+            "schema": "fraccond-config-v1",
+            "grid": {"L": 1.0, "N": g.N, "omega": [-0.3, 0.3]},
+            "frac": {"s": 0.5}, "seed": 3, "task": {},
+            "gamma": {"profile": "random", "amplitude": 0.3, "width": 0.25}}))
+        out = tmp_path / "reduce"
+        blocks.clear()
+        assert fraccond.cli.run(["reduce", "--config", str(cfg),
+                                 "--out", str(out)]) == 0
+        assert len(blocks) > 1
+        assert sorted(i for lo, hi in blocks for i in range(lo, hi)) \
+            == list(range(g.N))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["kernel_row_blocks"] == len(blocks)
+
     def test_peak_memory_below_three_dense_matrices(self):
         import tracemalloc
 
@@ -415,7 +438,7 @@ class TestReductionRoute:
         fp = FracParams(0.5)
         f, v = gap_data(g)
         limit = 3 * g.N**2 * 8
-        for call in (lambda: verify_reduction(g, fp, gam),
+        for call in (lambda: verify_reduction(g, fp, gam, f, v),
                      lambda: dn_gap(g, fp, gam, f, v)):
             tracemalloc.start()
             try:
@@ -474,7 +497,7 @@ class TestRowBlocks:
         g, gam = reduction_case(4096, "random")
         fp = FracParams(0.5)
         f, v = gap_data(g)
-        for call in (lambda: verify_reduction(g, fp, gam),
+        for call in (lambda: verify_reduction(g, fp, gam, f, v),
                      lambda: dn_gap(g, fp, gam, f, v),
                      lambda: liouville_reduce(g, fp, gam)):
             tracemalloc.start()
@@ -484,6 +507,24 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < 48e6
+
+    def test_single_pass_peak_memory_at_4096(self):
+        # both kernel blocks (4 MiB each) are dropped before the next pair
+        # is built, and the residual is formed in place on them; beside
+        # them live the two |I| x |I| interior blocks (3 MB each here)
+        import tracemalloc
+
+        g = Grid(L=1.0, N=4096, a=-0.15, b=0.15)
+        gam = make_conductivity(g, random_admissible_m(seed=1, amplitude=0.3,
+                                                       width=0.15))
+        f, v = gap_data(g)
+        tracemalloc.start()
+        try:
+            verify_reduction(g, FracParams(0.5), gam, f, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestDnEvaluator:
