@@ -16,6 +16,10 @@ Conventions used throughout the package:
   weight is C_{1,s} h / |x_i - x_j|^{1+2s};
 * the fractional order lies in [S_MIN, S_MAX]: FracParams rejects any
   other, so every routine uses the s it is given.
+
+kernel_matrix is the one kernel function: it returns the weights whole or
+as a block of rows.  operators.operator_rows is the one place the weights
+become operator rows.
 """
 
 from __future__ import annotations
@@ -157,17 +161,13 @@ def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
     return K
 
 
-def kernel_rows(grid: Grid, fp: FracParams, lo: int, hi: int) -> np.ndarray:
-    """Rows lo <= i < hi of the kernel matrix: a (hi - lo, N) block of
-    kernel weights, zero where i == j."""
+def kernel_matrix(grid: Grid, fp: FracParams, lo: int = 0,
+                  hi: int | None = None) -> np.ndarray:
+    """Rows lo <= i < hi of the kernel matrix (default: all N rows): a
+    (hi - lo, N) block of kernel weights, zero where i == j."""
     W = _inverse_distance_power(grid.nodes, 1.0 + 2.0 * fp.s, lo, hi)
     W *= fp.cns * grid.h
     return W
-
-
-def kernel_matrix(grid: Grid, fp: FracParams) -> np.ndarray:
-    """Full (N, N) matrix of kernel weights, zero diagonal."""
-    return kernel_rows(grid, fp, 0, grid.N)
 
 
 def tail_vector(grid: Grid, fp: FracParams) -> np.ndarray:

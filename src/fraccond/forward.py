@@ -13,14 +13,14 @@ h^n (A_W2,W1 + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
 
 The reduction checks never form an N x N matrix.  verify_reduction checks
 both identities, the matrix-level reduction and the DN gap identity, in one
-pass over row blocks of the kernel matrix (_operator_rows): every block
-gives the same rows of the conductivity matrix and of (-Delta)^s, and the
-pass keeps only running maxima, length-N vectors and the |I| x |I|
-interior blocks, so memory is O(block N + |I|^2).  The reduction residual
-compares the two sides of the identity on the interior rows only; each DN
-pairing <Lambda f, v> comes from one interior solve after the pass instead
-of a DN matrix.  dn_gap returns the gap half of that check, and
-liouville_reduce gathers (-Delta)^s m from a pass of its own.
+pass over row blocks (_row_blocks): operators.operator_rows turns each
+kernel block into the same rows of the conductivity matrix and of
+(-Delta)^s, and the pass keeps only running maxima, length-N vectors and
+the |I| x |I| interior blocks, so memory is O(block N + |I|^2).  The
+reduction residual compares the two sides of the identity on the interior
+rows only; each DN pairing <Lambda f, v> comes from one interior solve
+after the pass instead of a DN matrix.  dn_gap returns the gap half of
+that check; liouville_reduce streams the (-Delta)^s rows alone.
 
 Every interior block is checked by factor_interior and solved with
 np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
@@ -33,18 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FracParams, Grid, kernel_rows, tail_vector
+from .core import FracParams, Grid
 from .operators import (
     Conductivity,
     NonlocalOperator,
-    _from_kernel,
     assemble_conductivity,
     assemble_laplacian,
+    operator_rows,
 )
 
 
 # byte budget of one row-block array in the streamed reduction checks
-# (_operator_rows): 128 rows at N = 4096, so a pass needs O(block N) memory
+# (_row_blocks): 128 rows at N = 4096, so a pass needs O(block N) memory
 # whatever N is
 BLOCK_BYTES = 4 << 20
 
@@ -210,28 +210,16 @@ def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
     return _DnEvaluator(grid, lap, W1, W2).dn_matrix(q_int)
 
 
-def _operator_rows(grid: Grid, fp: FracParams, g: np.ndarray):
-    """Stream the conductivity matrix C (g = gamma^{1/2}) and (-Delta)^s L
-    in row blocks: yields (lo, hi, C[lo:hi], L[lo:hi]), both blocks from one
-    kernel_rows call and bit-identical to the rows of assemble_conductivity
-    and assemble_laplacian.  The consumer may overwrite both blocks; the
-    stream drops its references before it builds the next pair.
+def _row_blocks(grid: Grid) -> list[tuple[int, int]]:
+    """Row bounds (lo, hi) of the streamed checks' blocks, in order.
 
     The block height is BLOCK_BYTES over the bytes of one row, rounded
     down to a multiple of 8 rows (at least 8).  The rounding keeps BLAS's
     grouping of rows, and so the roundoff of each row of a block matvec,
     the same as in the full-matrix product.
     """
-    tail = tail_vector(grid, fp)
     step = max(BLOCK_BYTES // (8 * grid.N) // 8, 1) * 8
-    for lo in range(0, grid.N, step):
-        hi = min(lo + step, grid.N)
-        W = kernel_rows(grid, fp, lo, hi)
-        # _from_kernel with g = 1, whose products by 1 change no bit
-        L = np.negative(W)
-        L[np.arange(hi - lo), np.arange(lo, hi)] = W.sum(axis=1) + tail[lo:hi]
-        yield lo, hi, _from_kernel(W, tail, g, lo), L
-        del W, L
+    return [(lo, min(lo + step, grid.N)) for lo in range(0, grid.N, step)]
 
 
 def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
@@ -248,12 +236,12 @@ def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potenti
     Evaluated at every node; m being interior-supported does not make
     (-Delta)^s m interior-supported, so the result carries
     interior_supported = False whenever the exterior values are nonzero
-    (they feed the DN gap identity).  (-Delta)^s m is gathered from the
-    row-block stream, so memory is O(block N).
+    (they feed the DN gap identity).  (-Delta)^s m is gathered block by
+    block from the (-Delta)^s rows alone, so memory is O(block N).
     """
     lap_m = np.empty(grid.N)
-    for lo, hi, _, L in _operator_rows(grid, fp, gamma.sqrt):
-        lap_m[lo:hi] = L @ gamma.m_values
+    for lo, hi in _row_blocks(grid):
+        lap_m[lo:hi] = operator_rows(grid, fp, lo, hi, None)[0] @ gamma.m_values
     q = -lap_m / gamma.sqrt
     supported = bool(np.all(q[grid.exterior_idx] == 0.0))
     return Potential(q, interior_supported=supported)
@@ -339,7 +327,8 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
     C_II, L_II = np.empty((I.size, I.size)), np.empty((I.size, I.size))
     resid = scale = 0.0
     blocks = 0
-    for lo, hi, C, L in _operator_rows(grid, fp, g):
+    for lo, hi in _row_blocks(grid):
+        C, L = operator_rows(grid, fp, lo, hi, g, None)
         blocks += 1
         scale = max(scale, C.diagonal(lo).max())
         lap_m[lo:hi] = L @ gamma.m_values
@@ -352,7 +341,7 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
             L_II[a:b] = L[rows, cols]
             q = -lap_m[I[a:b]] / g[I[a:b]]
             resid = max(resid, _reduction_residual(C[rows], L[rows], I[a:b], g, q))
-        del C, L  # the stream builds the next pair only once these are gone
+        del C, L  # the next pair is built only once these are gone
     q_I = -lap_m[I] / g[I]
     pairing_q = _dn_pairing(grid, L_II, q_I, Lf, Lv, v)
     pairing_gamma = _dn_pairing(grid, C_II, 0.0, Cf, Cv, v)

@@ -10,9 +10,9 @@ and set gamma = (1 + m)^2.
 
 Step (1) is one private fit, _fit_potential, which every entry point calls
 directly: reconstruct_gamma (conductivity data on W1 = W2 = exterior, the
-diagonal masked), recover_potential_full (full exterior data, any entry
-mask) and single_measurement_fit (one source g on W1 observed on W2).  The
-fit runs on one BLAS thread and records one Iterate per accepted step;
+diagonal masked), recover_potential_full (full exterior data, every entry
+fitted) and single_measurement_fit (one source g on W1 observed on W2).
+The fit runs on one BLAS thread and records one Iterate per accepted step;
 InversionReport derives converged, data_residual and residual_history from
 its stop_reason and iterations, so each fact is stored once.
 
@@ -42,10 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import blas_threads
-from .core import FracParams, Grid, kernel_rows, tail_vector
+from .core import FracParams, Grid
 from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
                       factor_interior)
-from .operators import Conductivity, _from_kernel, assemble_laplacian
+from .operators import Conductivity, assemble_laplacian, operator_rows
 
 DAMPING_FLOOR = 1e-8
 _SINGULAR_Q = "(-Delta)^s + q has 0 as an eigenvalue on omega"
@@ -275,17 +275,14 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
 
 
 def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
-                           cfg: InversionConfig | None = None,
-                           entry_mask: np.ndarray | None = None) -> Potential:
-    """Fit q to a full exterior-by-exterior DN matrix.
+                           cfg: InversionConfig | None = None) -> Potential:
+    """Fit q to every entry of a full exterior-by-exterior DN matrix.
 
-    `observed` must be assembled with W1 = W2 = exterior_idx.  entry_mask
-    (same shape as observed.matrix) restricts the fitted entries; the
-    default uses all of them, which is appropriate for Schroedinger data.
+    `observed` must be assembled with W1 = W2 = exterior_idx; fitting all
+    entries is appropriate for Schroedinger data.
     """
     cfg = cfg or InversionConfig()
-    mask = np.ones(observed.matrix.shape, dtype=bool) if entry_mask is None \
-        else np.asarray(entry_mask, dtype=bool)
+    mask = np.ones(observed.matrix.shape, dtype=bool)
     return _fit_potential(grid, fp, cfg, observed.source_idx, observed.obs_idx,
                           observed.matrix, mask, None)[0]
 
@@ -301,8 +298,7 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
     """
     I = grid.interior_idx
     lo, hi = int(I[0]), int(I[-1]) + 1
-    rows = _from_kernel(kernel_rows(grid, fp, lo, hi), tail_vector(grid, fp), 1.0, lo)
-    A_II = rows[:, I]
+    A_II = operator_rows(grid, fp, lo, hi, None)[0][:, I]
     A_II[np.diag_indices_from(A_II)] += q.values[I]
     factor_interior(A_II, "recover_m_from_q: 0 is an eigenvalue of "
                     "(-Delta)^s + q on omega")

@@ -42,6 +42,7 @@ from .operators import (
     bilinear_form,
     frac_gradient,
 )
+from .profiles import gaussian, make_conductivity
 
 logger = logging.getLogger("fraccond")
 
@@ -67,15 +68,14 @@ class LimitRow:
 class LimitStudy:
     rows: list[LimitRow] = field(default_factory=list)
 
-    def gaps(self, kind: str | None = None) -> np.ndarray:
-        return np.array([r.gap for r in self.rows
-                         if kind is None or r.kind == kind])
+    def gaps(self) -> np.ndarray:
+        return np.array([r.gap for r in self.rows])
 
-    def row(self, s: float, kind: str | None = None) -> LimitRow:
+    def row(self, s: float) -> LimitRow:
         for r in self.rows:
-            if abs(r.s - s) < 1e-12 and (kind is None or r.kind == kind):
+            if abs(r.s - s) < 1e-12:
                 return r
-        raise KeyError(f"no row for s={s}, kind={kind}")
+        raise KeyError(f"no row for s={s}")
 
 
 def lattice_defect(s: float) -> float:
@@ -172,16 +172,16 @@ def _omega(L: float, omega=None) -> tuple[float, float]:
     return omega or (-L / 3.0, L / 3.0)
 
 
-def _h_converge(evaluate, cap: int, tol: float = REFINE_TOL):
-    """Double N from N_START until the value changes by less than tol
-    (relative).  Returns the last evaluation, a (value, grid, gamma)
-    triple, and whether it converged."""
+def _h_converge(evaluate, cap: int):
+    """Double N from N_START until the value changes by less than
+    REFINE_TOL (relative).  Returns the last evaluation, a (value, grid,
+    gamma) triple, and whether it converged."""
     N = N_START
     prev = evaluate(N)
     while 2 * N <= cap:
         N *= 2
         cur = evaluate(N)
-        if abs(cur[0] - prev[0]) <= tol * max(abs(prev[0]), 1e-300):
+        if abs(cur[0] - prev[0]) <= REFINE_TOL * max(abs(prev[0]), 1e-300):
             return cur, True
         prev = cur
     return prev, False
@@ -200,9 +200,7 @@ def _refined_rows(m_fn, pairs, s_list, L: float, omega, cap: int):
 
             def evaluate(N):
                 g = Grid(L=L, N=N, a=a, b=b)
-                m = np.asarray(m_fn(g.nodes), dtype=float)
-                m[g.exterior_idx] = 0.0
-                gam = Conductivity.from_m(g, m)
+                gam = make_conductivity(g, m_fn)
                 return (corrected_bilinear_form(g, fp, gam, u_fn(g.nodes),
                                                 v_fn(g.nodes)), g, gam)
 
@@ -256,8 +254,6 @@ def operator_limit_check(m_fn, u_fn, s_list, L: float = 12.0,
     """Weak pairing <phi, C_gamma u> (computed as the corrected bilinear
     form B_gamma[u, phi]) against the local form  h sum gamma phi' u',
     for a fixed panel of three test functions."""
-    from .profiles import gaussian  # local import to avoid a cycle
-
     if phi_fns is None:
         lo, hi = _omega(L, omega)
         w = (hi - lo) / 2.0

@@ -4,6 +4,10 @@ Assembles (-Delta)^s, the conductivity operator, and the Schroedinger
 operator (-Delta)^s + q as dense symmetric matrices; provides the two-point
 fractional gradient, its adjoint divergence, and the weighted bilinear form.
 
+operator_rows is the one routine that turns kernel weights into operator
+rows: every dense assembly, the reduction pass, the deviation solve and
+the walk generator check ask it for the rows they need.
+
 Sign convention: the fractional Laplacian here is the positive-semidefinite
 operator with Fourier symbol |xi|^{2s}.
 
@@ -166,21 +170,34 @@ def frac_divergence_adjoint(grid: Grid, fp: FracParams, v: PairField) -> np.ndar
     return d + tail_vector(grid, fp) * v.edge
 
 
-def _from_kernel(W: np.ndarray, tail: np.ndarray, g, lo: int = 0) -> np.ndarray:
-    """Turn the kernel rows W (rows lo, lo + 1, ... of the kernel matrix),
-    in place, into the same rows of the operator matrix with
+def operator_rows(grid: Grid, fp: FracParams, lo: int, hi: int,
+                  *gs) -> list[np.ndarray]:
+    """Rows lo <= i < hi of each requested operator, all from one
+    kernel_matrix block W:
 
-        A_ij = -g_i W_ij g_j  (i != j),   A_ii = g_i (sum_j W_ij g_j + tail_i).
+        A_ij = -g_i W_ij g_j  (i != j),   A_ii = g_i (sum_j W_ij g_j + tail_i),
 
-    g is the nodal gamma^{1/2}, or 1 for (-Delta)^s.  Returns W.
+    with g an array (gamma^{1/2}: the conductivity operator) or None
+    ((-Delta)^s, g = 1, built with no products by 1).  Every operator but
+    the last is written into a fresh array and the last into W itself, so
+    k operators take k blocks of memory.  The rows are bit-identical to the
+    same rows of the whole matrix.
     """
-    g = np.broadcast_to(np.asarray(g, dtype=float), tail.shape)
-    hi = lo + W.shape[0]
-    W *= g[None, :]
-    diag = g[lo:hi] * (W.sum(axis=1) + tail[lo:hi])
-    W *= -g[lo:hi, None]
-    W[np.arange(hi - lo), np.arange(lo, hi)] = diag
-    return W
+    W = kernel_matrix(grid, fp, lo, hi)
+    tail = tail_vector(grid, fp)[lo:hi]
+    rows = []
+    for k, g in enumerate(gs):
+        out = W if k == len(gs) - 1 else None
+        if g is None:
+            diag = W.sum(axis=1) + tail
+            A = np.negative(W, out=out)
+        else:
+            A = np.multiply(W, g[None, :], out=out)
+            diag = g[lo:hi] * (A.sum(axis=1) + tail)
+            A *= -g[lo:hi, None]
+        A[np.arange(hi - lo), np.arange(lo, hi)] = diag
+        rows.append(A)
+    return rows
 
 
 def assemble_laplacian(grid: Grid, fp: FracParams) -> NonlocalOperator:
@@ -190,7 +207,7 @@ def assemble_laplacian(grid: Grid, fp: FracParams) -> NonlocalOperator:
     punctured row sum plus the exact tail, so constants are annihilated up
     to the tail term and the matrix is symmetric positive semidefinite.
     """
-    A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), 1.0)
+    A = operator_rows(grid, fp, 0, grid.N, None)[0]
     return NonlocalOperator(A, grid, fp)
 
 
@@ -201,7 +218,7 @@ def assemble_conductivity(grid: Grid, fp: FracParams, gamma: Conductivity) -> No
     tail keeps weight one because gamma is 1 beyond the window, and the
     whole row is premultiplied by gamma_i^{1/2}.
     """
-    A = _from_kernel(kernel_matrix(grid, fp), tail_vector(grid, fp), gamma.sqrt)
+    A = operator_rows(grid, fp, 0, grid.N, gamma.sqrt)[0]
     return NonlocalOperator(A, grid, fp)
 
 

@@ -46,14 +46,14 @@ def double_bump_m(amplitude: float = 0.25, separation: float = 0.45,
 
 
 def random_admissible_m(seed: int, amplitude: float = 0.25,
-                        center: float = 0.0, width: float = 0.35,
-                        modes: int = 4):
-    """Seeded random smooth deviation: low-order cosines under a bump envelope.
+                        center: float = 0.0, width: float = 0.35):
+    """Seeded random smooth deviation: four low-order cosines under a bump
+    envelope.
 
     Keeps gamma = (1+m)^2 inside roughly [0.5, 2] for amplitude <= 0.4.
     """
     rng = np.random.default_rng(seed)
-    coef = rng.uniform(-1.0, 1.0, size=modes)
+    coef = rng.uniform(-1.0, 1.0, size=4)
     coef /= max(1.0, np.abs(coef).sum())
     envelope = bump_m(1.0, center, width)
 

@@ -30,10 +30,11 @@ jump mass leaving the lattice from site i, the incoming master step P obeys
     tau^{-1} P_ij = -(C_gamma)_ij / (C_{1,s} g_i D_i),   0 < |i - j| <= K,
     tau^{-1} (P_ii - 1) = -m_off,i / (tau D_i) - sum_{j != i} tau^{-1} P_ij,
 
-exactly; generator_residual checks it against kernel_matrix.  It also
-compares the difference quotient with the continuum kernel integral over
-not-a-knot cubic splines of u and gamma^{1/2}, built and integrated in
-numpy: exactly on the first jump cell, by Gauss-Legendre on the others.
+exactly; generator_residual checks it against the conductivity rows of
+operators.operator_rows.  It also compares the difference quotient with
+the continuum kernel integral over not-a-knot cubic splines of u and
+gamma^{1/2}, built and integrated in numpy: exactly on the first jump
+cell, by Gauss-Legendre on the others.
 
 Sign bridge: with this package's positive (-Delta)^s convention, the
 diffusive limit of the difference quotient is  du/dt = -c(x) (C_gamma u);
@@ -49,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import FracParams, Grid, _zeta, kernel_matrix
-from .operators import Conductivity
+from .core import FracParams, Grid, _zeta
+from .operators import Conductivity, operator_rows
 
 
 @dataclass(frozen=True)
@@ -232,11 +233,10 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     """Compare (master_step(u) - u)/tau against the generator forms.
 
     The lattice form is the walk-generator identity applied to u, with
-    (C_gamma)_ij = -g_i W_ij g_j from W = kernel_matrix.  The continuum
-    reference integrates the kernel against cubic-spline interpolants of u
-    and gamma^{1/2} over the physical jump range R = K h
-    (_continuum_integral), evaluated only at sites no closer than R to the
-    lattice edge.
+    C_gamma from operators.operator_rows.  The continuum reference
+    integrates the kernel against cubic-spline interpolants of u and
+    gamma^{1/2} over the physical jump range R = K h (_continuum_integral),
+    evaluated only at sites no closer than R to the lattice edge.
     """
     u = np.asarray(u, dtype=float)
     N, K = wp.n_sites, wp.K
@@ -254,8 +254,8 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     g = wp.gamma_sqrt
     D = _jump_sum(np.pad(g, K, constant_values=1.0), wp)
     m_off = _jump_sum(np.pad(np.zeros(N), K, constant_values=1.0), wp)
-    # off-diagonal C_gamma within the jump band |i - j| <= K
-    C = np.triu(np.tril(-g[:, None] * kernel_matrix(grid, fp) * g[None, :], K), -K)
+    # C_gamma on the jump band |i - j| <= K (its diagonal meets u_i - u_i = 0)
+    C = np.triu(np.tril(operator_rows(grid, fp, 0, N, g)[0], K), -K)
     flux = np.sum(C * (u[None, :] - u[:, None]), axis=1)
     lattice_form = -flux / (fp.cns * g * D) - m_off * u / (wp.tau * D)
     lattice_residual = float(np.max(np.abs(dq - lattice_form)))

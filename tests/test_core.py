@@ -12,7 +12,6 @@ from fraccond.core import (
     cns,
     gamma_fn,
     kernel_matrix,
-    kernel_rows,
     tail_vector,
 )
 from fraccond.limits import grad_limit_study, gradient_distributional_decay
@@ -213,4 +212,4 @@ class TestKernelRows:
         fp = FracParams(s)
         W = kernel_matrix(g, fp)
         for lo, hi in ((0, N), (0, 1), (N - 1, N), (5, 40), (N // 3, N // 2 + 7)):
-            assert np.array_equal(kernel_rows(g, fp, lo, hi), W[lo:hi])
+            assert np.array_equal(kernel_matrix(g, fp, lo, hi), W[lo:hi])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fraccond.core import FracParams, Grid, kernel_rows, tail_vector
+from fraccond.core import FracParams, Grid
 from fraccond.forward import (
     SolverError,
-    _operator_rows,
+    _row_blocks,
     assemble_dn,
     assemble_dn_schrodinger,
     dn_from_operator,
@@ -16,12 +16,12 @@ from fraccond.forward import (
 )
 from fraccond.operators import (
     Conductivity,
-    _from_kernel,
     assemble_conductivity,
     assemble_laplacian,
     assemble_schrodinger,
     bilinear_form,
     node_inner,
+    operator_rows,
 )
 from fraccond.profiles import (
     bump_m,
@@ -386,23 +386,18 @@ class TestReductionRoute:
         import json
 
         import fraccond.cli
-        import fraccond.core
-        import fraccond.forward
         import fraccond.operators
 
         blocks = []
-        real = fraccond.core.kernel_rows
+        real = fraccond.operators.kernel_matrix
 
-        def counting(grid, fp, lo, hi):
+        def counting(grid, fp, lo=0, hi=None):
+            if hi is None or (lo, hi) == (0, grid.N):
+                raise AssertionError("full kernel matrix built")
             blocks.append((lo, hi))
             return real(grid, fp, lo, hi)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("kernel_matrix called")
-
-        monkeypatch.setattr(fraccond.forward, "kernel_rows", counting)
-        for mod in (fraccond.core, fraccond.forward, fraccond.operators):
-            monkeypatch.setattr(mod, "kernel_matrix", forbidden, raising=False)
+        monkeypatch.setattr(fraccond.operators, "kernel_matrix", counting)
         g, gam = reduction_case(1000, "bump")
         fp = FracParams(0.5)
         f, v = gap_data(g)
@@ -462,7 +457,8 @@ class TestRowBlocks:
         L = assemble_laplacian(g, fp).matrix
         I = g.interior_idx
         starts = []
-        for lo, hi, C_rows, L_rows in _operator_rows(g, fp, gam.sqrt):
+        for lo, hi in _row_blocks(g):
+            C_rows, L_rows = operator_rows(g, fp, lo, hi, gam.sqrt, None)
             assert np.array_equal(C_rows, C[lo:hi])
             assert np.array_equal(L_rows, L[lo:hi])
             starts.append(lo)
@@ -475,10 +471,11 @@ class TestRowBlocks:
         g, gam = reduction_case(257, "random")
         fp = FracParams(0.4)
         C = assemble_conductivity(g, fp, gam).matrix
-        tail = tail_vector(g, fp)
+        L = assemble_laplacian(g, fp).matrix
         for lo, hi in ((0, 1), (3, 77), (100, 257)):
-            rows = _from_kernel(kernel_rows(g, fp, lo, hi), tail, gam.sqrt, lo)
-            assert np.array_equal(rows, C[lo:hi])
+            L_rows, C_rows = operator_rows(g, fp, lo, hi, None, gam.sqrt)
+            assert np.array_equal(C_rows, C[lo:hi])
+            assert np.array_equal(L_rows, L[lo:hi])
 
     @pytest.mark.parametrize("N", [64, 257, 1000])
     @pytest.mark.parametrize("s", [0.3, 0.8])
@@ -525,6 +522,20 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+    def test_liouville_reduce_peak_memory_at_4096(self):
+        # liouville_reduce builds the (-Delta)^s rows alone, in place on
+        # each 4 MiB kernel block, and no conductivity rows beside them
+        import tracemalloc
+
+        g, gam = reduction_case(4096, "random")
+        tracemalloc.start()
+        try:
+            liouville_reduce(g, FracParams(0.5), gam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestDnEvaluator:

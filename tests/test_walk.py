@@ -334,7 +334,7 @@ class TestWalkGeneratorIdentity:
         assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(lhs))
 
     def test_lattice_residual_sees_the_operator(self):
-        # the lattice form takes C_gamma from kernel_matrix at fp's order, so
+        # the lattice form takes C_gamma from operator_rows at fp's order, so
         # a walk built for another order fails the identity
         g, fp, gam, wp = walk_setup(N=65, K=8, gamma_amp=0.3)
         u = np.exp(-2.0 * g.nodes**2)
