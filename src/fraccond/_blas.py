@@ -1,4 +1,5 @@
-"""A scoped cap on the thread count of the OpenBLAS copy numpy loads.
+"""A scoped cap on the thread count of the OpenBLAS copy numpy loads, and
+a reading of the count it allows now (blas_thread_count).
 
 numpy wheels bundle their own OpenBLAS (in `numpy.libs/` next to the
 package), which starts one BLAS thread per CPU.  It is the only BLAS the
@@ -51,6 +52,15 @@ def _openblas_copies() -> list[tuple]:
             put.argtypes, put.restype = [ctypes.c_int], None
             copies.append((get, put))
     return copies
+
+
+def blas_thread_count() -> int:
+    """The thread count numpy's loaded OpenBLAS allows now: the lowest
+    count among its copies, which is one per CPU unless a cap (--threads,
+    blas_threads) or OPENBLAS_NUM_THREADS lowers it.  1 when no copy can
+    be read, so a caller never runs more threads than it can tell are
+    allowed."""
+    return min((get() for get, _ in _openblas_copies()), default=1)
 
 
 @contextmanager

@@ -6,7 +6,7 @@ config_schema_v1.json next to this module), writes CSV outputs and an
 atomically written manifest.json that echoes the config, records per-check
 pass/fail values and, under "diagnostics", how the run went (the
 inversion's stop reason, the BLAS thread cap, the reduction pass's row
-blocks and DN pairings).  Every CSV value is %.17g
+blocks, workers and DN pairings).  Every CSV value is %.17g
 (up to 17 significant digits, trailing zeros dropped): _write_csv hands a
 2-D table to the package's own formatter (fraccond._csv), whose files are
 byte for byte those of np.savetxt at that format, and which formats a
@@ -21,8 +21,8 @@ duration, is the only non-reproducible output).
 The package needs numpy alone and imports no scipy module.  The interior
 solves run in numpy's LAPACK, so numpy's bundled OpenBLAS runs every BLAS
 call, and a thread cap (--threads, the inversion's one-thread Gauss-Newton
-scope) reaches it as soon as numpy is imported; limits takes zeta from
-core._zeta.
+scope) reaches it as soon as numpy is imported; the reduction pass runs as
+many workers as that cap allows.  limits takes zeta from core._zeta.
 """
 
 from __future__ import annotations
@@ -347,6 +347,7 @@ def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
                          "floor of 16 eps (|P_q| + |P_gamma|)"},
     }
     return files, checks, {"kernel_row_blocks": check.blocks,
+                           "reduction_workers": check.workers,
                            "dn_pairing_q": check.pairing_q,
                            "dn_pairing_gamma": check.pairing_gamma}
 
@@ -568,7 +569,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="cap on the BLAS threads of numpy's bundled "
                         "OpenBLAS, which runs every solve (never raises its "
-                        "count); the manifest records whether it was applied")
+                        "count), and on the reduction pass's workers; the "
+                        "manifest records whether it was applied")
     return p
 
 

@@ -149,10 +149,12 @@ class Grid:
 
 
 def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
-                            hi: int | None = None) -> np.ndarray:
-    """|x_i - x_j|^(-p) for the rows lo <= i < hi and every j, zero where i == j."""
+                            hi: int | None = None,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """|x_i - x_j|^(-p) for the rows lo <= i < hi and every j, zero where
+    i == j; written into out (shape (hi - lo, x.size)) when given."""
     hi = x.size if hi is None else hi
-    K = x[lo:hi, None] - x[None, :]
+    K = np.subtract(x[lo:hi, None], x[None, :], out=out)
     np.abs(K, out=K)  # in place: one block-sized array at any time
     diag = (np.arange(hi - lo), np.arange(lo, hi))
     K[diag] = 1.0  # placeholder, wiped below
@@ -162,10 +164,12 @@ def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
 
 
 def kernel_matrix(grid: Grid, fp: FracParams, lo: int = 0,
-                  hi: int | None = None) -> np.ndarray:
+                  hi: int | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Rows lo <= i < hi of the kernel matrix (default: all N rows): a
-    (hi - lo, N) block of kernel weights, zero where i == j."""
-    W = _inverse_distance_power(grid.nodes, 1.0 + 2.0 * fp.s, lo, hi)
+    (hi - lo, N) block of kernel weights, zero where i == j, written into
+    out when given (a reused buffer: nothing block-sized is allocated)."""
+    W = _inverse_distance_power(grid.nodes, 1.0 + 2.0 * fp.s, lo, hi, out)
     W *= fp.cns * grid.h
     return W
 

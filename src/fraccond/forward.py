@@ -16,11 +16,22 @@ both identities, the matrix-level reduction and the DN gap identity, in one
 pass over row blocks (_row_blocks): operators.operator_rows turns each
 kernel block into the same rows of the conductivity matrix and of
 (-Delta)^s, and the pass keeps only running maxima, length-N vectors and
-the |I| x |I| interior blocks, so memory is O(block N + |I|^2).  The
-reduction residual compares the two sides of the identity on the interior
-rows only; each DN pairing <Lambda f, v> comes from one interior solve
-after the pass instead of a DN matrix.  dn_gap returns the gap half of
-that check; liouville_reduce streams the (-Delta)^s rows alone.
+the |I| x |I| interior blocks.  The reduction residual compares the two
+sides of the identity on the interior rows only; each DN pairing
+<Lambda f, v> comes from one interior solve after the pass instead of a
+DN matrix.  dn_gap returns the gap half of that check; liouville_reduce
+streams the (-Delta)^s rows alone.
+
+Both passes run on _stream_blocks: a pool of as many threads as numpy's
+BLAS allows (one per CPU by default, K under --threads K), at most
+MAX_WORKERS, with BLAS capped at one thread meanwhile, so numpy's GIL-free
+ufuncs build two blocks at once.  Each worker writes all its blocks into
+the same buffers, one (rows, N) array per operator, so no block is
+allocated and freed per block; memory in flight is at most MAX_WORKERS x
+buffers x BLOCK_BYTES (8 MiB for the reduction pass) whatever the host's
+CPU count, and the buffers are freed before the interior solves.
+Each block writes only its own rows' slices and the maxima are combined in
+block order, so the results are bit-identical for any worker count.
 
 Every interior block is checked by factor_interior and solved with
 np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
@@ -33,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import blas_thread_count, blas_threads
 from .core import FracParams, Grid
 from .operators import (
     Conductivity,
@@ -44,9 +56,14 @@ from .operators import (
 
 
 # byte budget of one row-block array in the streamed reduction checks
-# (_row_blocks): 128 rows at N = 4096, so a pass needs O(block N) memory
+# (_row_blocks): 64 rows at N = 4096, so a pass needs O(block N) memory
 # whatever N is
-BLOCK_BYTES = 4 << 20
+BLOCK_BYTES = 2 << 20
+
+# most threads a streamed check runs on: each holds its own block buffers,
+# so this bounds memory in flight (MAX_WORKERS x buffers x BLOCK_BYTES)
+# however many CPUs BLAS allows
+MAX_WORKERS = 2
 
 
 class SolverError(RuntimeError):
@@ -228,6 +245,40 @@ def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
+def _stream_blocks(grid: Grid, n_buffers: int, work) -> tuple[list, int]:
+    """work(lo, hi, buffers) for every row block of _row_blocks, on a pool
+    of as many threads as numpy's BLAS allows (blas_thread_count), at most
+    MAX_WORKERS, so the GIL-free ufuncs of several blocks run at once.
+    Each worker streams every workers-th block through its own n_buffers
+    (rows, N) arrays, passing their first hi - lo rows, so nothing
+    block-sized is allocated per block; the buffers are freed when the
+    stream ends.  BLAS is capped at
+    one thread meanwhile, so workers do not each start BLAS threads.
+
+    work must write only its own rows' slices.  Returns its results in
+    block order and the number of workers.
+    """
+    blocks = _row_blocks(grid)
+    step = blocks[0][1] - blocks[0][0]
+    workers = min(blas_thread_count(), MAX_WORKERS, len(blocks))
+    results = [None] * len(blocks)
+
+    def stream(first: int):
+        buffers = [np.empty((step, grid.N)) for _ in range(n_buffers)]
+        for k in range(first, len(blocks), workers):
+            lo, hi = blocks[k]
+            results[k] = work(lo, hi, [buf[:hi - lo] for buf in buffers])
+
+    # imported here: the pass is the one caller, and at module level the
+    # import would add its ~3 ms to every command's start
+    from concurrent.futures import ThreadPoolExecutor
+
+    with blas_threads(1), ThreadPoolExecutor(workers) as pool:
+        # list() re-raises the first exception of a worker
+        list(pool.map(stream, range(workers)))
+    return results, workers
+
+
 def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potential:
     """Potential of the reduced Schroedinger equation:
 
@@ -237,11 +288,16 @@ def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potenti
     (-Delta)^s m interior-supported, so the result carries
     interior_supported = False whenever the exterior values are nonzero
     (they feed the DN gap identity).  (-Delta)^s m is gathered block by
-    block from the (-Delta)^s rows alone, so memory is O(block N).
+    block from the (-Delta)^s rows alone (_stream_blocks), so memory is
+    O(block N).
     """
     lap_m = np.empty(grid.N)
-    for lo, hi in _row_blocks(grid):
-        lap_m[lo:hi] = operator_rows(grid, fp, lo, hi, None)[0] @ gamma.m_values
+
+    def block(lo, hi, out):
+        lap_m[lo:hi] = operator_rows(grid, fp, lo, hi, None, out=out)[0] \
+            @ gamma.m_values
+
+    _stream_blocks(grid, 1, block)
     q = -lap_m / gamma.sqrt
     supported = bool(np.all(q[grid.exterior_idx] == 0.0))
     return Potential(q, interior_supported=supported)
@@ -251,7 +307,8 @@ def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potenti
 class ReductionCheck:
     """What verify_reduction measured: the reduction residual, both sides
     of the DN gap identity, the two DN pairings whose difference is the left
-    side, and the number of kernel row blocks the pass built."""
+    side, the number of kernel row blocks the pass built and the number of
+    workers that built them."""
 
     residual: float
     gap_left: float
@@ -259,6 +316,7 @@ class ReductionCheck:
     pairing_q: float
     pairing_gamma: float
     blocks: int
+    workers: int
 
 
 def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
@@ -313,9 +371,12 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
 
     Each block gives (-Delta)^s m, A f and A v for both operators, the
     rows of C_II and L_II, and the residual of its interior rows, computed
-    in place on the block.  The pass keeps running maxima, length-N
+    in place on the block.  The blocks are streamed by _stream_blocks: each
+    writes only its own slices and returns its scale and residual maxima,
+    combined in block order, so the result is bit-identical for any number
+    of workers.  The pass keeps the block buffers, running maxima, length-N
     vectors and the two |I| x |I| interior blocks, so memory is
-    O(block N + |I|^2).
+    O(block N + |I|^2); the buffers are gone before the two interior solves.
     """
     f = _check_exterior_support(grid, f, "verify_reduction: f")
     v = _check_exterior_support(grid, v, "verify_reduction: v")
@@ -325,29 +386,34 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
     cols = slice(I[0], I[-1] + 1)  # omega's nodes are one contiguous range
     Cf, Cv, Lf, Lv, lap_m = (np.empty(grid.N) for _ in range(5))
     C_II, L_II = np.empty((I.size, I.size)), np.empty((I.size, I.size))
-    resid = scale = 0.0
-    blocks = 0
-    for lo, hi in _row_blocks(grid):
-        C, L = operator_rows(grid, fp, lo, hi, g, None)
-        blocks += 1
-        scale = max(scale, C.diagonal(lo).max())
+
+    def block(lo, hi, out):
+        C, L = operator_rows(grid, fp, lo, hi, g, None, out=out)
+        scale = C.diagonal(lo).max()
         lap_m[lo:hi] = L @ gamma.m_values
         Cf[lo:hi], Cv[lo:hi] = C @ f, C @ v
         Lf[lo:hi], Lv[lo:hi] = L @ f, L @ v
         a, b = _interior_rows(grid, lo, hi)
-        if a < b:
-            rows = slice(I[a] - lo, I[b - 1] + 1 - lo)
-            C_II[a:b] = C[rows, cols]
-            L_II[a:b] = L[rows, cols]
-            q = -lap_m[I[a:b]] / g[I[a:b]]
-            resid = max(resid, _reduction_residual(C[rows], L[rows], I[a:b], g, q))
-        del C, L  # the next pair is built only once these are gone
+        if a == b:
+            return scale, 0.0
+        rows = slice(I[a] - lo, I[b - 1] + 1 - lo)
+        C_II[a:b] = C[rows, cols]
+        L_II[a:b] = L[rows, cols]
+        q = -lap_m[I[a:b]] / g[I[a:b]]
+        return scale, _reduction_residual(C[rows], L[rows], I[a:b], g, q)
+
+    maxima, workers = _stream_blocks(grid, 2, block)
+    resid = scale = 0.0
+    for block_scale, block_resid in maxima:
+        scale = max(scale, block_scale)
+        resid = max(resid, block_resid)
     q_I = -lap_m[I] / g[I]
     pairing_q = _dn_pairing(grid, L_II, q_I, Lf, Lv, v)
     pairing_gamma = _dn_pairing(grid, C_II, 0.0, Cf, Cv, v)
     right = grid.h * float(np.sum(f[E] * v[E] * lap_m[E]))
     return ReductionCheck(float(resid / scale), pairing_q - pairing_gamma,
-                          right, pairing_q, pairing_gamma, blocks)
+                          right, pairing_q, pairing_gamma, len(maxima),
+                          workers)
 
 
 def dn_gap(grid: Grid, fp: FracParams, gamma: Conductivity,

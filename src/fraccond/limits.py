@@ -17,10 +17,14 @@ FracParams, so a study rejects an order outside [S_MIN, S_MAX] before it
 evaluates anything at it.
 
 The three h-refinement studies (grad, bilinear, operator) are one private
-driver, `_refined_rows`: per s and per (kind, u, v) pair it doubles N from
-N_START until corrected_bilinear_form settles, and takes the local
-reference h sum gamma u' v' on that final grid.  The studies differ only
-in the pairs, the conductivity and the cap on N.
+driver, `_refined_rows`: per s and per (kind, v) pair it doubles N from
+N_START until corrected_bilinear_form of u against v settles, and takes
+the local reference h sum gamma u' v' on that final grid.  The studies
+differ only in u, the pairs, the conductivity and the cap on N.  A
+study's pairs share u and the conductivity, so at each N the pairs still
+refining are evaluated together: one stacked bilinear_form call builds
+each kernel block once for all of them, each pair keeps its own stop rule
+and cap, and each value is bit-identical to its own call.
 
 The operator-assembly modules deliberately do not carry these corrections:
 their punctured form is what makes the algebraic identities exact.
@@ -137,15 +141,18 @@ def grad_norm_sq(grid: Grid, fp: FracParams, u: np.ndarray) -> float:
 
 
 def corrected_bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
-                            u: np.ndarray, v: np.ndarray) -> float:
+                            u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Weighted energy pairing with the near-diagonal correction; the
-    diagonal term carries gamma (both kernel factors collapse to x)."""
-    base = bilinear_form(grid, fp, gamma, u, v)
+    diagonal term carries gamma (both kernel factors collapse to x).  v is
+    one field or a (k, N) stack of them, as in bilinear_form."""
+    V = np.atleast_2d(np.asarray(v, dtype=float))
     du = central_diff(grid, u)
-    dv = central_diff(grid, v)
-    corr = 0.5 * fp.cns * grid.h * float(np.sum(gamma.values * du * dv)) \
-        * near_field_coefficient(fp.s, grid.h)
-    return base + corr
+    coef = near_field_coefficient(fp.s, grid.h)
+    corr = [0.5 * fp.cns * grid.h * float(np.sum(gamma.values * du
+                                                 * central_diff(grid, vk)))
+            * coef for vk in V]
+    vals = bilinear_form(grid, fp, gamma, u, V) + np.array(corr)
+    return float(vals[0]) if np.ndim(v) == 1 else vals
 
 
 def local_grad_pairing(grid: Grid, gamma_values: np.ndarray,
@@ -172,41 +179,54 @@ def _omega(L: float, omega=None) -> tuple[float, float]:
     return omega or (-L / 3.0, L / 3.0)
 
 
-def _h_converge(evaluate, cap: int):
-    """Double N from N_START until the value changes by less than
-    REFINE_TOL (relative).  Returns the last evaluation, a (value, grid,
-    gamma) triple, and whether it converged."""
+def _h_converge(evaluate, n_pairs: int, cap: int) -> list:
+    """Double N from N_START until each pair's value changes by less than
+    REFINE_TOL (relative).  evaluate(N, live) returns the values of the
+    pairs numbered in live, the grid and the gamma at N; a pair leaves live
+    once it settles, so every N is one evaluation of the pairs still
+    refining.  Returns per pair its last (value, grid, gamma) triple and
+    whether it converged."""
     N = N_START
-    prev = evaluate(N)
-    while 2 * N <= cap:
+    live = list(range(n_pairs))
+    vals, g, gam = evaluate(N, live)
+    last = [(val, g, gam) for val in vals]
+    converged = [False] * n_pairs
+    while live and 2 * N <= cap:
         N *= 2
-        cur = evaluate(N)
-        if abs(cur[0] - prev[0]) <= REFINE_TOL * max(abs(prev[0]), 1e-300):
-            return cur, True
-        prev = cur
-    return prev, False
+        vals, g, gam = evaluate(N, live)
+        for i, val in zip(live, vals):
+            prev = last[i][0]
+            converged[i] = abs(val - prev) <= REFINE_TOL * max(abs(prev), 1e-300)
+            last[i] = (val, g, gam)
+        live = [i for i in live if not converged[i]]
+    return list(zip(last, converged))
 
 
-def _refined_rows(m_fn, pairs, s_list, L: float, omega, cap: int):
-    """The one loop behind every limit study.  Per s and per (kind, u_fn,
-    v_fn) pair: corrected_bilinear_form with the conductivity of m_fn,
-    h-converged up to N = cap, against local_grad_pairing on the final grid.
-    Yields (fp, grid, gamma, row) so a caller can add rows on that grid."""
+def _refined_rows(m_fn, u_fn, pairs, s_list, L: float, omega, cap: int):
+    """The one loop behind every limit study.  Per s and per (kind, v_fn)
+    pair: corrected_bilinear_form of u_fn against v_fn with the
+    conductivity of m_fn, h-converged up to N = cap, against
+    local_grad_pairing on the final grid.  The pairs share u and gamma, so
+    at each N the pairs still refining are one stacked
+    corrected_bilinear_form call: one kernel block per N, and each value
+    bit-identical to its own call.  Yields (fp, grid, gamma, row) in pair
+    order so a caller can add rows on that grid."""
     a, b = _omega(L, omega)
     for s in s_list:
         fp = FracParams(s)
         _warn_high_s(s)
-        for kind, u_fn, v_fn in pairs:
 
-            def evaluate(N):
-                g = Grid(L=L, N=N, a=a, b=b)
-                gam = make_conductivity(g, m_fn)
-                return (corrected_bilinear_form(g, fp, gam, u_fn(g.nodes),
-                                                v_fn(g.nodes)), g, gam)
+        def evaluate(N, live):
+            g = Grid(L=L, N=N, a=a, b=b)
+            gam = make_conductivity(g, m_fn)
+            V = [pairs[i][1](g.nodes) for i in live]
+            return (corrected_bilinear_form(g, fp, gam, u_fn(g.nodes), V),
+                    g, gam)
 
-            (val, g, gam), ok = _h_converge(evaluate, cap)
+        results = _h_converge(evaluate, len(pairs), cap)
+        for (kind, v_fn), ((val, g, gam), ok) in zip(pairs, results):
             ref = local_grad_pairing(g, gam.values, u_fn(g.nodes), v_fn(g.nodes))
-            yield fp, g, gam, _limit_row(s, val, ref, g.N, ok, kind)
+            yield fp, g, gam, _limit_row(s, float(val), ref, g.N, ok, kind)
 
 
 def grad_limit_study(u_fn, s_list, L: float = 12.0) -> LimitStudy:
@@ -214,7 +234,7 @@ def grad_limit_study(u_fn, s_list, L: float = 12.0) -> LimitStudy:
     against the central-difference ||u'||^2 at the same final resolution."""
     g = Grid(L, N_START, *_omega(L))
     _warn_edges(g, np.asarray(u_fn(g.nodes), dtype=float), "grad_limit_study")
-    rows = _refined_rows(np.zeros_like, [("energy", u_fn, u_fn)], s_list,
+    rows = _refined_rows(np.zeros_like, u_fn, [("energy", u_fn)], s_list,
                          L, None, N_CAP)
     return LimitStudy([row for *_, row in rows])
 
@@ -231,7 +251,7 @@ def bilinear_limit_study(m_fn, u_fn, v_fn, s_list, L: float = 12.0,
     energy form of the solved field u_f against e_g versus the local form.
     """
     study = LimitStudy()
-    for fp, g, gam, row in _refined_rows(m_fn, [("energy", u_fn, v_fn)],
+    for fp, g, gam, row in _refined_rows(m_fn, u_fn, [("energy", v_fn)],
                                          s_list, L, omega, STUDY_CAP):
         study.rows.append(row)
         if dn_datum_fns is not None:
@@ -259,8 +279,8 @@ def operator_limit_check(m_fn, u_fn, s_list, L: float = 12.0,
         w = (hi - lo) / 2.0
         phi_fns = (gaussian(0.0, 0.8 * w), gaussian(-0.5 * w, 0.6 * w),
                    gaussian(0.4 * w, 0.7 * w))
-    pairs = [(f"phi{i}", u_fn, phi_fn) for i, phi_fn in enumerate(phi_fns)]
-    rows = _refined_rows(m_fn, pairs, s_list, L, omega, STUDY_CAP)
+    pairs = [(f"phi{i}", phi_fn) for i, phi_fn in enumerate(phi_fns)]
+    rows = _refined_rows(m_fn, u_fn, pairs, s_list, L, omega, STUDY_CAP)
     return LimitStudy([row for *_, row in rows])
 
 

@@ -171,7 +171,8 @@ def frac_divergence_adjoint(grid: Grid, fp: FracParams, v: PairField) -> np.ndar
 
 
 def operator_rows(grid: Grid, fp: FracParams, lo: int, hi: int,
-                  *gs) -> list[np.ndarray]:
+                  *gs, out: list[np.ndarray] | None = None
+                  ) -> list[np.ndarray]:
     """Rows lo <= i < hi of each requested operator, all from one
     kernel_matrix block W:
 
@@ -180,19 +181,21 @@ def operator_rows(grid: Grid, fp: FracParams, lo: int, hi: int,
     with g an array (gamma^{1/2}: the conductivity operator) or None
     ((-Delta)^s, g = 1, built with no products by 1).  Every operator but
     the last is written into a fresh array and the last into W itself, so
-    k operators take k blocks of memory.  The rows are bit-identical to the
+    k operators take k blocks of memory.  With out, one (hi - lo, N) array
+    per operator, operator k is written into out[k] and W into out[-1], so
+    nothing block-sized is allocated.  The rows are bit-identical to the
     same rows of the whole matrix.
     """
-    W = kernel_matrix(grid, fp, lo, hi)
+    W = kernel_matrix(grid, fp, lo, hi, None if out is None else out[-1])
     tail = tail_vector(grid, fp)[lo:hi]
     rows = []
     for k, g in enumerate(gs):
-        out = W if k == len(gs) - 1 else None
+        dest = W if k == len(gs) - 1 else (None if out is None else out[k])
         if g is None:
             diag = W.sum(axis=1) + tail
-            A = np.negative(W, out=out)
+            A = np.negative(W, out=dest)
         else:
-            A = np.multiply(W, g[None, :], out=out)
+            A = np.multiply(W, g[None, :], out=dest)
             diag = g[lo:hi] * (A.sum(axis=1) + tail)
             A *= -g[lo:hi, None]
         A[np.arange(hi - lo), np.arange(lo, hi)] = diag
@@ -238,7 +241,7 @@ def assemble_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray) -> NonlocalO
 
 
 def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
-                  u: np.ndarray, v: np.ndarray) -> float:
+                  u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Weighted energy pairing
 
         C/2 sum_{i != j} g_i g_j (u_j - u_i)(v_j - v_i) / |x_j - x_i|^{n+2s} h^{2n}
@@ -249,20 +252,39 @@ def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
     the columns j >= lo, so the sum needs O(BILINEAR_BLOCK N) memory and is
     independent of the assembled matrix; it equals u . A_gamma v under the
     h^n node pairing up to round-off.
+
+    v is one nodal field (the pairing is returned as a float) or a (k, N)
+    stack of them (the k pairings are returned as an array).  The stack
+    shares each block's kernel powers, lower-triangle mask and
+    g_i g_j (u_j - u_i) prefix, and each value equals its own call bit for
+    bit: every block is summed from a contiguous array of the same shape.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    V = np.atleast_2d(v)
     g = gamma.sqrt
     p = 1.0 + 2.0 * fp.s
-    acc = 0.0
-    for lo in range(0, grid.N, BILINEAR_BLOCK):
-        hi = min(lo + BILINEAR_BLOCK, grid.N)
-        T = _inverse_distance_power(grid.nodes[lo:], p, 0, hi - lo)
-        T[np.tril_indices(hi - lo, -1)] = 0.0  # j < i: counted from row j
-        T *= g[lo:hi, None] * g[None, lo:]
-        T *= u[None, lo:] - u[lo:hi, None]
-        T *= v[None, lo:] - v[lo:hi, None]
-        acc += float(T.sum())
-    core = fp.cns * acc * grid.h**2
+    N = grid.N
+    acc = [0.0] * len(V)
+    # j < i is counted from row j; tril_indices runs row by row, so a
+    # block of n rows takes the first n(n-1)/2 entries
+    below_i, below_j = np.tril_indices(BILINEAR_BLOCK, -1)
+    T_buf = np.empty(BILINEAR_BLOCK * N)
+    D_buf = np.empty(BILINEAR_BLOCK * N)
+    for lo in range(0, N, BILINEAR_BLOCK):
+        n = min(BILINEAR_BLOCK, N - lo)
+        shape = (n, N - lo)
+        T = _inverse_distance_power(grid.nodes[lo:], p, 0, n,
+                                    T_buf[:n * (N - lo)].reshape(shape))
+        T[below_i[:n * (n - 1) // 2], below_j[:n * (n - 1) // 2]] = 0.0
+        D = D_buf[:T.size].reshape(shape)
+        T *= np.multiply(g[lo:lo + n, None], g[None, lo:], out=D)
+        T *= np.subtract(u[None, lo:], u[lo:lo + n, None], out=D)
+        for k, vk in enumerate(V):
+            np.subtract(vk[None, lo:], vk[lo:lo + n, None], out=D)
+            D *= T
+            acc[k] += float(D.sum())
     tails = tail_vector(grid, fp)
-    return core + grid.h * float(np.sum(g * u * v * tails))
+    vals = [fp.cns * a * grid.h**2 + grid.h * float(np.sum(g * u * vk * tails))
+            for a, vk in zip(acc, V)]
+    return vals[0] if v.ndim == 1 else np.array(vals)

@@ -1,7 +1,7 @@
 import pytest
 
 from fraccond import _blas
-from fraccond._blas import blas_threads
+from fraccond._blas import blas_thread_count, blas_threads
 
 
 def counts():
@@ -50,6 +50,15 @@ class TestBlasThreads:
         assert applied is False and ran == [True]
         monkeypatch.undo()
         assert counts() == before
+
+    def test_thread_count_follows_the_cap(self, monkeypatch):
+        assert blas_thread_count() == min(counts())
+        with blas_threads(1):
+            assert blas_thread_count() == 1
+        assert blas_thread_count() == min(counts())
+        # a count that cannot be read allows one thread, never more
+        monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
+        assert blas_thread_count() == 1
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_cap_below_one(self, n):

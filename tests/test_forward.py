@@ -391,11 +391,11 @@ class TestReductionRoute:
         blocks = []
         real = fraccond.operators.kernel_matrix
 
-        def counting(grid, fp, lo=0, hi=None):
+        def counting(grid, fp, lo=0, hi=None, out=None):
             if hi is None or (lo, hi) == (0, grid.N):
                 raise AssertionError("full kernel matrix built")
             blocks.append((lo, hi))
-            return real(grid, fp, lo, hi)
+            return real(grid, fp, lo, hi, out)
 
         monkeypatch.setattr(fraccond.operators, "kernel_matrix", counting)
         g, gam = reduction_case(1000, "bump")
@@ -462,10 +462,10 @@ class TestRowBlocks:
             assert np.array_equal(C_rows, C[lo:hi])
             assert np.array_equal(L_rows, L[lo:hi])
             starts.append(lo)
-        # N = 64 and 257 fit in one block; at N = 1000 a block boundary
-        # falls inside omega
-        assert len(starts) == (2 if N == 1000 else 1)
-        assert (I[0] < starts[-1] <= I[-1]) == (N == 1000)
+        # N = 64 and 257 fit in one block; at N = 1000 (four blocks of
+        # 256 rows) a block boundary falls inside omega
+        assert len(starts) == (4 if N == 1000 else 1)
+        assert any(I[0] < lo <= I[-1] for lo in starts) == (N == 1000)
 
     def test_from_kernel_on_a_row_block(self):
         g, gam = reduction_case(257, "random")
@@ -486,9 +486,47 @@ class TestRowBlocks:
         q = liouville_reduce(g, fp, gam).values
         assert np.array_equal(q, -(L @ gam.m_values) / gam.sqrt)
 
+    @pytest.mark.parametrize("N", [1000, 4100])
+    def test_worker_count_moves_no_bit(self, N, monkeypatch):
+        # every block writes only its own slices and the maxima are
+        # combined in block order, so the worker count moves no bit; at
+        # both sizes the last block is partial and a block boundary falls
+        # inside omega.  Five workers (more than the CPUs, the cap lifted)
+        # under a short switch interval would expose a write to a shared
+        # slice or buffer
+        import dataclasses
+        import sys
+
+        import fraccond.forward
+
+        g, gam = reduction_case(N, "random")
+        fp = FracParams(0.5)
+        f, v = gap_data(g)
+        blocks = _row_blocks(g)
+        assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+        I = g.interior_idx
+        assert any(I[0] < lo <= I[-1] for lo, _ in blocks)
+        monkeypatch.setattr(fraccond.forward, "MAX_WORKERS", 8)
+        checks, q = {}, {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(fraccond.forward, "blas_thread_count",
+                                    lambda: workers)
+                checks[workers] = verify_reduction(g, fp, gam, f, v)
+                q[workers] = liouville_reduce(g, fp, gam).values
+        finally:
+            sys.setswitchinterval(interval)
+        for workers, check in checks.items():
+            assert check.workers == min(workers, len(blocks))
+            assert check.blocks == len(blocks)
+            assert dataclasses.replace(check, workers=1) == checks[1]
+            assert np.array_equal(q[workers], q[1])
+
     def test_peak_memory_flat_at_4096(self):
         # one dense 4096 x 4096 matrix is 134 MB; the stream needs a few
-        # blocks of 4 MiB plus the |I| x |I| interior blocks
+        # blocks of 2 MiB per worker plus the |I| x |I| interior blocks
         import tracemalloc
 
         g, gam = reduction_case(4096, "random")
@@ -506,8 +544,8 @@ class TestRowBlocks:
             assert peak < 48e6
 
     def test_single_pass_peak_memory_at_4096(self):
-        # both kernel blocks (4 MiB each) are dropped before the next pair
-        # is built, and the residual is formed in place on them; beside
+        # each worker reuses its two block buffers (2 MiB each) for all
+        # its blocks, and the residual is formed in place on them; beside
         # them live the two |I| x |I| interior blocks (3 MB each here)
         import tracemalloc
 
@@ -525,8 +563,40 @@ class TestRowBlocks:
 
     def test_liouville_reduce_peak_memory_at_4096(self):
         # liouville_reduce builds the (-Delta)^s rows alone, in place on
-        # each 4 MiB kernel block, and no conductivity rows beside them
+        # each worker's 2 MiB kernel block buffer, and no conductivity rows
+        # beside them
         import tracemalloc
+
+        g, gam = reduction_case(4096, "random")
+        tracemalloc.start()
+        try:
+            liouville_reduce(g, FracParams(0.5), gam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+    def test_peak_memory_bounded_on_many_cpus(self, monkeypatch):
+        # each worker holds its own block buffers, so the pool stops at
+        # MAX_WORKERS however many threads BLAS allows: on an 8-CPU host
+        # both streamed checks keep the bounds of the two tests above
+        import tracemalloc
+
+        import fraccond.forward
+
+        monkeypatch.setattr(fraccond.forward, "blas_thread_count", lambda: 8)
+        g = Grid(L=1.0, N=4096, a=-0.15, b=0.15)
+        gam = make_conductivity(g, random_admissible_m(seed=1, amplitude=0.3,
+                                                       width=0.15))
+        f, v = gap_data(g)
+        tracemalloc.start()
+        try:
+            check = verify_reduction(g, FracParams(0.5), gam, f, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.workers == fraccond.forward.MAX_WORKERS == 2
+        assert peak < 24e6
 
         g, gam = reduction_case(4096, "random")
         tracemalloc.start()

@@ -185,6 +185,28 @@ class TestOperatorLimitCheck:
             assert (r.value, r.reference, r.gap, r.n_used, r.converged) \
                 == (b.value, b.reference, b.gap, b.n_used, b.converged)
 
+    def test_one_kernel_block_per_n(self, monkeypatch):
+        # the pairs still refining at one N are one stacked call, which
+        # builds the kernel blocks once for all of them
+        import fraccond.limits
+
+        calls = []
+        real = fraccond.limits.bilinear_form
+
+        def counting(grid, fp, gamma, u, v):
+            calls.append((grid.N, np.shape(v)))
+            return real(grid, fp, gamma, u, v)
+
+        monkeypatch.setattr(fraccond.limits, "bilinear_form", counting)
+        phis = (gaussian(0.5, 1.1), gaussian(-1.0, 0.9), gaussian(0.3, 1.0))
+        st = operator_limit_check(bump_m(0.3, 0.0, 2.0), gaussian(0.0, 1.0),
+                                  [0.6], L=12.0, omega=(-4.0, 4.0),
+                                  phi_fns=phis)
+        Ns = [N for N, _ in calls]
+        assert Ns == sorted(set(Ns))  # one call per N
+        assert calls[0] == (512, (3, 512))
+        assert max(r.n_used for r in st.rows) == Ns[-1]
+
     def test_unit_gamma_gaussian_within_ten_percent(self):
         st = operator_limit_check(lambda x: np.zeros_like(x),
                                   gaussian(0.0, 1.0), [0.95],

@@ -284,6 +284,27 @@ class TestBilinearForm:
         assert bilinear_form(g, fp, gam, u, v) == pytest.approx(
             ordered_pair_bilinear_form(g, fp, gam, u, v), rel=1e-13)
 
+    @pytest.mark.parametrize("N", [65, 1000])
+    @pytest.mark.parametrize("profile", ["constant", "random"])
+    def test_stack_equals_single_calls(self, N, profile):
+        # a (k, N) stack shares each block's kernel powers and g g du
+        # prefix; each value must still be its own call's, bit for bit
+        g = small_grid(N=N)
+        fp = FracParams(0.7)
+        rng = np.random.default_rng(N)
+        if profile == "constant":
+            gam = Conductivity.constant(g)
+        else:
+            m = np.zeros(g.N)
+            m[g.interior_idx] = 0.2 * rng.uniform(-1.0, 1.0, g.interior_idx.size)
+            gam = Conductivity.from_m(g, m)
+        u = rng.standard_normal(g.N)
+        V = rng.standard_normal((3, g.N))
+        stacked = bilinear_form(g, fp, gam, u, V)
+        assert stacked.shape == (3,)
+        assert stacked.tolist() == [bilinear_form(g, fp, gam, u, v) for v in V]
+        assert isinstance(bilinear_form(g, fp, gam, u, V[0]), float)
+
     def test_symmetry(self):
         g = small_grid()
         fp = FracParams(0.55)
