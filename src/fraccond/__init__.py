@@ -27,7 +27,6 @@ from .forward import (
     ReductionCheck,
     SolverError,
     assemble_dn,
-    assemble_dn_schrodinger,
     dn_gap,
     liouville_reduce,
     solve_dirichlet,

@@ -1,11 +1,13 @@
-"""A scoped cap on the thread count of the OpenBLAS copy numpy loads, and
-a reading of the count it allows now (blas_thread_count).
+"""A scoped cap of the OpenBLAS copy numpy loads at one thread.
 
 numpy wheels bundle their own OpenBLAS (in `numpy.libs/` next to the
 package), which starts one BLAS thread per CPU.  It is the only BLAS the
-package calls, since the package imports no scipy module.  The copy
-exports a getter and a setter for its thread count; `blas_threads`
-reaches them through ctypes, so the cap needs no third-party package.
+package calls, since the package imports no scipy module.  Its round-off
+depends on its thread count, so the package runs every BLAS and LAPACK
+call on one thread: then an output does not depend on the host's CPU
+count.  The copy exports a getter and a setter for its thread count;
+`one_blas_thread` reaches them through ctypes, so the cap needs no
+third-party package.
 
 Only a copy the process has already loaded is touched (RTLD_NOLOAD): the
 lookup never loads a library, and so never starts its thread pool.  The
@@ -54,32 +56,19 @@ def _openblas_copies() -> list[tuple]:
     return copies
 
 
-def blas_thread_count() -> int:
-    """The thread count numpy's loaded OpenBLAS allows now: the lowest
-    count among its copies, which is one per CPU unless a cap (--threads,
-    blas_threads) or OPENBLAS_NUM_THREADS lowers it.  1 when no copy can
-    be read, so a caller never runs more threads than it can tell are
-    allowed."""
-    return min((get() for get, _ in _openblas_copies()), default=1)
-
-
 @contextmanager
-def blas_threads(n: int):
-    """Cap numpy's loaded OpenBLAS at n threads for the body of the block.
+def one_blas_thread():
+    """Run the body of the block with numpy's loaded OpenBLAS on one thread.
 
-    Each copy is set to min(its current count, n), so no count rises and no
-    thread is started; the previous counts are restored on exit, also when
-    the body raises.  Yields True when a setter was found on at least one
-    copy, False when none was (the body then runs unchanged).
+    The previous counts are restored on exit, also when the body raises.
+    Yields True when a setter was found on at least one copy, False when
+    none was (the body then runs at the library's own count).
     """
-    if n < 1:
-        raise ValueError(f"blas_threads: n={n} must be >= 1")
     copies = _openblas_copies()
     before = [get() for get, _ in copies]
     try:
-        for (_, put), count in zip(copies, before):
-            if n < count:
-                put(n)
+        for _, put in copies:
+            put(1)
         yield bool(copies)
     finally:
         for (_, put), count in zip(copies, before):

@@ -4,8 +4,8 @@ Subcommands: forward | dn | reduce | invert | walk | limits.
 Every command reads a JSON config (schema fraccond-config-v1, shipped as
 config_schema_v1.json next to this module), writes CSV outputs and an
 atomically written manifest.json that echoes the config, records per-check
-pass/fail values and, under "diagnostics", how the run went (the
-inversion's stop reason, the BLAS thread cap, the reduction pass's row
+pass/fail values and, under "diagnostics", how the run went (whether BLAS
+ran on one thread, the inversion's stop reason, the reduction pass's row
 blocks, workers and DN pairings).  Every CSV value is %.17g
 (up to 17 significant digits, trailing zeros dropped): _write_csv hands a
 2-D table to the package's own formatter (fraccond._csv), whose files are
@@ -16,19 +16,20 @@ Exit codes: 0 success, 2 config error (also an input CSV that is not a
 numeric table of the expected shape), 3 I/O error, 4 numerical failure.
 Re-running a command with identical config and seed reproduces every data
 file byte-for-byte (the manifest's wall_clock_s field, a perf_counter
-duration, is the only non-reproducible output).
+duration, is the only non-reproducible output), with the same numpy build
+on the same CPU type.
 
 The package needs numpy alone and imports no scipy module.  The interior
 solves run in numpy's LAPACK, so numpy's bundled OpenBLAS runs every BLAS
-call, and a thread cap (--threads, the inversion's one-thread Gauss-Newton
-scope) reaches it as soon as numpy is imported; the reduction pass runs as
-many workers as that cap allows.  limits takes zeta from core._zeta.
+call.  run() holds it at one thread for the whole command
+(_blas.one_blas_thread), so no output depends on the host's CPU count;
+the only parallelism is the reduction pass's fixed pool of row-block
+workers (forward.MAX_WORKERS).  limits takes zeta from core._zeta.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ import time
 import numpy as np
 
 from . import __version__
-from ._blas import blas_threads
+from ._blas import one_blas_thread
 from ._csv import write_table
 from .core import FracParams, Grid
 from .forward import (
@@ -105,12 +106,14 @@ def load_config(path: str, command: str) -> dict:
         if block not in cfg or not isinstance(cfg[block], dict):
             raise ConfigError(f"missing required block {block!r}")
         _reject_unknown(cfg[block], keys, f"block {block!r}")
-    if "gamma" in cfg:
-        _reject_unknown(cfg["gamma"], _GAMMA_KEYS, "block 'gamma'")
-    task = cfg.get("task", {})
-    if not isinstance(task, dict):
-        raise ConfigError("block 'task' must be an object")
-    _reject_unknown(task, _TASK_KEYS[command], f"task block for {command!r}")
+    for block in ("gamma", "task"):
+        if not isinstance(cfg.get(block, {}), dict):
+            raise ConfigError(f"block {block!r} must be an object")
+    _reject_unknown(cfg.get("gamma", {}), _GAMMA_KEYS, "block 'gamma'")
+    _reject_unknown(cfg.get("task", {}), _TASK_KEYS[command],
+                    f"task block for {command!r}")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError("output_dir must be a string")
     return cfg
 
 
@@ -407,8 +410,7 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
                     / np.max(np.abs(truth)))
         checks["recovery_error"] = {"value": err, "pass": bool(err <= 0.01),
                                     "criterion": "<= 1% Linf vs truth"}
-    return files, checks, {"stop_reason": report.stop_reason,
-                           "gauss_newton_blas_threads": report.blas_threads}
+    return files, checks, {"stop_reason": report.stop_reason}
 
 
 def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
@@ -430,6 +432,10 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
                                                           "task.initial_site")
     if not 0 <= site < grid.N:
         raise ConfigError("task.initial_site outside the lattice")
+    compare = task.get("compare_master", True)
+    if not isinstance(compare, bool):
+        raise ConfigError(f"task.compare_master={compare!r} must be true "
+                          "or false")
     ens = Ensemble.point_source(particles, site, rng_seed=seed)
     try:
         _, hist = simulate(ens, wp, steps)
@@ -442,7 +448,7 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
                                "pass": True,
                                "criterion": "reported (truncation at K)"},
     }
-    if task.get("compare_master", True):
+    if compare:
         # the simulator realizes the row-normalized transpose kernel; that is
         # its deterministic counterpart for any gamma, and it coincides with
         # the incoming-form master equation exactly when gamma is constant
@@ -566,11 +572,6 @@ def make_parser() -> argparse.ArgumentParser:
                    "(default: config output_dir, else '.')")
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the config seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap on the BLAS threads of numpy's bundled "
-                        "OpenBLAS, which runs every solve (never raises its "
-                        "count), and on the reduction pass's workers; the "
-                        "manifest records whether it was applied")
     return p
 
 
@@ -585,8 +586,6 @@ def run(argv=None) -> int:
                 else args.seed)
         gamma = build_gamma(cfg, grid, seed)
         outdir = args.out or cfg.get("output_dir", ".")
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads={args.threads} must be >= 1")
     except OSError as exc:
         print(f"fraccond: I/O error: {exc}", file=sys.stderr)
         return 3
@@ -594,17 +593,11 @@ def run(argv=None) -> int:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
         return 2
 
-    diagnostics = {}
-    cap = contextlib.ExitStack()
-    if args.threads is not None:
-        diagnostics["threads"] = {
-            "requested": args.threads,
-            "applied": cap.enter_context(blas_threads(args.threads))}
     try:
-        os.makedirs(outdir, exist_ok=True)
-        files, checks, run_info = _COMMANDS[args.command](
-            cfg, grid, fp, gamma, seed, outdir)
-        diagnostics.update(run_info)
+        with one_blas_thread() as capped:
+            os.makedirs(outdir, exist_ok=True)
+            files, checks, run_info = _COMMANDS[args.command](
+                cfg, grid, fp, gamma, seed, outdir)
     except ConfigError as exc:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
         return 2
@@ -615,9 +608,8 @@ def run(argv=None) -> int:
         print(f"fraccond: {args.command}: numerical failure: {exc}",
               file=sys.stderr)
         return 4
-    finally:
-        cap.close()  # restores the BLAS thread counts
 
+    diagnostics = {"blas_threads": 1 if capped else None, **run_info}
     files.append(_write_manifest(outdir, args.command, cfg, seed, checks,
                                  diagnostics, files, t0))
     failed = [k for k, v in checks.items() if not v["pass"]]

@@ -22,20 +22,22 @@ sides of the identity on the interior rows only; each DN pairing
 DN matrix.  dn_gap returns the gap half of that check; liouville_reduce
 streams the (-Delta)^s rows alone.
 
-Both passes run on _stream_blocks: a pool of as many threads as numpy's
-BLAS allows (one per CPU by default, K under --threads K), at most
-MAX_WORKERS, with BLAS capped at one thread meanwhile, so numpy's GIL-free
-ufuncs build two blocks at once.  Each worker writes all its blocks into
-the same buffers, one (rows, N) array per operator, so no block is
-allocated and freed per block; memory in flight is at most MAX_WORKERS x
-buffers x BLOCK_BYTES (8 MiB for the reduction pass) whatever the host's
-CPU count, and the buffers are freed before the interior solves.
-Each block writes only its own rows' slices and the maxima are combined in
-block order, so the results are bit-identical for any worker count.
+Both passes run on _stream_blocks: a pool of MAX_WORKERS threads (fewer
+only when there are fewer blocks), whatever the host's CPU count, with
+BLAS on one thread meanwhile, so numpy's GIL-free ufuncs build two blocks
+at once.  Each worker writes all its blocks into the same buffers, one
+(rows, N) array per operator, so no block is allocated and freed per
+block; memory in flight is at most MAX_WORKERS x buffers x BLOCK_BYTES
+(8 MiB for the reduction pass), and the buffers are freed before the
+interior solves.  Each block writes only its own rows' slices and the
+maxima are combined in block order, so the results are bit-identical for
+any worker count.
 
 Every interior block is checked by factor_interior and solved with
 np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
-the one BLAS the package calls.
+the one BLAS the package calls.  The CLI runs every command with that BLAS
+on one thread (_blas.one_blas_thread), since its round-off depends on its
+thread count.
 """
 
 from __future__ import annotations
@@ -44,13 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import blas_thread_count, blas_threads
+from ._blas import one_blas_thread
 from .core import FracParams, Grid
 from .operators import (
     Conductivity,
     NonlocalOperator,
     assemble_conductivity,
-    assemble_laplacian,
     operator_rows,
 )
 
@@ -60,9 +61,9 @@ from .operators import (
 # whatever N is
 BLOCK_BYTES = 2 << 20
 
-# most threads a streamed check runs on: each holds its own block buffers,
-# so this bounds memory in flight (MAX_WORKERS x buffers x BLOCK_BYTES)
-# however many CPUs BLAS allows
+# threads a streamed check runs on, whatever the host's CPU count: each
+# holds its own block buffers, so this bounds memory in flight
+# (MAX_WORKERS x buffers x BLOCK_BYTES)
 MAX_WORKERS = 2
 
 
@@ -219,14 +220,6 @@ def assemble_dn(grid: Grid, fp: FracParams, gamma: Conductivity,
     return dn_from_operator(assemble_conductivity(grid, fp, gamma), W1, W2)
 
 
-def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
-                            W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
-    """DN matrix of (-Delta)^s + q (potential restricted to omega)."""
-    lap = assemble_laplacian(grid, fp).matrix
-    q_int = np.asarray(q, dtype=float)[grid.interior_idx]
-    return _DnEvaluator(grid, lap, W1, W2).dn_matrix(q_int)
-
-
 def _row_blocks(grid: Grid) -> list[tuple[int, int]]:
     """Row bounds (lo, hi) of the streamed checks' blocks, in order.
 
@@ -247,20 +240,20 @@ def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
 
 def _stream_blocks(grid: Grid, n_buffers: int, work) -> tuple[list, int]:
     """work(lo, hi, buffers) for every row block of _row_blocks, on a pool
-    of as many threads as numpy's BLAS allows (blas_thread_count), at most
-    MAX_WORKERS, so the GIL-free ufuncs of several blocks run at once.
-    Each worker streams every workers-th block through its own n_buffers
-    (rows, N) arrays, passing their first hi - lo rows, so nothing
-    block-sized is allocated per block; the buffers are freed when the
-    stream ends.  BLAS is capped at
-    one thread meanwhile, so workers do not each start BLAS threads.
+    of MAX_WORKERS threads (fewer when there are fewer blocks), so the
+    GIL-free ufuncs of several blocks run at once.  Each worker streams
+    every workers-th block through its own n_buffers (rows, N) arrays,
+    passing their first hi - lo rows, so nothing block-sized is allocated
+    per block; the buffers are freed when the stream ends.  BLAS runs on
+    one thread meanwhile, also for callers outside the CLI's own scope, so
+    workers do not each start BLAS threads.
 
     work must write only its own rows' slices.  Returns its results in
     block order and the number of workers.
     """
     blocks = _row_blocks(grid)
     step = blocks[0][1] - blocks[0][0]
-    workers = min(blas_thread_count(), MAX_WORKERS, len(blocks))
+    workers = min(MAX_WORKERS, len(blocks))
     results = [None] * len(blocks)
 
     def stream(first: int):
@@ -273,7 +266,7 @@ def _stream_blocks(grid: Grid, n_buffers: int, work) -> tuple[list, int]:
     # import would add its ~3 ms to every command's start
     from concurrent.futures import ThreadPoolExecutor
 
-    with blas_threads(1), ThreadPoolExecutor(workers) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         # list() re-raises the first exception of a worker
         list(pool.map(stream, range(workers)))
     return results, workers

@@ -12,9 +12,10 @@ Step (1) is one private fit, _fit_potential, which every entry point calls
 directly: reconstruct_gamma (conductivity data on W1 = W2 = exterior, the
 diagonal masked), recover_potential_full (full exterior data, every entry
 fitted) and single_measurement_fit (one source g on W1 observed on W2).
-The fit runs on one BLAS thread and records one Iterate per accepted step;
-InversionReport derives converged, data_residual and residual_history from
-its stop_reason and iterations, so each fact is stored once.
+The fit runs on one BLAS thread, as every CLI command does, and records
+one Iterate per accepted step; InversionReport derives converged,
+data_residual and residual_history from its stop_reason and iterations,
+so each fact is stored once.
 
 The forward map q -> Schroedinger DN data is forward._DnEvaluator on the
 Laplacian, assembled once per inversion; an evaluation only adds diag(q)
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blas import blas_threads
+from ._blas import one_blas_thread
 from .core import FracParams, Grid
 from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
                       factor_interior)
@@ -92,8 +93,6 @@ class InversionReport:
     # converged | max_iter | damping_floor
     stop_reason: str = ""
     lambda_used: float = float("nan")
-    # BLAS threads the Gauss-Newton loop ran at; None when it was not capped
-    blas_threads: int | None = None
 
     @property
     def converged(self) -> bool:
@@ -196,19 +195,20 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
 
     The loop runs on one BLAS thread: its BLAS/LAPACK operands have only
     |I| rows (tens to a few hundred), where OpenBLAS's default of one thread
-    per CPU runs them an order of magnitude slower.  The interior solves run
-    in numpy's OpenBLAS too, so the cap covers every call of the loop.
+    per CPU runs them an order of magnitude slower.  The CLI holds every
+    command at one thread already; this scope gives in-process callers the
+    same speed and the same round-off.  The interior solves run in numpy's
+    OpenBLAS too, so the cap covers every call of the loop.
 
     Returns the fitted Potential (zero outside omega), then iterations,
-    stop_reason, lambda_used and blas_threads (1, or None when no OpenBLAS
-    setter was found) in InversionReport's field order.
+    stop_reason and lambda_used in InversionReport's field order.
     """
     E = grid.exterior_idx
     if g_W1 is None and not (np.array_equal(W1, E)
                              and np.array_equal(W2, E)):
         raise ValueError("DN data fit: observed must cover "
                          "W1 = W2 = exterior_idx")
-    with blas_threads(1) as capped:
+    with one_blas_thread():
         data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
                             g_W1, _SINGULAR_Q)
         q = np.zeros(grid.interior_idx.size)
@@ -271,7 +271,7 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
     q_full = np.zeros(grid.N)
     q_full[grid.interior_idx] = q
     return (Potential(q_full, interior_supported=True), iterations,
-            stop_reason, lam, 1 if capped else None)
+            stop_reason, lam)
 
 
 def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 
 from fraccond.core import FracParams, Grid
-from fraccond.forward import (_DnEvaluator, _check_exterior_support,
-                              solve_dirichlet)
+from fraccond.forward import (DnMatrix, _DnEvaluator,
+                              _check_exterior_support, solve_dirichlet)
 from fraccond.operators import (Conductivity, assemble_conductivity,
                                 assemble_laplacian)
 from fraccond.walk import WalkParams, _band
@@ -58,6 +58,15 @@ def dn_pointwise(grid: Grid, fp: FracParams, gamma: Conductivity,
     op = assemble_conductivity(grid, fp, gamma)
     u = solve_dirichlet(op, g)
     return (op.matrix @ u)[grid.exterior_idx]
+
+
+def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
+                            W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
+    """DN matrix of (-Delta)^s + q (potential restricted to omega): the DN
+    evaluator on the Laplacian with diag(q_I)."""
+    lap = assemble_laplacian(grid, fp).matrix
+    q_int = np.asarray(q, dtype=float)[grid.interior_idx]
+    return _DnEvaluator(grid, lap, W1, W2).dn_matrix(q_int)
 
 
 def forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,

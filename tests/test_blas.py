@@ -1,7 +1,7 @@
 import pytest
 
 from fraccond import _blas
-from fraccond._blas import blas_thread_count, blas_threads
+from fraccond._blas import one_blas_thread
 
 
 def counts():
@@ -14,7 +14,7 @@ def counts():
 class TestBlasThreads:
     def test_caps_then_restores(self):
         before = counts()
-        with blas_threads(1) as applied:
+        with one_blas_thread() as applied:
             assert applied is True
             assert counts() == [1] * len(before)
         assert counts() == before
@@ -22,46 +22,25 @@ class TestBlasThreads:
     def test_restores_after_exception(self):
         before = counts()
         with pytest.raises(KeyError):
-            with blas_threads(1):
+            with one_blas_thread():
+                assert counts() == [1] * len(before)
                 raise KeyError("body failed")
-        assert counts() == before
-
-    def test_never_raises_a_count(self):
-        before = counts()
-        with blas_threads(10**6) as applied:
-            assert applied is True
-            assert counts() == before
         assert counts() == before
 
     def test_nested_scopes_restore_in_order(self):
         before = counts()
-        with blas_threads(10**6):
-            with blas_threads(1):
+        with one_blas_thread():
+            with one_blas_thread():
                 assert counts() == [1] * len(before)
-            assert counts() == before
+            assert counts() == [1] * len(before)
         assert counts() == before
 
     def test_no_setter_found_runs_body_unchanged(self, monkeypatch):
         before = counts()
         monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
         ran = []
-        with blas_threads(1) as applied:
+        with one_blas_thread() as applied:
             ran.append(True)
         assert applied is False and ran == [True]
         monkeypatch.undo()
         assert counts() == before
-
-    def test_thread_count_follows_the_cap(self, monkeypatch):
-        assert blas_thread_count() == min(counts())
-        with blas_threads(1):
-            assert blas_thread_count() == 1
-        assert blas_thread_count() == min(counts())
-        # a count that cannot be read allows one thread, never more
-        monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
-        assert blas_thread_count() == 1
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_rejects_cap_below_one(self, n):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            with blas_threads(n):
-                pass

@@ -9,7 +9,7 @@ import pytest
 from fraccond import _blas, cli
 from fraccond.cli import run
 from fraccond.core import FracParams
-from fraccond.forward import assemble_dn
+from fraccond.forward import SolverError, assemble_dn
 
 BASE = {
     "schema": "fraccond-config-v1",
@@ -135,75 +135,67 @@ class TestDnInvertRoundTrip:
         assert np.allclose(tab[:, 1] ** 2, tab[:, 5], rtol=1e-14)
         assert tab[0, 2] == 0.0 and np.all(tab[1:, 3] >= 1)
 
-    def test_gauss_newton_blas_threads_recorded(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, "dn.json")
-        dn_out = tmp_path / "dn"
-        assert run(["dn", "--config", cfg, "--out", str(dn_out)]) == 0
-        inv_cfg = write_cfg(
-            tmp_path, "inv.json", gamma={"profile": "constant"},
-            task={"observed_dn": str(dn_out / "dn_matrix.csv")})
-        assert run(["invert", "--config", inv_cfg,
-                    "--out", str(tmp_path / "capped")]) == 0
-        assert manifest(tmp_path / "capped")["diagnostics"][
-            "gauss_newton_blas_threads"] == 1
-        monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
-        assert run(["invert", "--config", inv_cfg,
-                    "--out", str(tmp_path / "free")]) == 0
-        assert manifest(tmp_path / "free")["diagnostics"][
-            "gauss_newton_blas_threads"] is None
-
     def test_missing_observed_file_exit_3(self, tmp_path):
         cfg = write_cfg(tmp_path, "inv.json",
                         task={"observed_dn": "nonexistent/dn.csv"})
         assert run(["invert", "--config", cfg, "--out", str(tmp_path)]) == 3
 
 
-class TestThreadsFlag:
-    def test_manifest_records_whether_cap_applied(self, tmp_path):
-        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
-        out = tmp_path / "fw"
-        assert run(["forward", "--config", cfg, "--out", str(out),
-                    "--threads", "1"]) == 0
-        man = manifest(out)
-        assert man["diagnostics"]["threads"]["requested"] == 1
-        assert man["diagnostics"]["threads"]["applied"] is True
-        assert "threads" not in man["checks"]
+class TestBlasThreadRecord:
+    """Every command runs with numpy's OpenBLAS on one thread, records that
+    in its manifest and restores the process's thread counts."""
 
-    def test_no_setter_found_recorded_as_not_applied(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
-        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
-        out = tmp_path / "fw"
-        assert run(["forward", "--config", cfg, "--out", str(out),
-                    "--threads", "2"]) == 0
-        assert manifest(out)["diagnostics"]["threads"] == {"requested": 2,
-                                                           "applied": False}
+    @staticmethod
+    def counts():
+        return [get() for get, _ in _blas._openblas_copies()]
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_cap_below_one_exit_2(self, tmp_path, capsys, threads):
-        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
-        out = tmp_path / "fw"
-        assert run(["forward", "--config", cfg, "--out", str(out),
-                    "--threads", threads]) == 2
-        assert "--threads" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
-
-    def test_no_flag_no_record(self, tmp_path):
+    def test_manifest_records_one_thread(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
         out = tmp_path / "fw"
         assert run(["forward", "--config", cfg, "--out", str(out)]) == 0
-        assert "threads" not in manifest(out)["diagnostics"]
+        man = manifest(out)
+        assert man["diagnostics"]["blas_threads"] == 1
+        assert "blas_threads" not in man["checks"]
+
+    def test_no_setter_found_recorded_as_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_blas, "_openblas_copies", lambda: [])
+        cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 0
+        assert manifest(out)["diagnostics"]["blas_threads"] is None
+
+    def test_counts_restored_after_a_failing_command(self, tmp_path,
+                                                     monkeypatch):
+        before = self.counts()
+        inside = []
+
+        def failing(*args):
+            inside.append(self.counts())
+            raise SolverError("interior block failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "forward", failing)
+        cfg = write_cfg(tmp_path, "c.json")
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 4
+        assert inside == [[1] * len(before)]
+        assert self.counts() == before
+        assert not (out / "manifest.json").exists()
+
+
+def checkout_env() -> dict:
+    """The environment of a new interpreter that imports fraccond from this
+    checkout."""
+    import fraccond
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraccond.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 def fresh_interpreter(code: str) -> dict:
     """Run code in a new interpreter that imports fraccond from this
     checkout; code prints one JSON object, which is returned."""
-    import fraccond
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fraccond.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
@@ -289,45 +281,84 @@ def test_solver_commands_load_no_scipy(tmp_path, command):
 
 
 class TestThreadCapOrdering:
-    """A thread cap reaches only the OpenBLAS copies already loaded.  The
-    interior solves run in numpy's copy, which importing the package loads,
-    so every cap the package opens finds at least that copy, and the run
-    loads no scipy (no copy the cap could have missed)."""
+    """The one-thread scope reaches only the OpenBLAS copies already
+    loaded.  The interior solves run in numpy's copy, which importing the
+    package loads, so every scope a command opens (run's own, and the
+    reduction pool's or the Gauss-Newton fit's inside it) finds at least
+    that copy; the run loads no scipy (no copy a scope could have missed),
+    and the counts are the same after the command as before it."""
 
     COUNT_AT_EACH_SCOPE = (
         _SCIPY_LOADED
         + "from fraccond import _blas\n"
         "import fraccond.cli\n"
         "find = _blas._openblas_copies\n"
+        "def counts():\n"
+        "    return [get() for get, _ in find()]\n"
         "seen = []\n"
         "def recording():\n"
         "    copies = find()\n"
         "    seen.append(len(copies))\n"
         "    return copies\n"
+        "before = counts()\n"
         "_blas._openblas_copies = recording\n"
         "code = fraccond.cli.run(ARGV)\n"
-        "print(json.dumps({'code': code, 'seen': seen, "
-        "'loaded': scipy_loaded()}))\n")
+        "print(json.dumps({'code': code, 'seen': seen, 'before': before, "
+        "'after': counts(), 'loaded': scipy_loaded()}))\n")
 
     def counts(self, argv):
         return fresh_interpreter(
             self.COUNT_AT_EACH_SCOPE.replace("ARGV", repr(argv)))
 
-    def assert_every_scope_capped(self, got):
+    def assert_every_scope_capped(self, got, scopes):
         assert got["code"] == 0
-        assert len(got["seen"]) == 1 and got["seen"][0] >= 1
+        assert len(got["seen"]) == scopes and min(got["seen"]) >= 1
+        assert got["after"] == got["before"]
         assert got["loaded"] == []
 
     def test_invert_gauss_newton_scope(self, tmp_path):
         self.assert_every_scope_capped(self.counts(
             ["invert", "--config", invert_config(tmp_path),
-             "--out", str(tmp_path / "inv")]))
+             "--out", str(tmp_path / "inv")]), 2)
 
     def test_forward_threads_scope(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
         self.assert_every_scope_capped(self.counts(
-            ["forward", "--config", cfg, "--out", str(tmp_path / "fw"),
-             "--threads", "1"]))
+            ["forward", "--config", cfg, "--out", str(tmp_path / "fw")]), 1)
+
+    def test_reduce_pool_scope(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", grid={"N": 32})
+        self.assert_every_scope_capped(self.counts(
+            ["reduce", "--config", cfg, "--out", str(tmp_path / "red")]), 2)
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path):
+    # OpenBLAS starts one thread per CPU unless OPENBLAS_NUM_THREADS (or
+    # OMP_NUM_THREADS) says otherwise, and its round-off follows its thread
+    # count; with every command on one BLAS thread a default run writes
+    # what a run limited to one thread from the start writes
+    runs = {
+        "dn": write_cfg(tmp_path, "dn.json", grid={"N": 1024}, seed=3,
+                        gamma={"profile": "random", "width": 0.15}),
+        "reduce": write_cfg(tmp_path, "red.json", grid={"N": 1000},
+                            gamma={"profile": "random", "width": 0.15}),
+    }
+    default_env = checkout_env()
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        default_env.pop(key, None)
+    envs = {"one": dict(default_env, OPENBLAS_NUM_THREADS="1"),
+            "default": default_env}
+    for command, cfg in runs.items():
+        for name, env in envs.items():
+            subprocess.run([sys.executable, "-m", "fraccond", command,
+                            "--config", cfg, "--out",
+                            str(tmp_path / command / name)],
+                           env=env, check=True, capture_output=True)
+        one, default = tmp_path / command / "one", tmp_path / command / "default"
+        csvs = sorted(p.name for p in one.iterdir() if p.suffix == ".csv")
+        assert csvs
+        for name in csvs:
+            assert (one / name).read_bytes() == (default / name).read_bytes(), name
 
 
 class TestUnreadableInput:
@@ -436,16 +467,13 @@ class TestReduceCommand:
         assert diag["kernel_row_blocks"] == 1
 
     def test_pool_size_moves_no_byte(self, tmp_path, monkeypatch):
-        # the reduction pass on one worker and on two writes the same
-        # table; the pool size is set through the BLAS thread count it
-        # reads, which leaves the interior solves' own thread count alone
+        # the reduction pass on one worker and on two writes the same table
         import fraccond.forward
 
         cfg = write_cfg(tmp_path, "c.json", grid={"N": 1000},
                         gamma={"profile": "random", "width": 0.15})
         for workers in (1, 2):
-            monkeypatch.setattr(fraccond.forward, "blas_thread_count",
-                                lambda: workers)
+            monkeypatch.setattr(fraccond.forward, "MAX_WORKERS", workers)
             out = tmp_path / f"w{workers}"
             assert run(["reduce", "--config", cfg, "--out", str(out)]) == 0
             diag = manifest(out)["diagnostics"]
@@ -455,13 +483,6 @@ class TestReduceCommand:
             == (tmp_path / "w2" / "reduction.csv").read_bytes()
         assert manifest(tmp_path / "w1")["checks"] \
             == manifest(tmp_path / "w2")["checks"]
-
-    def test_threads_1_runs_one_worker(self, tmp_path):
-        cfg = write_cfg(tmp_path, "c.json", grid={"N": 1000})
-        out = tmp_path / "red"
-        assert run(["reduce", "--config", cfg, "--out", str(out),
-                    "--threads", "1"]) == 0
-        assert manifest(out)["diagnostics"]["reduction_workers"] == 1
 
     @pytest.mark.xfail(strict=True, reason=(
         "at s near 1 with a nearly constant gamma the 16 eps (|P_q| + "
@@ -521,6 +542,19 @@ class TestWalkCommand:
         f2 = (out2 / "histogram_0006.csv").read_bytes()
         assert f1 != f2
         assert manifest(out2)["seed"] == 77
+
+    @pytest.mark.parametrize("compare", [True, False])
+    def test_compare_master_is_a_bool(self, tmp_path, compare):
+        conf = dict(self.WALK, task=dict(self.WALK["task"],
+                                         compare_master=compare))
+        cfg = write_cfg(tmp_path, "w.json", **conf)
+        out = tmp_path / "w"
+        assert run(["walk", "--config", cfg, "--out", str(out)]) == 0
+        names = set(os.listdir(out))
+        assert "histogram_0006.csv" in names
+        assert ("master_0006.csv" in names) is compare
+        assert ("transpose_0006.csv" in names) is compare
+        assert ("mc_transpose_tv" in manifest(out)["checks"]) is compare
 
     def test_tv_checks_recorded(self, tmp_path):
         conf = dict(self.WALK)
@@ -642,6 +676,10 @@ class TestNumericConfigValues:
         ("forward", {"frac": {"n": True}}),
         ("forward", {"grid": {"L": True}}),
         ("walk", {"task": {"steps": True}}),
+        ("forward", {"gamma": []}),
+        ("forward", {"gamma": None}),
+        ("walk", {"task": {"compare_master": "no"}}),
+        ("walk", {"task": {"compare_master": 0}}),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)
@@ -669,6 +707,15 @@ class TestNumericConfigValues:
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_output_dir_not_a_string_exit_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        # without --out the config's output_dir names the directory
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, "c.json", output_dir=5)
+        assert run(["forward", "--config", cfg]) == 2
+        assert "output_dir must be a string" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", grid={"N": 32.0}, frac={"n": 1.0},

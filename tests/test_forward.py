@@ -6,7 +6,6 @@ from fraccond.forward import (
     SolverError,
     _row_blocks,
     assemble_dn,
-    assemble_dn_schrodinger,
     dn_from_operator,
     dn_gap,
     factor_interior,
@@ -30,7 +29,7 @@ from fraccond.profiles import (
     random_admissible_m,
 )
 
-from oracles import dn_pointwise
+from oracles import assemble_dn_schrodinger, dn_pointwise
 
 
 def grid128():
@@ -491,7 +490,7 @@ class TestRowBlocks:
         # every block writes only its own slices and the maxima are
         # combined in block order, so the worker count moves no bit; at
         # both sizes the last block is partial and a block boundary falls
-        # inside omega.  Five workers (more than the CPUs, the cap lifted)
+        # inside omega.  Five workers (MAX_WORKERS raised past the CPUs)
         # under a short switch interval would expose a write to a shared
         # slice or buffer
         import dataclasses
@@ -506,14 +505,12 @@ class TestRowBlocks:
         assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
         I = g.interior_idx
         assert any(I[0] < lo <= I[-1] for lo, _ in blocks)
-        monkeypatch.setattr(fraccond.forward, "MAX_WORKERS", 8)
         checks, q = {}, {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 5):
-                monkeypatch.setattr(fraccond.forward, "blas_thread_count",
-                                    lambda: workers)
+                monkeypatch.setattr(fraccond.forward, "MAX_WORKERS", workers)
                 checks[workers] = verify_reduction(g, fp, gam, f, v)
                 q[workers] = liouville_reduce(g, fp, gam).values
         finally:
@@ -576,42 +573,11 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert peak < 12e6
 
-    def test_peak_memory_bounded_on_many_cpus(self, monkeypatch):
-        # each worker holds its own block buffers, so the pool stops at
-        # MAX_WORKERS however many threads BLAS allows: on an 8-CPU host
-        # both streamed checks keep the bounds of the two tests above
-        import tracemalloc
-
-        import fraccond.forward
-
-        monkeypatch.setattr(fraccond.forward, "blas_thread_count", lambda: 8)
-        g = Grid(L=1.0, N=4096, a=-0.15, b=0.15)
-        gam = make_conductivity(g, random_admissible_m(seed=1, amplitude=0.3,
-                                                       width=0.15))
-        f, v = gap_data(g)
-        tracemalloc.start()
-        try:
-            check = verify_reduction(g, FracParams(0.5), gam, f, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert check.workers == fraccond.forward.MAX_WORKERS == 2
-        assert peak < 24e6
-
-        g, gam = reduction_case(4096, "random")
-        tracemalloc.start()
-        try:
-            liouville_reduce(g, FracParams(0.5), gam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12e6
-
 
 class TestDnEvaluator:
-    """assemble_dn_schrodinger runs the DN evaluator on the Laplacian with
-    diag(q_I); the DN matrix of the full Schroedinger matrix is the
-    reference."""
+    """The oracle assemble_dn_schrodinger runs the package's DN evaluator
+    on the Laplacian with diag(q_I); the DN matrix of the full Schroedinger
+    matrix is the reference."""
 
     @staticmethod
     def sets(g, which):

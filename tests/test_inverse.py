@@ -13,7 +13,6 @@ from fraccond.forward import (
     SolverError,
     _DnEvaluator,
     assemble_dn,
-    assemble_dn_schrodinger,
     liouville_reduce,
 )
 from fraccond.inverse import (
@@ -28,7 +27,7 @@ from fraccond.inverse import (
 from fraccond.operators import Conductivity, assemble_laplacian
 from fraccond.profiles import bump_m, make_conductivity, profile_from_name
 
-from oracles import forward_and_jacobian
+from oracles import assemble_dn_schrodinger, forward_and_jacobian
 
 
 def inverse_grid(N=64):
@@ -563,30 +562,17 @@ class TestFactorCount:
 
 
 class TestOneBlasThread:
-    """The Gauss-Newton loop runs on one BLAS thread and restores the
+    """The Gauss-Newton loop runs on one BLAS thread of its own, for
+    callers outside the CLI's one-thread scope too, and restores the
     process's thread counts; only the summation order changes."""
 
     @staticmethod
     def blas_counts():
         return [get() for get, _ in _blas._openblas_copies()]
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_same_fit_as_uncapped(self, monkeypatch, seed):
-        observed, g, fp = panel_data(seed)
-        before = self.blas_counts()
-        capped = reconstruct_gamma(observed, g, fp)
-        assert self.blas_counts() == before
-        monkeypatch.setattr(inverse, "blas_threads",
-                            lambda n: contextlib.nullcontext())
-        free = reconstruct_gamma(observed, g, fp)
-        assert capped.blas_threads == 1 and free.blas_threads is None
-        assert capped.stop_reason == free.stop_reason
-        assert len(capped.iterations) == len(free.iterations)
-        assert len(capped.residual_history) == len(free.residual_history)
-        assert np.max(np.abs(capped.gamma.values - free.gamma.values)) <= 1e-8
-
-    def test_single_measurement_fit_capped(self, monkeypatch):
-        before = self.blas_counts()
+    def record_step_counts(self, monkeypatch) -> list:
+        """Patch the Gauss-Newton step to record the BLAS thread counts it
+        runs at; returns the list it appends to."""
         inside = []
         step = _NormalEquations.step
 
@@ -595,8 +581,30 @@ class TestOneBlasThread:
             return step(ne, q, lam)
 
         monkeypatch.setattr(_NormalEquations, "step", recording)
-        rep = single_measurement_report()
-        assert rep.blas_threads == 1
+        return inside
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_fit_as_uncapped(self, monkeypatch, seed):
+        observed, g, fp = panel_data(seed)
+        before = self.blas_counts()
+        inside = self.record_step_counts(monkeypatch)
+        capped = reconstruct_gamma(observed, g, fp)
+        assert inside and all(c == [1] * len(before) for c in inside)
+        assert self.blas_counts() == before
+        monkeypatch.setattr(inverse, "one_blas_thread",
+                            contextlib.nullcontext)
+        inside.clear()
+        free = reconstruct_gamma(observed, g, fp)
+        assert inside and all(c == before for c in inside)
+        assert capped.stop_reason == free.stop_reason
+        assert len(capped.iterations) == len(free.iterations)
+        assert len(capped.residual_history) == len(free.residual_history)
+        assert np.max(np.abs(capped.gamma.values - free.gamma.values)) <= 1e-8
+
+    def test_single_measurement_fit_capped(self, monkeypatch):
+        before = self.blas_counts()
+        inside = self.record_step_counts(monkeypatch)
+        single_measurement_report()
         assert inside and all(c == [1] * len(before) for c in inside)
         assert self.blas_counts() == before
 
