@@ -2,22 +2,25 @@
 
 Subcommands: forward | dn | reduce | invert | walk | limits.
 Every command reads a JSON config (schema fraccond-config-v1, shipped as
-config_schema_v1.json next to this module), writes CSV outputs and an
-atomically written manifest.json that echoes the config, records per-check
-pass/fail values and, under "diagnostics", how the run went (whether BLAS
-ran on one thread, the inversion's stop reason, the reduction pass's row
-blocks, workers and DN pairings).  Every CSV value is %.17g
+config_schema_v1.json next to this module).  The commands compute and
+write nothing: each returns its tables, checks and diagnostics.  run()
+writes: every table as a CSV, then an atomically written manifest.json
+that echoes the config, records per-check pass/fail values and, under
+"diagnostics", how the run went (whether BLAS ran on one thread, the
+inversion's stop reason, the reduction pass's row blocks, workers and DN
+pairings).  A command that fails writes no CSV.  Every CSV value is %.17g
 (up to 17 significant digits, trailing zeros dropped): _write_csv hands a
 2-D table to the package's own formatter (fraccond._csv), whose files are
 byte for byte those of np.savetxt at that format, and which formats a
 value by "%.17g" itself where its exact integer route does not apply.
 
-Exit codes: 0 success, 2 config error (also an input CSV that is not a
-numeric table of the expected shape), 3 I/O error, 4 numerical failure.
-Re-running a command with identical config and seed reproduces every data
-file byte-for-byte (the manifest's wall_clock_s field, a perf_counter
-duration, is the only non-reproducible output), with the same numpy build
-on the same CPU type.
+Exit codes, all mapped in run(): 0 success, 2 config error (also an input
+CSV that is not a numeric table of the expected shape), 3 I/O error (also
+a CSV or manifest write), 4 numerical failure (also an allocation that
+numpy refuses) or a failed check.  Re-running a command with identical
+config and seed reproduces every data file byte-for-byte (the manifest's
+wall_clock_s field, a perf_counter duration, is the only non-reproducible
+output), with the same numpy build on the same CPU type.
 
 The package needs numpy alone and imports no scipy module.  The interior
 solves run in numpy's LAPACK, so numpy's bundled OpenBLAS runs every BLAS
@@ -112,9 +115,16 @@ def load_config(path: str, command: str) -> dict:
     _reject_unknown(cfg.get("gamma", {}), _GAMMA_KEYS, "block 'gamma'")
     _reject_unknown(cfg.get("task", {}), _TASK_KEYS[command],
                     f"task block for {command!r}")
-    if not isinstance(cfg.get("output_dir", ""), str):
-        raise ConfigError("output_dir must be a string")
+    _path(cfg.get("output_dir", "."), "output_dir")
     return cfg
+
+
+def _path(value, where: str) -> str:
+    """A path from the config; a value that is not a JSON string is a
+    config error that names the key."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, not {value!r}")
+    return value
 
 
 def build_grid(cfg: dict) -> Grid:
@@ -173,16 +183,21 @@ def build_gamma(cfg: dict, grid: Grid, seed: int) -> Conductivity:
     name = gblock.get("profile")
     if name is None:
         raise ConfigError("gamma.profile is required")
+    params = set(gblock) - {"profile"}
+    # from-file reads only the path; every other profile's keys are checked
+    # against its function by profile_from_name
+    unread = params - {"path"} if name == "from-file" else params & {"path"}
+    if unread:
+        raise ConfigError(f"gamma: profile {name!r} does not read "
+                          f"{sorted(unread)}")
     if name == "from-file":
-        path = gblock.get("path")
-        if path is None:
+        if "path" not in gblock:
             raise ConfigError("gamma.path is required for profile 'from-file'")
+        path = _path(gblock["path"], "gamma.path")
         m = np.sqrt(_read_gamma_column(path, grid)) - 1.0
         m[grid.exterior_idx] = 0.0
         return Conductivity.from_m(grid, m)
-    shape = {k: _number(gblock[k], float, f"gamma.{k}")
-             for k in ("amplitude", "center", "width", "separation")
-             if k in gblock}
+    shape = {k: _number(gblock[k], float, f"gamma.{k}") for k in sorted(params)}
     try:
         m_fn = profile_from_name(name, seed=seed, **shape)
         return make_conductivity(grid, m_fn)
@@ -238,10 +253,15 @@ def _write_manifest(outdir: str, command: str, cfg: dict, seed: int,
     }
     path = os.path.join(outdir, "manifest.json")
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return path
 
 
@@ -259,11 +279,12 @@ def _exterior_set(grid: Grid, selector, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- commands
-# Each command returns (files, checks, diagnostics): the files it wrote,
-# pass/fail checks, and facts about the run that carry no verdict.
+# Each command takes (task, grid, fp, gamma, seed) and returns (tables,
+# checks, diagnostics): the tables, each file name mapped to (header, rows),
+# which run() writes; pass/fail checks; and facts about the run that carry
+# no verdict.  A command writes nothing itself.
 
-def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
-    task = cfg.get("task", {})
+def cmd_forward(task, grid, fp, gamma, seed):
     src = task.get("source", {"type": "zero"})
     if not isinstance(src, dict):
         raise ConfigError("task.source must be an object {type, ...}")
@@ -292,39 +313,35 @@ def cmd_forward(cfg, grid, fp, gamma, seed, outdir):
     resid = float(np.max(np.abs((op.matrix @ u)[I]))) if I.size else 0.0
     scale = float(np.max(np.abs(op.matrix)) * max(np.max(np.abs(u)), 1e-300))
     rel = resid / scale
-    files = [_write_csv(os.path.join(outdir, "solution.csv"), "x,u",
-                        np.column_stack((grid.nodes, u)))]
+    tables = {"solution.csv": ("x,u", np.column_stack((grid.nodes, u)))}
     checks = {"interior_residual": {"value": rel, "pass": bool(rel <= 1e-10),
                                     "criterion": "<= 1e-10 relative"}}
-    return files, checks, {}
+    return tables, checks, {}
 
 
-def cmd_dn(cfg, grid, fp, gamma, seed, outdir):
-    task = cfg.get("task", {})
+def cmd_dn(task, grid, fp, gamma, seed):
     W1 = _exterior_set(grid, task.get("W1"), "W1")
     W2 = _exterior_set(grid, task.get("W2"), "W2")
     M = assemble_dn(grid, fp, gamma, W1, W2)
-    files = [
-        _write_csv(os.path.join(outdir, "dn_matrix.csv"),
-                   ",".join(f"src{k}" for k in W1), M.matrix),
-        _write_csv(os.path.join(outdir, "dn_sources.csv"), "index,x",
-                   np.column_stack((W1.astype(float), grid.nodes[W1]))),
-        _write_csv(os.path.join(outdir, "dn_observations.csv"), "index,x",
-                   np.column_stack((W2.astype(float), grid.nodes[W2]))),
-        _write_csv(os.path.join(outdir, "gamma.csv"), "x,gamma,m",
-                   np.column_stack((grid.nodes, gamma.values,
-                                    gamma.m_values))),
-    ]
+    tables = {
+        "dn_matrix.csv": (",".join(f"src{k}" for k in W1), M.matrix),
+        "dn_sources.csv": ("index,x", np.column_stack((W1.astype(float),
+                                                       grid.nodes[W1]))),
+        "dn_observations.csv": ("index,x", np.column_stack((W2.astype(float),
+                                                            grid.nodes[W2]))),
+        "gamma.csv": ("x,gamma,m", np.column_stack((grid.nodes, gamma.values,
+                                                    gamma.m_values))),
+    }
     checks = {}
     if np.array_equal(W1, W2):
         asym = float(np.max(np.abs(M.matrix - M.matrix.T))
                      / max(np.max(np.abs(M.matrix)), 1e-300))
         checks["dn_symmetry"] = {"value": asym, "pass": bool(asym <= 1e-10),
                                  "criterion": "<= 1e-10 relative"}
-    return files, checks, {}
+    return tables, checks, {}
 
 
-def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
+def cmd_reduce(task, grid, fp, gamma, seed):
     E = grid.exterior_idx
     f = np.zeros(grid.N)
     v = np.zeros(grid.N)
@@ -338,9 +355,8 @@ def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
     # of their size, stays when right shrinks with gamma - 1
     floor = 16 * np.finfo(float).eps * (abs(check.pairing_q)
                                         + abs(check.pairing_gamma))
-    files = [_write_csv(os.path.join(outdir, "reduction.csv"),
-                        "reduction_residual,dn_gap_left,dn_gap_right",
-                        [[resid, left, right]])]
+    tables = {"reduction.csv": ("reduction_residual,dn_gap_left,dn_gap_right",
+                                [[resid, left, right]])}
     checks = {
         "reduction_residual": {"value": resid, "pass": bool(resid <= 1e-10),
                                "criterion": "<= 1e-10 relative to matrix scale"},
@@ -349,17 +365,19 @@ def cmd_reduce(cfg, grid, fp, gamma, seed, outdir):
             "criterion": "left = right to 1e-9 relative, plus a round-off "
                          "floor of 16 eps (|P_q| + |P_gamma|)"},
     }
-    return files, checks, {"kernel_row_blocks": check.blocks,
-                           "reduction_workers": check.workers,
-                           "dn_pairing_q": check.pairing_q,
-                           "dn_pairing_gamma": check.pairing_gamma}
+    return tables, checks, {"kernel_row_blocks": check.blocks,
+                            "reduction_workers": check.workers,
+                            "dn_pairing_q": check.pairing_q,
+                            "dn_pairing_gamma": check.pairing_gamma}
 
 
-def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
-    task = cfg.get("task", {})
-    obs_path = task.get("observed_dn")
-    if obs_path is None:
+def cmd_invert(task, grid, fp, gamma, seed):
+    if "observed_dn" not in task:
         raise ConfigError("task.observed_dn is required for invert")
+    obs_path = _path(task["observed_dn"], "task.observed_dn")
+    truth_path = task.get("truth_gamma")
+    if truth_path is not None:
+        truth_path = _path(truth_path, "task.truth_gamma")
     settings = {key: _number(task[key], convert, f"task.{key}")
                 for key, convert in (("reg_lambda", float), ("max_iter", int),
                                      ("tol", float), ("step_damping", float))
@@ -373,26 +391,24 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
     if matrix.shape != (E.size, E.size):
         raise ConfigError(f"{obs_path}: observed DN matrix shape does not "
                           "match the exterior node set of this grid")
-    truth_path = task.get("truth_gamma")
     truth = None if truth_path is None else _read_gamma_column(truth_path, grid)
     observed = DnMatrix(E, E, matrix)
     report = reconstruct_gamma(observed, grid, fp, inv_cfg)
     its = report.iterations
-    files = [
-        _write_csv(os.path.join(outdir, "recovered_gamma.csv"), "x,gamma,m,q",
-                   np.column_stack((grid.nodes, report.gamma.values, report.m,
-                                    report.q.values))),
-        _write_csv(os.path.join(outdir, "iterations.csv"),
-                   "iteration,residual,step_length,trials,lambda,objective,"
-                   "data_residual",
-                   np.column_stack((np.arange(len(its), dtype=float),
-                                    report.residual_history,
-                                    [it.step_length for it in its],
-                                    [float(it.trials) for it in its],
-                                    np.full(len(its), report.lambda_used),
-                                    [it.objective for it in its],
-                                    [it.data_residual for it in its]))),
-    ]
+    tables = {
+        "recovered_gamma.csv": ("x,gamma,m,q", np.column_stack((
+            grid.nodes, report.gamma.values, report.m, report.q.values))),
+        "iterations.csv": (
+            "iteration,residual,step_length,trials,lambda,objective,"
+            "data_residual",
+            np.column_stack((np.arange(len(its), dtype=float),
+                             report.residual_history,
+                             [it.step_length for it in its],
+                             [float(it.trials) for it in its],
+                             np.full(len(its), report.lambda_used),
+                             [it.objective for it in its],
+                             [it.data_residual for it in its]))),
+    }
     hist = report.residual_history
     monotone = all(a >= b for a, b in zip(hist, hist[1:]))
     checks = {
@@ -410,11 +426,10 @@ def cmd_invert(cfg, grid, fp, gamma, seed, outdir):
                     / np.max(np.abs(truth)))
         checks["recovery_error"] = {"value": err, "pass": bool(err <= 0.01),
                                     "criterion": "<= 1% Linf vs truth"}
-    return files, checks, {"stop_reason": report.stop_reason}
+    return tables, checks, {"stop_reason": report.stop_reason}
 
 
-def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
-    task = cfg.get("task", {})
+def cmd_walk(task, grid, fp, gamma, seed):
     K = task.get("K")
     K = None if K is None else _number(K, int, "task.K")
     try:
@@ -441,8 +456,8 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
         _, hist = simulate(ens, wp, steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    files = [_write_csv(os.path.join(outdir, f"histogram_{steps:04d}.csv"),
-                        "x,density", np.column_stack((grid.nodes, hist)))]
+    tables = {f"histogram_{steps:04d}.csv":
+              ("x,density", np.column_stack((grid.nodes, hist)))}
     checks = {
         "tail_mass_fraction": {"value": truncation_tail_mass(wp),
                                "pass": True,
@@ -458,17 +473,16 @@ def cmd_walk(cfg, grid, fp, gamma, seed, outdir):
         for _ in range(steps):
             v = q_master_step(v, wp)
             u = master_step(u, wp)
-        files.append(_write_csv(os.path.join(outdir, f"master_{steps:04d}.csv"),
-                                "x,density", np.column_stack((grid.nodes, u))))
-        files.append(_write_csv(os.path.join(outdir,
-                                             f"transpose_{steps:04d}.csv"),
-                                "x,density", np.column_stack((grid.nodes, v))))
+        tables[f"master_{steps:04d}.csv"] = (
+            "x,density", np.column_stack((grid.nodes, u)))
+        tables[f"transpose_{steps:04d}.csv"] = (
+            "x,density", np.column_stack((grid.nodes, v)))
         bound = _mc_tv_bound(v, particles)
         checks["mc_transpose_tv"] = _tv_check(hist, v, bound, particles)
         if np.all(gamma.m_values == 0.0):
             checks["mc_master_tv"] = _tv_check(hist, u, bound, particles,
                                                " (constant gamma)")
-    return files, checks, {}
+    return tables, checks, {}
 
 
 def _mc_tv_bound(v: np.ndarray, particles: int) -> float:
@@ -488,8 +502,7 @@ def _tv_check(hist, ref, bound, particles, note=""):
                          f"expected sampling TV at {particles} particles){note}"}
 
 
-def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
-    task = cfg.get("task", {})
+def cmd_limits(task, grid, fp, gamma, seed):
     study = task.get("study", "all")
     s_list = task.get("s_list", [0.6, 0.8, 0.9, 0.95])
     if not (isinstance(s_list, list) and s_list):
@@ -497,23 +510,22 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
     s_list = [_check_order(s, "task.s_list entry").s for s in s_list]
     if study not in ("grad", "bilinear", "operator", "decay", "all"):
         raise ConfigError("task.study must be grad|bilinear|operator|decay|all")
-    files, checks = [], {}
+    tables, checks = {}, {}
     u_fn = gaussian(0.0, 1.0)
     m_fn = bump_m(0.3, 0.0, (grid.b - grid.a) / 2.0)
 
-    def write_study(name, st):
-        files.append(_write_csv(
-            os.path.join(outdir, f"limit_{name}.csv"),
+    def study_table(name, st):
+        tables[f"limit_{name}.csv"] = (
             "s,value,reference,gap,n_used,converged",
             np.column_stack(([r.s for r in st.rows],
                              [r.value for r in st.rows],
                              [r.reference for r in st.rows],
                              [r.gap for r in st.rows],
                              [float(r.n_used) for r in st.rows],
-                             [float(r.converged) for r in st.rows]))))
+                             [float(r.converged) for r in st.rows])))
 
     def dump(name, st):
-        write_study(name, st)
+        study_table(name, st)
         gaps = st.gaps()
         mono = all(a >= b for a, b in zip(gaps, gaps[1:]))
         checks[f"{name}_gap_monotone"] = {
@@ -528,7 +540,7 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
                                   L=grid.L, omega=(grid.a, grid.b))
         dump("bilinear", st)
     if study in ("operator", "all"):
-        write_study("operator", operator_limit_check(
+        study_table("operator", operator_limit_check(
             m_fn, u_fn, s_list, L=grid.L, omega=(grid.a, grid.b)))
     if study in ("decay", "all"):
         ub = bump_m(1.0, grid.L / 20.0, grid.L / 3.0)
@@ -538,15 +550,15 @@ def cmd_limits(cfg, grid, fp, gamma, seed, outdir):
                              + (y - grid.L / 10.0) ** 2)) / 0.5)
 
         vals = gradient_distributional_decay(ub, t_fn, s_list, L=grid.L / 2.0)
-        files.append(_write_csv(os.path.join(outdir, "limit_decay.csv"),
-                                "s,pairing", np.column_stack((s_list, vals))))
+        tables["limit_decay.csv"] = ("s,pairing",
+                                     np.column_stack((s_list, vals)))
         mags = np.abs(vals)
         dec = bool(mags[-1] <= 0.5 * mags[0])
         checks["decay_halving"] = {
             "value": float(mags[-1] / mags[0]) if mags[0] else 0.0,
             "pass": dec,
             "criterion": "final pairing magnitude <= 0.5 x first"}
-    return files, checks, {}
+    return tables, checks, {}
 
 
 _COMMANDS = {
@@ -586,32 +598,30 @@ def run(argv=None) -> int:
                 else args.seed)
         gamma = build_gamma(cfg, grid, seed)
         outdir = args.out or cfg.get("output_dir", ".")
-    except OSError as exc:
-        print(f"fraccond: I/O error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"fraccond: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        os.makedirs(outdir, exist_ok=True)
         with one_blas_thread() as capped:
-            os.makedirs(outdir, exist_ok=True)
-            files, checks, run_info = _COMMANDS[args.command](
-                cfg, grid, fp, gamma, seed, outdir)
+            tables, checks, run_info = _COMMANDS[args.command](
+                cfg.get("task", {}), grid, fp, gamma, seed)
+            files = [_write_csv(os.path.join(outdir, name), header, table)
+                     for name, (header, table) in tables.items()]
+            _write_manifest(outdir, args.command, cfg, seed, checks,
+                            {"blas_threads": 1 if capped else None,
+                             **run_info}, files, t0)
     except ConfigError as exc:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"fraccond: I/O error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"fraccond: {args.command}: out of memory: "
+              f"{str(exc) or 'allocation refused'}", file=sys.stderr)
+        return 4
     except (SolverError, ReconstructionError, FloatingPointError) as exc:
         print(f"fraccond: {args.command}: numerical failure: {exc}",
               file=sys.stderr)
         return 4
 
-    diagnostics = {"blas_threads": 1 if capped else None, **run_info}
-    files.append(_write_manifest(outdir, args.command, cfg, seed, checks,
-                                 diagnostics, files, t0))
     failed = [k for k, v in checks.items() if not v["pass"]]
     for k, v in checks.items():
         print(f"{k}: {'PASS' if v['pass'] else 'FAIL'} ({v['value']})")

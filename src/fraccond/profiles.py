@@ -7,6 +7,8 @@ enforces compact support inside omega by zeroing exterior nodes.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .core import Grid
@@ -81,22 +83,27 @@ def make_conductivity(grid: Grid, m_fn, lower: float | None = None,
     return Conductivity.from_m(grid, m, lower, upper)
 
 
-def profile_from_name(name: str, **kw):
-    """CLI-facing registry: constant | bump | double-bump | random."""
-    if name == "constant":
-        return constant_m()
-    if name == "bump":
-        return bump_m(kw.get("amplitude", 0.3), kw.get("center", 0.0),
-                      kw.get("width", 0.3))
-    if name == "double-bump":
-        return double_bump_m(kw.get("amplitude", 0.25), kw.get("separation", 0.45),
-                             kw.get("width", 0.18), kw.get("center", 0.0))
-    if name == "random":
-        return random_admissible_m(int(kw.get("seed", 0)),
-                                   kw.get("amplitude", 0.25),
-                                   kw.get("center", 0.0),
-                                   kw.get("width", 0.35))
-    raise ValueError(f"unknown gamma profile {name!r}")
+_PROFILES = {"constant": constant_m, "bump": bump_m,
+             "double-bump": double_bump_m, "random": random_admissible_m}
+
+
+def profile_from_name(name: str, seed: int = 0, **shape):
+    """CLI-facing registry: constant | bump | double-bump | random.
+
+    `shape` holds keyword arguments of the profile's function, whose
+    signature carries the defaults; a keyword it does not take raises
+    ValueError naming the key and the profile.  `seed` reaches only the
+    profiles that draw one (random)."""
+    fn = _PROFILES.get(name) if isinstance(name, str) else None
+    if fn is None:
+        raise ValueError(f"unknown gamma profile {name!r}")
+    params = inspect.signature(fn).parameters
+    unread = sorted(set(shape) - set(params))
+    if unread:
+        raise ValueError(f"profile {name!r} does not read {unread}")
+    if "seed" in params:
+        shape["seed"] = int(seed)
+    return fn(**shape)
 
 
 def gaussian(center: float = 0.0, sigma: float = 1.0):

@@ -24,6 +24,11 @@ def write_cfg(tmp_path, name, **overrides):
     cfg = json.loads(json.dumps(BASE))
     for key, val in overrides.items():
         if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            if key == "gamma" and val.get("profile") in ("constant",
+                                                         "from-file"):
+                # these profiles read none of BASE's bump shape keys, and
+                # a profile rejects a key it does not read
+                cfg[key] = {}
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -387,6 +392,57 @@ class TestUnreadableInput:
         self.assert_io_error(code, capsys, folder)
 
 
+class TestFailureLeavesNoOutput:
+    """run() writes the CSVs and the manifest after the command returns, so
+    a failing command writes neither, and a failed write is an I/O error:
+    exit 3 with a one-line message."""
+
+    def test_manifest_write_error_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "fw"
+        (out / "manifest.json").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, "c.json")
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "I/O error" in err and len(err.strip().splitlines()) == 1
+        assert not (out / "manifest.json.tmp").exists()
+
+    def test_csv_write_error_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "fw"
+        (out / "solution.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path, "c.json")
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "solution.csv" in err and len(err.strip().splitlines()) == 1
+        assert not (out / "manifest.json").exists()
+
+    def test_memory_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a refused allocation, raised as numpy raises it; no oversize array
+        # is allocated here, since an overcommitting host may grant one
+        def refused(*args):
+            raise MemoryError("Unable to allocate 671. GiB for an array with "
+                              "shape (300000, 300000) and data type float64")
+
+        monkeypatch.setitem(cli._COMMANDS, "forward", refused)
+        cfg = write_cfg(tmp_path, "c.json")
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "out of memory" in err and len(err.strip().splitlines()) == 1
+        assert os.listdir(out) == []
+
+    def test_walk_failing_after_its_histogram_writes_nothing(
+            self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise FloatingPointError("overflow in the master step")
+
+        monkeypatch.setattr(cli, "master_step", failing)
+        cfg = write_cfg(tmp_path, "w.json",
+                        task={"K": 8, "steps": 2, "particles": 1000})
+        out = tmp_path / "walk"
+        assert run(["walk", "--config", cfg, "--out", str(out)]) == 4
+        assert os.listdir(out) == []
+
+
 class TestMalformedInputCsv:
     """An input CSV that is not a numeric table of the expected shape is a
     config error (exit 2) with a one-line message naming the file."""
@@ -708,6 +764,47 @@ class TestNumericConfigValues:
         assert "config error" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("gamma,key", [
+        ({"profile": "bump", "separation": 3.0}, "separation"),
+        ({"profile": "random", "separation": 0.4}, "separation"),
+        ({"profile": "bump", "path": "nonexist"}, "path"),
+        ({"profile": "double-bump", "path": "gamma.csv"}, "path"),
+        ({"profile": "constant", "amplitude": 0.3}, "amplitude"),
+        ({"profile": "constant", "width": 0.1}, "width"),
+        ({"profile": "from-file", "path": "gamma.csv", "center": 0.0},
+         "center"),
+    ])
+    def test_key_the_profile_does_not_read_exit_2(self, tmp_path, capsys,
+                                                  gamma, key):
+        cfg = write_cfg(tmp_path, "c.json", gamma=gamma)
+        out = tmp_path / "o"
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert repr(key) in err and repr(gamma["profile"]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,overrides,key", [
+        ("invert", {"task": {"observed_dn": ["a"]}}, "task.observed_dn"),
+        ("invert", {"task": {"observed_dn": 5}}, "task.observed_dn"),
+        ("invert", {"task": {"observed_dn": "missing/dn.csv",
+                             "truth_gamma": {"file": "g.csv"}}},
+         "task.truth_gamma"),
+        ("forward", {"gamma": {"profile": "from-file", "path": 5}},
+         "gamma.path"),
+        ("forward", {"gamma": {"profile": "from-file", "path": ["g.csv"]}},
+         "gamma.path"),
+    ])
+    def test_path_not_a_string_exit_2(self, tmp_path, capsys, command,
+                                      overrides, key):
+        cfg = write_cfg(tmp_path, "c.json", **overrides)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be a string" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "manifest.json").exists()
+
     def test_output_dir_not_a_string_exit_2(self, tmp_path, capsys,
                                             monkeypatch):
         # without --out the config's output_dir names the directory
@@ -745,15 +842,27 @@ class TestDeterministicReruns:
         ("forward", {"task": {"source": {"type": "gaussian"}}}),
         ("dn", {}),
         ("reduce", {}),
+        ("walk", {"task": {"K": 8, "steps": 5, "particles": 20000}}),
+        ("limits", {"grid": {"L": 12.0, "omega": [-4.0, 4.0]},
+                    "task": {"s_list": [0.6, 0.95]}}),
+        # the observed data of a dn run of BASE, made in the test
+        ("invert", {"gamma": {"profile": "constant"},
+                    "task": {"observed_dn": "dn/dn_matrix.csv"}}),
     ])
-    def test_data_files_reproduce(self, tmp_path, command, extra):
+    def test_data_files_reproduce(self, tmp_path, monkeypatch, command,
+                                  extra):
+        monkeypatch.chdir(tmp_path)
+        if command == "invert":
+            assert run(["dn", "--config", write_cfg(tmp_path, "dn.json"),
+                        "--out", "dn"]) == 0
         cfg = write_cfg(tmp_path, "c.json", **extra)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run([command, "--config", cfg, "--out", str(out1)]) == 0
         assert run([command, "--config", cfg, "--out", str(out2)]) == 0
-        for name in os.listdir(out1):
-            if name.endswith(".csv"):
-                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        csvs = [name for name in os.listdir(out1) if name.endswith(".csv")]
+        assert csvs and sorted(csvs) == manifest(out1)["outputs"]
+        for name in csvs:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_wall_clock_is_a_monotonic_duration(self, tmp_path, monkeypatch):
         # a system clock stepped back by an hour per reading during the run

@@ -55,6 +55,19 @@ def test_registry_and_unknown_profile():
         profile_from_name("sawtooth")
 
 
+def test_registry_takes_each_profiles_own_keywords_and_defaults():
+    x = np.linspace(-1, 1, 201)
+    assert np.array_equal(profile_from_name("bump")(x), bump_m()(x))
+    assert np.array_equal(profile_from_name("random", seed=4)(x),
+                          random_admissible_m(4)(x))
+    # the seed reaches only the profile that draws one
+    assert np.array_equal(profile_from_name("bump", seed=4)(x), bump_m()(x))
+    for name, key in (("bump", "separation"), ("constant", "amplitude"),
+                      ("random", "separation")):
+        with pytest.raises(ValueError, match=f"{name}.*{key}"):
+            profile_from_name(name, **{key: 0.1})
+
+
 def test_gaussian_field():
     u = gaussian(1.0, 2.0)
     assert u(np.array([1.0]))[0] == 1.0
