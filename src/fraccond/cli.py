@@ -8,7 +8,10 @@ writes: every table as a CSV, then an atomically written manifest.json
 that echoes the config, records per-check pass/fail values and, under
 "diagnostics", how the run went (whether BLAS ran on one thread, the
 inversion's stop reason, the reduction pass's row blocks, workers and DN
-pairings).  A command that fails writes no CSV.  Every CSV value is %.17g
+pairings, the walk's jump cutoff and tail mass).  run() creates the output
+directory only once the command has returned, so a command that fails
+leaves nothing behind, and a write that fails removes the CSVs this run
+wrote.  Every CSV value is %.17g
 (up to 17 significant digits, trailing zeros dropped): _write_csv hands a
 2-D table to the package's own formatter (fraccond._csv), whose files are
 byte for byte those of np.savetxt at that format, and which formats a
@@ -458,11 +461,7 @@ def cmd_walk(task, grid, fp, gamma, seed):
         raise ConfigError(str(exc)) from None
     tables = {f"histogram_{steps:04d}.csv":
               ("x,density", np.column_stack((grid.nodes, hist)))}
-    checks = {
-        "tail_mass_fraction": {"value": truncation_tail_mass(wp),
-                               "pass": True,
-                               "criterion": "reported (truncation at K)"},
-    }
+    checks = {}
     if compare:
         # the simulator realizes the row-normalized transpose kernel; that is
         # its deterministic counterpart for any gamma, and it coincides with
@@ -482,7 +481,8 @@ def cmd_walk(task, grid, fp, gamma, seed):
         if np.all(gamma.m_values == 0.0):
             checks["mc_master_tv"] = _tv_check(hist, u, bound, particles,
                                                " (constant gamma)")
-    return tables, checks, {}
+    return tables, checks, {"jump_cutoff": wp.K,
+                            "tail_mass_fraction": truncation_tail_mass(wp)}
 
 
 def _mc_tv_bound(v: np.ndarray, particles: int) -> float:
@@ -597,16 +597,23 @@ def run(argv=None) -> int:
         seed = (_number(cfg.get("seed", 0), int, "seed") if args.seed is None
                 else args.seed)
         gamma = build_gamma(cfg, grid, seed)
-        outdir = args.out or cfg.get("output_dir", ".")
-        os.makedirs(outdir, exist_ok=True)
         with one_blas_thread() as capped:
             tables, checks, run_info = _COMMANDS[args.command](
                 cfg.get("task", {}), grid, fp, gamma, seed)
-            files = [_write_csv(os.path.join(outdir, name), header, table)
-                     for name, (header, table) in tables.items()]
-            _write_manifest(outdir, args.command, cfg, seed, checks,
-                            {"blas_threads": 1 if capped else None,
-                             **run_info}, files, t0)
+            outdir = args.out or cfg.get("output_dir", ".")
+            os.makedirs(outdir, exist_ok=True)
+            files = []
+            try:
+                for name, (header, table) in tables.items():
+                    files.append(_write_csv(os.path.join(outdir, name),
+                                            header, table))
+                _write_manifest(outdir, args.command, cfg, seed, checks,
+                                {"blas_threads": 1 if capped else None,
+                                 **run_info}, files, t0)
+            except BaseException:
+                for path in files:
+                    os.remove(path)
+                raise
     except ConfigError as exc:
         print(f"fraccond: config error: {exc}", file=sys.stderr)
         return 2

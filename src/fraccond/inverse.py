@@ -8,10 +8,15 @@ with Tikhonov weight; (2) solve the linear Dirichlet problem
 
 and set gamma = (1 + m)^2.
 
-Step (1) is one private fit, _fit_potential, which every entry point calls
-directly: reconstruct_gamma (conductivity data on W1 = W2 = exterior, the
-diagonal masked), recover_potential_full (full exterior data, every entry
-fitted) and single_measurement_fit (one source g on W1 observed on W2).
+Step (1) is one private fit, _fit_potential, behind every entry point:
+reconstruct_gamma (conductivity DN data), recover_potential_full
+(Schroedinger DN data) and single_measurement_fit (one source g on W1
+observed on a disjoint W2).  The data's own node sets W1, W2, any subsets
+of the exterior, are the one statement of its geometry: the fit checks the
+data's shape against them and sorts both.  Step (2) is one tail for both
+gamma entry points; it raises ReconstructionError when 1 + m <= 0 and lets
+SolverError through, so a report always carries gamma.
+
 The fit runs on one BLAS thread, as every CLI command does, and records
 one Iterate per accepted step; InversionReport derives converged,
 data_residual and residual_history from its stop_reason and iterations,
@@ -28,12 +33,11 @@ the sources (U) and the observations (V).  The Gauss-Newton normal matrix
 J^T J and gradient J^T r are contracted from those |I|-row blocks directly,
 so no array of order |W1| |W2| |I| is ever formed; see _NormalEquations.
 
-When the observed matrix comes from the conductivity operator, its entries
-agree with the Schroedinger DN matrix of the reduced potential everywhere
-except on the diagonal of the exterior-by-exterior block (the DN gap
-identity lives exactly there), so the full-data fit masks the diagonal;
-that is the discrete counterpart of testing with disjoint source/receiver
-supports.
+Under the reduction, conductivity and Schroedinger DN data agree on every
+entry whose source and observation nodes differ (the DN gap identity lives
+on the others), so the fit leaves out exactly the shared-node entries of
+conductivity data: the diagonal for W1 = W2, nothing for disjoint W1, W2
+(the paper's first theorem).
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class Iterate:
 class InversionReport:
     q: Potential
     m: np.ndarray
-    gamma: Conductivity | None
+    gamma: Conductivity
     iterations: list[Iterate] = field(default_factory=list)
     # converged | max_iter | damping_floor
     stop_reason: str = ""
@@ -178,8 +182,15 @@ class _NormalEquations:
 
 def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
                    W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
-                   mask: np.ndarray, g_W1: np.ndarray | None):
+                   g_W1: np.ndarray | None = None, schrodinger: bool = False):
     """Damped Gauss-Newton over interior potential values from q = 0.
+
+    `observed` is DN data on exterior sources W1 and observations W2: the
+    (|W2|, |W1|) matrix of unit sources, or the (|W2|, 1) response to the
+    one source g_W1 on a W1 disjoint from W2.  Both sets are sorted first,
+    so q does not depend on their order.  Conductivity data leave out the
+    entries whose source and observation are one node; Schroedinger data
+    (`schrodinger`) fit every entry.
 
     reg_lambda is dimensionless: it multiplies the top eigenvalue of the
     initial Gram J^T J (the squared top singular value of J), so the
@@ -190,30 +201,36 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
     and g are formed once per accepted step.  Acceptance enforces strict
     decrease of the damped objective, so the residual history (sqrt of
     the objective per accepted step) is non-increasing by construction.
-    `observed` and `mask` have the data's (|W2|, columns) shape.  Unit-source
-    data (g_W1 None) must cover W1 = W2 = exterior_idx.
 
-    The loop runs on one BLAS thread: its BLAS/LAPACK operands have only
-    |I| rows (tens to a few hundred), where OpenBLAS's default of one thread
-    per CPU runs them an order of magnitude slower.  The CLI holds every
-    command at one thread already; this scope gives in-process callers the
-    same speed and the same round-off.  The interior solves run in numpy's
-    OpenBLAS too, so the cap covers every call of the loop.
+    The loop, interior solves included, runs on one BLAS thread, as every
+    CLI command does: its operands have only |I| rows, where OpenBLAS's
+    one thread per CPU runs an order of magnitude slower.
 
     Returns the fitted Potential (zero outside omega), then iterations,
     stop_reason and lambda_used in InversionReport's field order.
     """
-    E = grid.exterior_idx
-    if g_W1 is None and not (np.array_equal(W1, E)
-                             and np.array_equal(W2, E)):
-        raise ValueError("DN data fit: observed must cover "
-                         "W1 = W2 = exterior_idx")
+    W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
+    observed = np.asarray(observed, dtype=float)
+    shape = (W2.size, W1.size if g_W1 is None else 1)
+    if observed.shape != shape:
+        raise ValueError(f"DN data fit: observed has shape {observed.shape}, "
+                         f"but W1 and W2 give {shape}")
+    if g_W1 is not None and np.intersect1d(W1, W2).size:
+        raise ValueError("DN data fit: one source needs W1, W2 disjoint")
+    p1, p2 = np.argsort(W1), np.argsort(W2)
+    W1, W2 = W1[p1], W2[p2]
+    if g_W1 is None:
+        observed = observed[np.ix_(p2, p1)]
+    else:
+        observed, g_W1 = observed[p2], g_W1[p1]
+    keep = np.ones(shape, dtype=bool) if schrodinger or g_W1 is not None \
+        else W2[:, None] != W1[None, :]
     with one_blas_thread():
         data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
                             g_W1, _SINGULAR_Q)
         q = np.zeros(grid.interior_idx.size)
-        scale = max(float(np.linalg.norm(observed[mask])), 1e-30)
-        excluded = np.nonzero(~mask)
+        scale = max(float(np.linalg.norm(observed[keep])), 1e-30)
+        excluded = np.nonzero(~keep)
 
         def residual(M):
             M -= observed
@@ -276,15 +293,11 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
 
 def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
                            cfg: InversionConfig | None = None) -> Potential:
-    """Fit q to every entry of a full exterior-by-exterior DN matrix.
-
-    `observed` must be assembled with W1 = W2 = exterior_idx; fitting all
-    entries is appropriate for Schroedinger data.
-    """
-    cfg = cfg or InversionConfig()
-    mask = np.ones(observed.matrix.shape, dtype=bool)
-    return _fit_potential(grid, fp, cfg, observed.source_idx, observed.obs_idx,
-                          observed.matrix, mask, None)[0]
+    """Fit q to every entry of a Schroedinger DN matrix on any exterior sets
+    W1 (observed.source_idx) and W2 (observed.obs_idx)."""
+    return _fit_potential(grid, fp, cfg or InversionConfig(),
+                          observed.source_idx, observed.obs_idx,
+                          observed.matrix, schrodinger=True)[0]
 
 
 def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
@@ -307,65 +320,51 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
     return m
 
 
+def _gamma_report(grid: Grid, fp: FracParams, q: Potential,
+                  *fit) -> InversionReport:
+    """The report of a fit, with m from its q and gamma = (1 + m)^2; a
+    singular (-Delta)^s + q raises SolverError, 1 + m <= 0 ReconstructionError.
+    """
+    m = recover_m_from_q(q, grid, fp)
+    if np.min(1.0 + m) <= 0.0:
+        raise ReconstructionError("recovered 1 + m is not positive; gamma "
+                                  "would violate its lower bound")
+    return InversionReport(q, m, Conductivity.from_m(grid, m), *fit)
+
+
 def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,
                       cfg: InversionConfig | None = None) -> InversionReport:
     """Full pipeline from conductivity DN data to gamma = (1 + m)^2.
 
-    Masks the diagonal of the observed matrix (where conductivity and
-    Schroedinger DN data differ by the gap identity) and fits q to the rest.
+    The data may sit on any exterior sets W1 (observed.source_idx) and W2
+    (observed.obs_idx).  The entries whose source and observation are the
+    same node, where conductivity and Schroedinger DN data differ by the
+    gap identity, are left out; q is fitted to the rest.
     """
-    cfg = cfg or InversionConfig()
-    offdiag = ~np.eye(observed.matrix.shape[0], dtype=bool)
-    pot, *fit = _fit_potential(grid, fp, cfg, observed.source_idx,
-                               observed.obs_idx, observed.matrix, offdiag,
-                               None)
-    m = recover_m_from_q(pot, grid, fp)
-    if np.min(1.0 + m) <= 0.0:
-        raise ReconstructionError(
-            "reconstruct_gamma: recovered 1 + m is not positive; "
-            "gamma would violate its lower bound")
-    gamma = Conductivity.from_m(grid, m)
-    return InversionReport(pot, m, gamma, *fit)
+    return _gamma_report(grid, fp, *_fit_potential(
+        grid, fp, cfg or InversionConfig(), observed.source_idx,
+        observed.obs_idx, observed.matrix))
 
 
 def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
                            W1: np.ndarray, W2: np.ndarray,
                            grid: Grid, fp: FracParams,
                            cfg: InversionConfig | None = None) -> InversionReport:
-    """Fit q from a single exterior source g (supported on W1) observed on W2.
+    """Fit q from a single exterior source g (on the lattice or on W1)
+    observed on W2.
 
     Requires W1, W2 and omega pairwise disjoint with g nonzero; under that
     geometry the conductivity response on W2 equals the Schroedinger
-    response of the reduced potential exactly, so the data is fitted with
-    the Schroedinger forward map.  The problem is heavily underdetermined;
-    acceptance of the result is residual-based.
+    response of the reduced potential exactly, so every entry is fitted.
+    The problem is heavily underdetermined; judge the result by its residual.
     """
-    cfg = cfg or InversionConfig(reg_lambda=1e-6)
     W1 = np.asarray(W1, dtype=int)
-    W2 = np.asarray(W2, dtype=int)
-    if set(W1.tolist()) & set(W2.tolist()):
-        raise ValueError("single_measurement_fit: W1 and W2 must be disjoint")
     g = np.asarray(g, dtype=float)
-    g_W1 = g[W1] if g.shape == (grid.N,) else g.copy()
-    if not np.any(g_W1):
-        raise ValueError("single_measurement_fit: source g must be nonzero")
-    observed = np.asarray(observed_response, dtype=float)
-    if observed.shape != (W2.size,):
-        raise ValueError("single_measurement_fit: observed_response must "
-                         "match the size of W2")
-    # canonical node ordering: the objective is invariant under permutations
-    # of the observation (and source) enumeration, so sort both; this makes
-    # the fitted q independent of the caller's ordering bit for bit
-    p1 = np.argsort(W1)
-    p2 = np.argsort(W2)
-    W1, g_W1 = W1[p1], g_W1[p1]
-    W2, observed = W2[p2], observed[p2]
-    pot, *fit = _fit_potential(grid, fp, cfg, W1, W2, observed[:, None],
-                               np.ones((W2.size, 1), dtype=bool), g_W1)
-    try:
-        m = recover_m_from_q(pot, grid, fp)
-        gamma = Conductivity.from_m(grid, m) if np.min(1.0 + m) > 0 else None
-    except SolverError:
-        m = np.full(grid.N, np.nan)
-        gamma = None
-    return InversionReport(pot, m, gamma, *fit)
+    g_W1 = g[W1] if g.shape == (grid.N,) else g
+    if g_W1.shape != W1.shape or not np.any(g_W1):
+        raise ValueError("single_measurement_fit: source g must be nonzero "
+                         "and given on the lattice or on W1")
+    observed = np.asarray(observed_response, dtype=float)[:, None]
+    return _gamma_report(grid, fp, *_fit_potential(
+        grid, fp, cfg or InversionConfig(reg_lambda=1e-6), W1, W2, observed,
+        g_W1))

@@ -37,47 +37,35 @@ class Conductivity:
     """Nodal conductivity gamma with its deviation m = gamma^{1/2} - 1.
 
     m must vanish on every exterior node (compact support inside omega) and
-    gamma must stay inside [lower, upper] with lower > 0.
+    gamma^{1/2} = 1 + m must stay positive.
     """
 
     values: np.ndarray
     m_values: np.ndarray
-    lower: float
-    upper: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.m_values = np.asarray(self.m_values, dtype=float)
         if self.values.shape != self.m_values.shape:
             raise ValueError("Conductivity: gamma and m length mismatch")
-        if not 0.0 < self.lower <= self.upper < np.inf:
-            raise ValueError(
-                f"Conductivity: bounds 0 < {self.lower} <= {self.upper} < inf violated"
-            )
-        if self.values.min() < self.lower - 1e-12 or self.values.max() > self.upper + 1e-12:
-            raise ValueError("Conductivity: nodal values escape [lower, upper]")
+        if not np.all(1.0 + self.m_values > 0.0):
+            raise ValueError("Conductivity: 1 + m must stay positive")
         if np.max(np.abs((1.0 + self.m_values) ** 2 - self.values)) > 1e-12:
             raise ValueError("Conductivity: (1 + m)^2 != gamma")
 
     @classmethod
-    def from_m(cls, grid: Grid, m: np.ndarray, lower: float | None = None,
-               upper: float | None = None) -> "Conductivity":
+    def from_m(cls, grid: Grid, m: np.ndarray) -> "Conductivity":
         """Build from the deviation m; checks compact support in omega."""
         m = np.asarray(m, dtype=float)
         if m.shape != (grid.N,):
             raise ValueError("Conductivity.from_m: m has wrong length")
         if np.any(m[grid.exterior_idx] != 0.0):
             raise ValueError("Conductivity.from_m: m must vanish on exterior nodes")
-        if np.min(1.0 + m) <= 0.0:
-            raise ValueError("Conductivity.from_m: 1 + m must stay positive")
-        gamma = (1.0 + m) ** 2
-        lo = float(gamma.min()) if lower is None else lower
-        hi = float(gamma.max()) if upper is None else upper
-        return cls(gamma, m, lo, hi)
+        return cls((1.0 + m) ** 2, m)
 
     @classmethod
     def constant(cls, grid: Grid) -> "Conductivity":
-        return cls(np.ones(grid.N), np.zeros(grid.N), 1.0, 1.0)
+        return cls(np.ones(grid.N), np.zeros(grid.N))
 
     @property
     def sqrt(self) -> np.ndarray:

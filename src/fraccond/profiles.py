@@ -75,12 +75,11 @@ def constant_m():
     return m
 
 
-def make_conductivity(grid: Grid, m_fn, lower: float | None = None,
-                      upper: float | None = None) -> Conductivity:
+def make_conductivity(grid: Grid, m_fn) -> Conductivity:
     """Sample a deviation profile on the grid; exterior nodes are forced to 0."""
     m = np.asarray(m_fn(grid.nodes), dtype=float)
     m[grid.exterior_idx] = 0.0
-    return Conductivity.from_m(grid, m, lower, upper)
+    return Conductivity.from_m(grid, m)
 
 
 _PROFILES = {"constant": constant_m, "bump": bump_m,

@@ -114,7 +114,7 @@ def test_criterion_4_reduction_identity():
     zero = np.zeros(g.N)
     for s in (0.3, 0.5, 0.7):
         for name, m_fn in profiles.items():
-            gam = make_conductivity(g, m_fn, lower=0.4, upper=2.5)
+            gam = make_conductivity(g, m_fn)
             r = verify_reduction(g, FracParams(s), gam, zero, zero).residual
             assert r <= 1e-10, (s, name, r)
             worst = max(worst, r)

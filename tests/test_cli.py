@@ -10,6 +10,8 @@ from fraccond import _blas, cli
 from fraccond.cli import run
 from fraccond.core import FracParams
 from fraccond.forward import SolverError, assemble_dn
+from fraccond.walk import (WalkParams, default_jump_cutoff,
+                           truncation_tail_mass)
 
 BASE = {
     "schema": "fraccond-config-v1",
@@ -393,9 +395,10 @@ class TestUnreadableInput:
 
 
 class TestFailureLeavesNoOutput:
-    """run() writes the CSVs and the manifest after the command returns, so
-    a failing command writes neither, and a failed write is an I/O error:
-    exit 3 with a one-line message."""
+    """run() creates the output directory and writes the CSVs and the
+    manifest after the command returns, so a failing command leaves nothing
+    behind, and a failed write is an I/O error (exit 3 with a one-line
+    message) that removes the CSVs the run wrote."""
 
     def test_manifest_write_error_exit_3(self, tmp_path, capsys):
         out = tmp_path / "fw"
@@ -405,6 +408,23 @@ class TestFailureLeavesNoOutput:
         err = capsys.readouterr().err
         assert "I/O error" in err and len(err.strip().splitlines()) == 1
         assert not (out / "manifest.json.tmp").exists()
+
+    def test_failed_write_removes_the_written_csvs(self, tmp_path):
+        # dn writes four CSVs; the manifest write fails after all of them
+        out = tmp_path / "dn"
+        (out / "manifest.json").mkdir(parents=True)
+        (out / "keep.txt").write_text("not this run's")
+        cfg = write_cfg(tmp_path, "c.json")
+        assert run(["dn", "--config", cfg, "--out", str(out)]) == 3
+        assert sorted(os.listdir(out)) == ["keep.txt", "manifest.json"]
+
+    def test_config_error_found_by_the_command_creates_no_directory(
+            self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "w.json", task={"steps": "x"})
+        out = tmp_path / "walk"
+        assert run(["walk", "--config", cfg, "--out", str(out)]) == 2
+        assert "task.steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_write_error_exit_3(self, tmp_path, capsys):
         out = tmp_path / "fw"
@@ -428,7 +448,7 @@ class TestFailureLeavesNoOutput:
         assert run(["forward", "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "out of memory" in err and len(err.strip().splitlines()) == 1
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_walk_failing_after_its_histogram_writes_nothing(
             self, tmp_path, monkeypatch):
@@ -440,7 +460,7 @@ class TestFailureLeavesNoOutput:
                         task={"K": 8, "steps": 2, "particles": 1000})
         out = tmp_path / "walk"
         assert run(["walk", "--config", cfg, "--out", str(out)]) == 4
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestMalformedInputCsv:
@@ -621,7 +641,21 @@ class TestWalkCommand:
         checks = manifest(out)["checks"]
         assert checks["mc_master_tv"]["pass"]
         assert checks["mc_transpose_tv"]["pass"]
-        assert "tail_mass_fraction" in checks
+        assert "tail_mass_fraction" not in checks
+
+    @pytest.mark.parametrize("K", [16, None])
+    def test_cutoff_and_tail_mass_in_diagnostics(self, tmp_path, K):
+        task = {"steps": 2, "particles": 1000, "compare_master": False}
+        if K is not None:
+            task["K"] = K
+        cfg = write_cfg(tmp_path, "w.json", **dict(self.WALK, task=task))
+        out = tmp_path / "w"
+        assert run(["walk", "--config", cfg, "--out", str(out)]) == 0
+        diag = manifest(out)["diagnostics"]
+        used = default_jump_cutoff(0.5) if K is None else K
+        assert diag["jump_cutoff"] == used
+        wp = WalkParams(1.0, used, 0.5, np.ones(1))
+        assert diag["tail_mass_fraction"] == truncation_tail_mass(wp)
 
     def test_variable_gamma_checks_transpose_form(self, tmp_path):
         cfg = write_cfg(tmp_path, "w.json", **self.WALK)

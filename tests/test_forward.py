@@ -284,7 +284,7 @@ class TestVerifyReduction:
             m_fn = double_bump_m(0.25, 0.25, 0.1)
         else:
             m_fn = random_admissible_m(seed=42, amplitude=0.3, width=0.25)
-        gam = make_conductivity(g, m_fn, lower=0.4, upper=2.5)
+        gam = make_conductivity(g, m_fn)
         f, v = gap_data(g)
         assert verify_reduction(g, FracParams(s), gam, f, v).residual <= 1e-10
 

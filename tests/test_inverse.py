@@ -65,6 +65,22 @@ def measurement_geometry(N=48):
     return g, W1, W2, gfull
 
 
+def disjoint_geometry(N):
+    """Disjoint exterior sets W1 = [-0.9, -0.5] and W2 = [0.5, 0.9]."""
+    g = inverse_grid(N)
+    E = g.exterior_idx
+    x = g.nodes[E]
+    return g, E[(x >= -0.9) & (x <= -0.5)], E[(x >= 0.5) & (x <= 0.9)]
+
+
+def geometry_gamma(g, profile):
+    """The bump, or the CLI's random profile with seed `profile`."""
+    if profile == "bump":
+        return bump_gamma(g)
+    return make_conductivity(g, profile_from_name(
+        "random", seed=profile, amplitude=0.3, width=0.15))
+
+
 def single_measurement_report(cfg=None):
     """single_measurement_fit to the bump conductivity's response."""
     g, W1, W2, gfull = measurement_geometry()
@@ -145,13 +161,34 @@ class TestRecoverPotentialFull:
         assert resid <= 1e-5
         assert err <= 0.05
 
-    def test_requires_full_exterior_data(self):
+    @pytest.mark.parametrize("fit", [recover_potential_full, reconstruct_gamma])
+    def test_set_reaching_into_omega_rejected(self, fit):
         g = inverse_grid()
-        fp = FracParams(0.5)
         E = g.exterior_idx
-        observed = assemble_dn_schrodinger(g, fp, np.zeros(g.N), E[:5], E[:5])
-        with pytest.raises(ValueError):
-            recover_potential_full(observed, g, fp)
+        W1 = np.append(E[:5], g.interior_idx[0])
+        observed = DnMatrix(W1, E[-4:], np.zeros((4, W1.size)))
+        with pytest.raises(ValueError, match="must be a subset of exterior_idx"):
+            fit(observed, g, FracParams(0.5))
+
+    @pytest.mark.parametrize("fit", [recover_potential_full, reconstruct_gamma])
+    def test_data_shape_checked_against_its_sets(self, fit):
+        g = inverse_grid()
+        E = g.exterior_idx
+        observed = DnMatrix(E[:5], E[-4:], np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="shape"):
+            fit(observed, g, FracParams(0.5))
+
+    def test_disjoint_sets_round_trip(self):
+        # Schroedinger data on W1 x W2 are fitted entry for entry
+        g, W1, W2 = disjoint_geometry(64)
+        fp = FracParams(0.5)
+        q_star = bump_potential(g)
+        observed = assemble_dn_schrodinger(g, fp, q_star, W1, W2)
+        pot = recover_potential_full(observed, g, fp)
+        out, _ = forward_and_jacobian(g, fp, pot.values[g.interior_idx],
+                                      W1, W2, None)
+        resid = np.linalg.norm(out - observed.matrix)
+        assert resid <= 1e-6 * np.linalg.norm(observed.matrix)
 
 
 class TestRecoverM:
@@ -292,6 +329,75 @@ class TestReconstructGamma:
             reconstruct_gamma(observed, g, fp)
 
 
+# seed 0 of the random profile stalls on disjoint sets: the fixed-lambda line
+# search stops at max_iter with data residual 6.7e-4 (N=128) and 1.5e-4
+# (N=256); a fit whose Tikhonov weight falls as it iterates is the mend
+STALLS = pytest.mark.xfail(strict=True, reason="fixed-lambda Gauss-Newton "
+                           "stalls at max_iter on this profile")
+
+
+class TestMeasurementGeometry:
+    """Conductivity data on exterior sets other than W1 = W2 = exterior."""
+
+    @pytest.mark.parametrize("N", [128, 256])
+    @pytest.mark.parametrize("profile", [
+        "bump", pytest.param(0, marks=STALLS), 1, 2, 3])
+    def test_disjoint_sets_reach_the_residual_gate(self, N, profile):
+        # the gamma error (0.95-4.4 %) is not gated here: most of these fits
+        # stop at damping_floor, which the same mend addresses
+        g, W1, W2 = disjoint_geometry(N)
+        fp = FracParams(0.5)
+        observed = assemble_dn(g, fp, geometry_gamma(g, profile), W1, W2)
+        rep = reconstruct_gamma(observed, g, fp)
+        assert rep.data_residual <= 1e-6
+        assert np.all(rep.gamma.values > 0.0)
+
+    @pytest.mark.parametrize("N", [128, 256])
+    @pytest.mark.parametrize("profile", ["bump", 0, 1, 2, 3])
+    def test_conductivity_equals_schrodinger_data_on_disjoint_sets(
+            self, N, profile):
+        # no entry shares a node, so the reduction changes no entry
+        g, W1, W2 = disjoint_geometry(N)
+        fp = FracParams(0.5)
+        gam = geometry_gamma(g, profile)
+        cond = assemble_dn(g, fp, gam, W1, W2).matrix
+        q = liouville_reduce(g, fp, gam).values
+        schr = assemble_dn_schrodinger(g, fp, q, W1, W2).matrix
+        assert np.max(np.abs(cond - schr)) <= 1e-13 * np.max(np.abs(cond))
+
+    def test_overlapping_sets_leave_out_exactly_the_shared_nodes(self):
+        g = inverse_grid()
+        fp = FracParams(0.5)
+        E = g.exterior_idx
+        W1, W2 = E[:20][::-1], E[10:40]  # nodes E[10:20] are in both
+        observed = assemble_dn(g, fp, bump_gamma(g), W1, W2)
+        shared = W2[:, None] == W1[None, :]
+        assert np.count_nonzero(shared) == 10
+        base = reconstruct_gamma(observed, g, fp)
+        assert base.data_residual <= 1e-6
+        moved = observed.matrix + np.where(shared, 1.0, 0.0)
+        rep = reconstruct_gamma(DnMatrix(W1, W2, moved), g, fp)
+        assert np.array_equal(rep.q.values, base.q.values)
+        one = observed.matrix.copy()
+        l, k = np.argwhere(~shared)[7]
+        one[l, k] += 1e-3 * abs(one[l, k])
+        rep = reconstruct_gamma(DnMatrix(W1, W2, one), g, fp)
+        assert not np.array_equal(rep.q.values, base.q.values)
+
+    def test_set_order_leaves_q_unchanged(self):
+        g, W1, W2 = disjoint_geometry(128)
+        fp = FracParams(0.5)
+        M = assemble_dn(g, fp, bump_gamma(g), W1, W2).matrix
+        base = reconstruct_gamma(DnMatrix(W1, W2, M), g, fp)
+        rng = np.random.default_rng(4)
+        p2, p1 = rng.permutation(W2.size), rng.permutation(W1.size)
+        rep = reconstruct_gamma(DnMatrix(W1, W2[p2], M[p2]), g, fp)
+        assert np.array_equal(rep.q.values, base.q.values)
+        rep = reconstruct_gamma(DnMatrix(W1[p1], W2[p2], M[np.ix_(p2, p1)]),
+                                g, fp)
+        assert np.array_equal(rep.q.values, base.q.values)
+
+
 class TestInjectivityOperator:
     def test_interior_block_nonsingular(self):
         # the difference field of two reductions with equal potentials solves
@@ -363,6 +469,20 @@ class TestSingleMeasurement:
         with pytest.raises(ValueError):
             single_measurement_fit(np.zeros(g.N), np.zeros(W2.size),
                                    W1, W2, g, fp)
+
+    def test_nonpositive_sqrt_rejected(self, monkeypatch):
+        monkeypatch.setattr("fraccond.inverse.recover_m_from_q",
+                            lambda pot, grid, fpar: np.full(grid.N, -1.5))
+        with pytest.raises(ReconstructionError, match="1 \\+ m"):
+            single_measurement_report()
+
+    def test_singular_deviation_solve_raises(self, monkeypatch):
+        def singular(pot, grid, fpar):
+            raise SolverError("0 is an eigenvalue")
+
+        monkeypatch.setattr("fraccond.inverse.recover_m_from_q", singular)
+        with pytest.raises(SolverError):
+            single_measurement_report()
 
 
 class TestStructuredNormalEquations:

@@ -31,7 +31,7 @@ class TestConductivity:
         gam = make_conductivity(g, bump_m(0.3, 0.0, 0.2))
         assert np.all(gam.m_values[g.exterior_idx] == 0.0)
         assert np.max(np.abs((1 + gam.m_values) ** 2 - gam.values)) <= 1e-12
-        assert gam.lower > 0
+        assert gam.values.min() > 0
 
     def test_exterior_support_enforced(self):
         g = small_grid()
@@ -40,10 +40,15 @@ class TestConductivity:
             Conductivity.from_m(g, m)
 
     def test_bounds_enforced(self):
+        # gamma's lower bound: gamma^{1/2} = 1 + m stays positive
         g = small_grid()
-        gam = make_conductivity(g, bump_m(0.3, 0.0, 0.2))
-        with pytest.raises(ValueError):
-            Conductivity(gam.values, gam.m_values, lower=1.2, upper=1.3)
+        for m in (np.full(g.N, -1.0), np.full(g.N, -1.5)):
+            with pytest.raises(ValueError, match="1 \\+ m must stay positive"):
+                Conductivity((1.0 + m) ** 2, m)
+        m = np.zeros(g.N)
+        m[g.interior_idx] = -1.2
+        with pytest.raises(ValueError, match="1 \\+ m must stay positive"):
+            Conductivity.from_m(g, m)
 
 
 class TestFracGradient:
@@ -326,8 +331,8 @@ class TestBilinearForm:
             v = rng.standard_normal(g.N)
             w = rng.standard_normal(g.N)
             lhs = abs(bilinear_form(g, fp, gam, v, w))
-            rhs = gam.upper * math.sqrt(bilinear_form(g, fp, one, v, v)
-                                        * bilinear_form(g, fp, one, w, w))
+            rhs = gam.values.max() * math.sqrt(
+                bilinear_form(g, fp, one, v, v) * bilinear_form(g, fp, one, w, w))
             assert lhs <= rhs * (1 + 1e-12)
 
     def test_equals_assembly_at_s_max(self):

@@ -41,7 +41,7 @@ def test_random_admissible_deterministic_and_bounded():
     assert np.array_equal(m1(x), m2(x))
     assert np.max(np.abs(m1(x))) <= 0.3 + 1e-12
     g = Grid(L=1.0, N=64, a=-0.4, b=0.4)
-    gam = make_conductivity(g, m1, lower=0.4, upper=2.5)
+    gam = make_conductivity(g, m1)
     assert gam.values.min() >= 0.4
     assert gam.values.max() <= 2.5
 
