@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .core import FracParams, Grid, cns, gamma_fn
 from .operators import (
     Conductivity,
-    NonlocalOperator,
     PairField,
     assemble_conductivity,
     assemble_laplacian,
@@ -23,7 +22,6 @@ from .operators import (
 )
 from .forward import (
     DnMatrix,
-    Potential,
     ReductionCheck,
     SolverError,
     assemble_dn,

@@ -79,8 +79,7 @@ _TASK_KEYS = {
     "forward": {"source"},
     "dn": {"W1", "W2"},
     "reduce": set(),
-    "invert": {"observed_dn", "truth_gamma", "reg_lambda", "max_iter", "tol",
-               "step_damping"},
+    "invert": {"observed_dn", "truth_gamma", "reg_lambda", "max_iter", "tol"},
     "walk": {"K", "steps", "particles", "initial_site", "compare_master"},
     "limits": {"study", "s_list"},
 }
@@ -197,9 +196,15 @@ def build_gamma(cfg: dict, grid: Grid, seed: int) -> Conductivity:
         if "path" not in gblock:
             raise ConfigError("gamma.path is required for profile 'from-file'")
         path = _path(gblock["path"], "gamma.path")
-        m = np.sqrt(_read_gamma_column(path, grid)) - 1.0
+        # a negative gamma gives a NaN m, which Conductivity rejects
+        with np.errstate(invalid="ignore"):
+            m = np.sqrt(_read_gamma_column(path, grid)) - 1.0
         m[grid.exterior_idx] = 0.0
-        return Conductivity.from_m(grid, m)
+        try:
+            return Conductivity.from_m(grid, m)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: gamma must be positive on omega "
+                              f"({exc})") from None
     shape = {k: _number(gblock[k], float, f"gamma.{k}") for k in sorted(params)}
     try:
         m_fn = profile_from_name(name, seed=seed, **shape)
@@ -310,11 +315,11 @@ def cmd_forward(task, grid, fp, gamma, seed):
         g[grid.exterior_idx] = prof(grid.nodes[grid.exterior_idx])
     elif kind != "zero":
         raise ConfigError("task.source.type must be zero | unit | gaussian")
-    op = assemble_conductivity(grid, fp, gamma)
-    u = solve_dirichlet(op, g)
+    A = assemble_conductivity(grid, fp, gamma)
+    u = solve_dirichlet(grid, A, g)
     I = grid.interior_idx
-    resid = float(np.max(np.abs((op.matrix @ u)[I]))) if I.size else 0.0
-    scale = float(np.max(np.abs(op.matrix)) * max(np.max(np.abs(u)), 1e-300))
+    resid = float(np.max(np.abs((A @ u)[I]))) if I.size else 0.0
+    scale = float(np.max(np.abs(A)) * max(np.max(np.abs(u)), 1e-300))
     rel = resid / scale
     tables = {"solution.csv": ("x,u", np.column_stack((grid.nodes, u)))}
     checks = {"interior_residual": {"value": rel, "pass": bool(rel <= 1e-10),
@@ -383,7 +388,7 @@ def cmd_invert(task, grid, fp, gamma, seed):
         truth_path = _path(truth_path, "task.truth_gamma")
     settings = {key: _number(task[key], convert, f"task.{key}")
                 for key, convert in (("reg_lambda", float), ("max_iter", int),
-                                     ("tol", float), ("step_damping", float))
+                                     ("tol", float))
                 if key in task}
     try:
         inv_cfg = InversionConfig(**settings)
@@ -400,7 +405,7 @@ def cmd_invert(task, grid, fp, gamma, seed):
     its = report.iterations
     tables = {
         "recovered_gamma.csv": ("x,gamma,m,q", np.column_stack((
-            grid.nodes, report.gamma.values, report.m, report.q.values))),
+            grid.nodes, report.gamma.values, report.m, report.q))),
         "iterations.csv": (
             "iteration,residual,step_length,trials,lambda,objective,"
             "data_residual",

@@ -48,12 +48,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .core import FracParams, Grid
-from .operators import (
-    Conductivity,
-    NonlocalOperator,
-    assemble_conductivity,
-    operator_rows,
-)
+from .operators import Conductivity, assemble_conductivity, operator_rows
 
 
 # byte budget of one row-block array in the streamed reduction checks
@@ -108,15 +103,6 @@ class DnMatrix:
         return float(v @ self.matrix @ f)
 
 
-@dataclass
-class Potential:
-    """Nodal potential; interior_supported records whether exterior values
-    vanish (the reduction generically produces nonzero exterior values)."""
-
-    values: np.ndarray
-    interior_supported: bool = True
-
-
 def _check_exterior_support(grid: Grid, v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.N,):
@@ -126,19 +112,18 @@ def _check_exterior_support(grid: Grid, v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def solve_dirichlet(op: NonlocalOperator, g: np.ndarray,
+def solve_dirichlet(grid: Grid, A: np.ndarray, g: np.ndarray,
                     F: np.ndarray | None = None) -> np.ndarray:
-    """Solve (op u)_i = F_i on interior nodes with u = g on exterior nodes.
+    """Solve (A u)_i = F_i on interior nodes with u = g on exterior nodes,
+    for an operator matrix A on the grid's nodes.
 
     g is the zero-extended exterior datum (full nodal vector); F defaults
     to zero and only its interior entries are read.  Direct dense solve of
     A_II u_I = F_I - A_IE g_E.
     """
-    grid = op.grid
     g = _check_exterior_support(grid, g, "solve_dirichlet: g")
     I = grid.interior_idx
     E = grid.exterior_idx
-    A = op.matrix
     rhs = np.zeros(I.size) if F is None else np.asarray(F, dtype=float)[I]
     rhs = rhs - A[np.ix_(I, E)] @ g[E]
     A_II = factor_interior(A[np.ix_(I, I)], "solve_dirichlet")
@@ -204,20 +189,22 @@ class _DnEvaluator:
         return DnMatrix(self.W1, self.W2, self.evaluate(q_int)[0])
 
 
-def dn_from_operator(op: NonlocalOperator, W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
-    """Assemble the DN matrix column by column from an operator.
+def dn_from_operator(grid: Grid, A: np.ndarray, W1: np.ndarray,
+                     W2: np.ndarray) -> DnMatrix:
+    """Assemble the DN matrix column by column from an operator matrix A.
 
     Column k: solve the Dirichlet problem with the unit exterior source at
     node k, then entry (l, k) = h^n * (A u_k)_l for l in W2, which equals
     the bilinear pairing of u_k against the unit observation field.
     """
-    return _DnEvaluator(op.grid, op.matrix, W1, W2).dn_matrix(0.0)
+    return _DnEvaluator(grid, A, W1, W2).dn_matrix(0.0)
 
 
 def assemble_dn(grid: Grid, fp: FracParams, gamma: Conductivity,
                 W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
     """DN matrix of the conductivity operator."""
-    return dn_from_operator(assemble_conductivity(grid, fp, gamma), W1, W2)
+    return dn_from_operator(grid, assemble_conductivity(grid, fp, gamma),
+                            W1, W2)
 
 
 def _row_blocks(grid: Grid) -> list[tuple[int, int]]:
@@ -262,8 +249,9 @@ def _stream_blocks(grid: Grid, n_buffers: int, work) -> tuple[list, int]:
             lo, hi = blocks[k]
             results[k] = work(lo, hi, [buf[:hi - lo] for buf in buffers])
 
-    # imported here: the pass is the one caller, and at module level the
-    # import would add its ~3 ms to every command's start
+    # imported here: only the streamed passes (verify_reduction,
+    # liouville_reduce) need it, and at module level the import would add
+    # its ~3 ms to every command's start
     from concurrent.futures import ThreadPoolExecutor
 
     with one_blas_thread(), ThreadPoolExecutor(workers) as pool:
@@ -272,17 +260,17 @@ def _stream_blocks(grid: Grid, n_buffers: int, work) -> tuple[list, int]:
     return results, workers
 
 
-def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potential:
-    """Potential of the reduced Schroedinger equation:
+def liouville_reduce(grid: Grid, fp: FracParams,
+                     gamma: Conductivity) -> np.ndarray:
+    """Potential of the reduced Schroedinger equation, as a nodal array:
 
         q = -(-Delta)^s m / gamma^{1/2},   m = gamma^{1/2} - 1.
 
     Evaluated at every node; m being interior-supported does not make
-    (-Delta)^s m interior-supported, so the result carries
-    interior_supported = False whenever the exterior values are nonzero
-    (they feed the DN gap identity).  (-Delta)^s m is gathered block by
-    block from the (-Delta)^s rows alone (_stream_blocks), so memory is
-    O(block N).
+    (-Delta)^s m interior-supported, so q is generically nonzero on the
+    exterior (those values feed the DN gap identity).  (-Delta)^s m is
+    gathered block by block from the (-Delta)^s rows alone
+    (_stream_blocks), so memory is O(block N).
     """
     lap_m = np.empty(grid.N)
 
@@ -291,9 +279,7 @@ def liouville_reduce(grid: Grid, fp: FracParams, gamma: Conductivity) -> Potenti
             @ gamma.m_values
 
     _stream_blocks(grid, 1, block)
-    q = -lap_m / gamma.sqrt
-    supported = bool(np.all(q[grid.exterior_idx] == 0.0))
-    return Potential(q, interior_supported=supported)
+    return -lap_m / gamma.sqrt
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,11 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .core import FracParams, Grid
-from .forward import (DnMatrix, Potential, SolverError, _DnEvaluator,
-                      factor_interior)
+from .forward import DnMatrix, SolverError, _DnEvaluator, factor_interior
 from .operators import Conductivity, assemble_laplacian, operator_rows
 
 DAMPING_FLOOR = 1e-8
+STEP_DAMPING = 0.5  # a rejected line-search trial halves the step
 _SINGULAR_Q = "(-Delta)^s + q has 0 as an eigenvalue on omega"
 
 
@@ -65,17 +65,15 @@ class InversionConfig:
     reg_lambda: float = 1e-12
     max_iter: int = 40
     tol: float = 1e-9
-    step_damping: float = 0.5
 
     def __post_init__(self):
-        if self.reg_lambda < 0:
-            raise ValueError("InversionConfig: reg_lambda must be >= 0")
+        if not (np.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
+            raise ValueError("InversionConfig: reg_lambda must be finite "
+                             "and >= 0")
         if self.max_iter < 1:
             raise ValueError("InversionConfig: max_iter must be >= 1")
         if not self.tol > 0:
             raise ValueError("InversionConfig: tol must be > 0")
-        if not 0.0 < self.step_damping < 1.0:
-            raise ValueError("InversionConfig: step_damping must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class Iterate:
 
 @dataclass
 class InversionReport:
-    q: Potential
+    q: np.ndarray  # nodal potential, zero outside omega
     m: np.ndarray
     gamma: Conductivity
     iterations: list[Iterate] = field(default_factory=list)
@@ -123,8 +121,9 @@ class _NormalEquations:
         g = J^T r,  g_i = h sum_{l, k} V[i, l] R[l, k] U[i, k]
 
     where e = (l, k) runs over the `excluded` entries, given as the pair
-    of index arrays np.nonzero(~mask).  B is built |W2| columns at a time,
-    so memory stays O(|I| |W2|) for any mask.
+    of index arrays np.nonzero(~mask): the entries whose source and
+    observation are one node, so at most min(|W1|, |W2|) of them.  B is
+    one (|I|, #excluded) array, and memory stays O(|I| |W2|).
     """
 
     REFINE_SWEEPS = 2
@@ -133,11 +132,8 @@ class _NormalEquations:
                  excluded: tuple[np.ndarray, np.ndarray], h: float):
         self.V, self.U, self.R, self.excluded, self.h = V, U, R, excluded, h
         G = (V @ V.T) * (U @ U.T)
-        rows, cols = excluded
-        chunk = V.shape[1]
-        for c in range(0, rows.size, chunk):
-            B = V[:, rows[c:c + chunk]] * U[:, cols[c:c + chunk]]
-            G -= B @ B.T
+        B = V[:, excluded[0]] * U[:, excluded[1]]
+        G -= B @ B.T
         self.G = h * h * G
         self.g = self.jt(R)
         if not (np.all(np.isfinite(self.G)) and np.all(np.isfinite(self.g))):
@@ -206,8 +202,9 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
     CLI command does: its operands have only |I| rows, where OpenBLAS's
     one thread per CPU runs an order of magnitude slower.
 
-    Returns the fitted Potential (zero outside omega), then iterations,
-    stop_reason and lambda_used in InversionReport's field order.
+    Returns the fitted potential (a nodal array, zero outside omega), then
+    iterations, stop_reason and lambda_used in InversionReport's field
+    order.
     """
     W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
     observed = np.asarray(observed, dtype=float)
@@ -226,7 +223,7 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
     keep = np.ones(shape, dtype=bool) if schrodinger or g_W1 is not None \
         else W2[:, None] != W1[None, :]
     with one_blas_thread():
-        data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
+        data = _DnEvaluator(grid, assemble_laplacian(grid, fp), W1, W2,
                             g_W1, _SINGULAR_Q)
         q = np.zeros(grid.interior_idx.size)
         scale = max(float(np.linalg.norm(observed[keep])), 1e-30)
@@ -272,12 +269,12 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
                 try:
                     M_try, U_try, A_II_try = data.evaluate(q_try)
                 except SolverError:
-                    t *= cfg.step_damping
+                    t *= STEP_DAMPING
                     continue
                 R_try = residual(M_try)
                 if objective(R_try, q_try) < phi0:
                     break
-                t *= cfg.step_damping
+                t *= STEP_DAMPING
             else:
                 stop_reason = "damping_floor"  # keep the best iterate
                 break
@@ -287,12 +284,11 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
                 stop_reason = "converged"
     q_full = np.zeros(grid.N)
     q_full[grid.interior_idx] = q
-    return (Potential(q_full, interior_supported=True), iterations,
-            stop_reason, lam)
+    return q_full, iterations, stop_reason, lam
 
 
 def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
-                           cfg: InversionConfig | None = None) -> Potential:
+                           cfg: InversionConfig | None = None) -> np.ndarray:
     """Fit q to every entry of a Schroedinger DN matrix on any exterior sets
     W1 (observed.source_idx) and W2 (observed.obs_idx)."""
     return _fit_potential(grid, fp, cfg or InversionConfig(),
@@ -300,10 +296,11 @@ def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
                           observed.matrix, schrodinger=True)[0]
 
 
-def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
+def recover_m_from_q(q: np.ndarray, grid: Grid, fp: FracParams) -> np.ndarray:
     """Solve the reduced Dirichlet problem for the deviation m.
 
-    ((-Delta)^s + q) m = -q on interior nodes, m = 0 on exterior nodes.
+    ((-Delta)^s + q) m = -q on interior nodes, m = 0 on exterior nodes;
+    q is a nodal array, and only its interior values are read.
     The pair (m, q) produced by the reduction satisfies this identically,
     so recovering m from the true q is a single linear solve.  A_II comes
     from the interior rows of (-Delta)^s only (omega's nodes are
@@ -312,24 +309,27 @@ def recover_m_from_q(q: Potential, grid: Grid, fp: FracParams) -> np.ndarray:
     I = grid.interior_idx
     lo, hi = int(I[0]), int(I[-1]) + 1
     A_II = operator_rows(grid, fp, lo, hi, None)[0][:, I]
-    A_II[np.diag_indices_from(A_II)] += q.values[I]
+    q_I = q[I]
+    A_II[np.diag_indices_from(A_II)] += q_I
     factor_interior(A_II, "recover_m_from_q: 0 is an eigenvalue of "
                     "(-Delta)^s + q on omega")
     m = np.zeros(grid.N)
-    m[I] = np.linalg.solve(A_II, -q.values[I])
+    m[I] = np.linalg.solve(A_II, -q_I)
     return m
 
 
-def _gamma_report(grid: Grid, fp: FracParams, q: Potential,
+def _gamma_report(grid: Grid, fp: FracParams, q: np.ndarray,
                   *fit) -> InversionReport:
     """The report of a fit, with m from its q and gamma = (1 + m)^2; a
-    singular (-Delta)^s + q raises SolverError, 1 + m <= 0 ReconstructionError.
+    singular (-Delta)^s + q raises SolverError, and an m that Conductivity
+    rejects (1 + m <= 0 or NaN) ReconstructionError.
     """
     m = recover_m_from_q(q, grid, fp)
-    if np.min(1.0 + m) <= 0.0:
-        raise ReconstructionError("recovered 1 + m is not positive; gamma "
-                                  "would violate its lower bound")
-    return InversionReport(q, m, Conductivity.from_m(grid, m), *fit)
+    try:
+        gamma = Conductivity.from_m(grid, m)
+    except ValueError as exc:
+        raise ReconstructionError(f"recovered gamma rejected: {exc}") from None
+    return InversionReport(q, m, gamma, *fit)
 
 
 def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,

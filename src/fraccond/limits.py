@@ -260,7 +260,7 @@ def bilinear_limit_study(m_fn, u_fn, v_fn, s_list, L: float = 12.0,
             f[g.interior_idx] = 0.0
             e_g = np.asarray(g_fn(g.nodes), dtype=float)
             e_g[g.interior_idx] = 0.0
-            u_f = solve_dirichlet(assemble_conductivity(g, fp, gam), f)
+            u_f = solve_dirichlet(g, assemble_conductivity(g, fp, gam), f)
             study.rows.append(_limit_row(
                 row.s, corrected_bilinear_form(g, fp, gam, u_f, e_g),
                 local_grad_pairing(g, gam.values, u_f, e_g),

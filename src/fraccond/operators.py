@@ -34,51 +34,45 @@ BILINEAR_BLOCK = 64
 
 @dataclass
 class Conductivity:
-    """Nodal conductivity gamma with its deviation m = gamma^{1/2} - 1.
+    """Nodal conductivity gamma, stored once as its deviation
+    m = gamma^{1/2} - 1; gamma = (1 + m)^2 and gamma^{1/2} = 1 + m are
+    read from it.
 
-    m must vanish on every exterior node (compact support inside omega) and
-    gamma^{1/2} = 1 + m must stay positive.
+    The constructor is the one admissibility rule: 1 + m must stay
+    positive (a NaN fails it too).  from_m also checks that m vanishes on
+    every exterior node (compact support inside omega).
     """
 
-    values: np.ndarray
     m_values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
         self.m_values = np.asarray(self.m_values, dtype=float)
-        if self.values.shape != self.m_values.shape:
-            raise ValueError("Conductivity: gamma and m length mismatch")
         if not np.all(1.0 + self.m_values > 0.0):
             raise ValueError("Conductivity: 1 + m must stay positive")
-        if np.max(np.abs((1.0 + self.m_values) ** 2 - self.values)) > 1e-12:
-            raise ValueError("Conductivity: (1 + m)^2 != gamma")
 
     @classmethod
     def from_m(cls, grid: Grid, m: np.ndarray) -> "Conductivity":
-        """Build from the deviation m; checks compact support in omega."""
+        """Build from the deviation m; checks 1 + m > 0 (the constructor),
+        then compact support in omega."""
         m = np.asarray(m, dtype=float)
         if m.shape != (grid.N,):
             raise ValueError("Conductivity.from_m: m has wrong length")
+        gamma = cls(m)
         if np.any(m[grid.exterior_idx] != 0.0):
             raise ValueError("Conductivity.from_m: m must vanish on exterior nodes")
-        return cls((1.0 + m) ** 2, m)
+        return gamma
 
     @classmethod
     def constant(cls, grid: Grid) -> "Conductivity":
-        return cls(np.ones(grid.N), np.zeros(grid.N))
+        return cls(np.zeros(grid.N))
+
+    @property
+    def values(self) -> np.ndarray:
+        return (1.0 + self.m_values) ** 2
 
     @property
     def sqrt(self) -> np.ndarray:
         return 1.0 + self.m_values
-
-
-@dataclass
-class NonlocalOperator:
-    """Dense symmetric matrix realization of a nonlocal operator."""
-
-    matrix: np.ndarray
-    grid: Grid
-    fp: FracParams
 
 
 @dataclass
@@ -191,41 +185,38 @@ def operator_rows(grid: Grid, fp: FracParams, lo: int, hi: int,
     return rows
 
 
-def assemble_laplacian(grid: Grid, fp: FracParams) -> NonlocalOperator:
+def assemble_laplacian(grid: Grid, fp: FracParams) -> np.ndarray:
     """Dense matrix of (-Delta)^s on the truncated window.
 
     A_ij = -kernel_matrix[i, j] off-diagonal; the diagonal collects the
     punctured row sum plus the exact tail, so constants are annihilated up
     to the tail term and the matrix is symmetric positive semidefinite.
     """
-    A = operator_rows(grid, fp, 0, grid.N, None)[0]
-    return NonlocalOperator(A, grid, fp)
+    return operator_rows(grid, fp, 0, grid.N, None)[0]
 
 
-def assemble_conductivity(grid: Grid, fp: FracParams, gamma: Conductivity) -> NonlocalOperator:
+def assemble_conductivity(grid: Grid, fp: FracParams,
+                          gamma: Conductivity) -> np.ndarray:
     """Dense matrix of the conductivity operator.
 
     Strong-form kernel gamma^{1/2}(x) gamma^{1/2}(y) / |x-y|^{n+2s}; the
     tail keeps weight one because gamma is 1 beyond the window, and the
     whole row is premultiplied by gamma_i^{1/2}.
     """
-    A = operator_rows(grid, fp, 0, grid.N, gamma.sqrt)[0]
-    return NonlocalOperator(A, grid, fp)
+    return operator_rows(grid, fp, 0, grid.N, gamma.sqrt)[0]
 
 
-def assemble_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray) -> NonlocalOperator:
+def assemble_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray) -> np.ndarray:
     """(-Delta)^s + q with the potential restricted to interior nodes.
 
     No module in src/ calls it (the DN routes add q to the interior block
     only); the tests use it as the dense reference, and
     perfbench/tracing.py wraps it by name.
     """
-    lap = assemble_laplacian(grid, fp)
-    A = lap.matrix.copy()
-    q_int = np.zeros(grid.N)
-    q_int[grid.interior_idx] = np.asarray(q, dtype=float)[grid.interior_idx]
-    A[np.arange(grid.N), np.arange(grid.N)] += q_int
-    return NonlocalOperator(A, grid, fp)
+    A = assemble_laplacian(grid, fp)
+    I = grid.interior_idx
+    A[I, I] += np.asarray(q, dtype=float)[I]
+    return A
 
 
 def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,

@@ -55,16 +55,16 @@ def dn_pointwise(grid: Grid, fp: FracParams, gamma: Conductivity,
     restricted to exterior nodes (flux density; multiply by h^n to match
     DnMatrix entries)."""
     g = _check_exterior_support(grid, g, "dn_pointwise: g")
-    op = assemble_conductivity(grid, fp, gamma)
-    u = solve_dirichlet(op, g)
-    return (op.matrix @ u)[grid.exterior_idx]
+    A = assemble_conductivity(grid, fp, gamma)
+    u = solve_dirichlet(grid, A, g)
+    return (A @ u)[grid.exterior_idx]
 
 
 def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
                             W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
     """DN matrix of (-Delta)^s + q (potential restricted to omega): the DN
     evaluator on the Laplacian with diag(q_I)."""
-    lap = assemble_laplacian(grid, fp).matrix
+    lap = assemble_laplacian(grid, fp)
     q_int = np.asarray(q, dtype=float)[grid.interior_idx]
     return _DnEvaluator(grid, lap, W1, W2).dn_matrix(q_int)
 
@@ -80,7 +80,7 @@ def forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
     dense oracle the structured normal equations are tested against; the
     inversion never forms J.
     """
-    data = _DnEvaluator(grid, assemble_laplacian(grid, fp).matrix, W1, W2,
+    data = _DnEvaluator(grid, assemble_laplacian(grid, fp), W1, W2,
                         g_W1, "forward_and_jacobian")
     M, U, A_II = data.evaluate(q_int)
     V = data.observation_block(U, A_II)

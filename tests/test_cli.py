@@ -9,7 +9,8 @@ import pytest
 from fraccond import _blas, cli
 from fraccond.cli import run
 from fraccond.core import FracParams
-from fraccond.forward import SolverError, assemble_dn
+from fraccond.forward import SolverError, assemble_dn, solve_dirichlet
+from fraccond.operators import assemble_conductivity
 from fraccond.walk import (WalkParams, default_jump_cutoff,
                            truncation_tail_mass)
 
@@ -62,6 +63,25 @@ class TestForwardCommand:
         m = manifest(out)
         assert m["checks"]["interior_residual"]["pass"]
         assert m["checks"]["interior_residual"]["value"] <= 1e-10
+
+    def test_unit_source_matches_solve_dirichlet(self, tmp_path):
+        node = 3
+        cfg = write_cfg(tmp_path, "c.json",
+                        task={"source": {"type": "unit", "node": node}})
+        out = tmp_path / "fw"
+        assert run(["forward", "--config", cfg, "--out", str(out)]) == 0
+        config = cli.load_config(cfg, "forward")
+        grid = cli.build_grid(config)
+        gamma = cli.build_gamma(config, grid, config["seed"])
+        e_node = np.zeros(grid.N)
+        e_node[node] = 1.0
+        with _blas.one_blas_thread():
+            want = solve_dirichlet(grid, assemble_conductivity(
+                grid, FracParams(0.5), gamma), e_node)
+        data = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], grid.nodes)
+        assert np.array_equal(data[:, 1], want)
+        assert manifest(out)["checks"]["interior_residual"]["pass"]
 
     def test_malformed_omega_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", grid={"omega": [0.4, 0.1]})
@@ -463,9 +483,29 @@ class TestFailureLeavesNoOutput:
         assert not out.exists()
 
 
+class TestGammaFromFile:
+    def test_dn_gamma_csv_reproduces_dn_matrix(self, tmp_path):
+        grid = {"N": 256}
+        cfg = write_cfg(tmp_path, "dn.json", grid=grid, seed=1,
+                        gamma={"profile": "random", "width": 0.15})
+        assert run(["dn", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        gamma_csv = tmp_path / "a" / "gamma.csv"
+        cfg = write_cfg(tmp_path, "ff.json", grid=grid,
+                        gamma={"profile": "from-file",
+                               "path": str(gamma_csv)})
+        assert run(["dn", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        a, b = (np.loadtxt(tmp_path / d / "dn_matrix.csv", delimiter=",",
+                           skiprows=1) for d in "ab")
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+        gam_a, gam_b = (np.loadtxt(tmp_path / d / "gamma.csv", delimiter=",",
+                                   skiprows=1) for d in "ab")
+        assert np.max(np.abs(gam_a - gam_b)) <= 1e-13
+
+
 class TestMalformedInputCsv:
-    """An input CSV that is not a numeric table of the expected shape is a
-    config error (exit 2) with a one-line message naming the file."""
+    """An input CSV that is not a numeric table of the expected shape, or a
+    gamma that is not positive on omega, is a config error (exit 2) with a
+    one-line message naming the file."""
 
     @staticmethod
     def assert_rejected(code, capsys, path):
@@ -475,10 +515,15 @@ class TestMalformedInputCsv:
 
     @pytest.mark.parametrize("body", ["x\n0.5\n0.25\n",
                                       "x,gamma\n0.5,one\n",
-                                      "x,gamma\n0.5,1.0\n"])
+                                      "x,gamma\n0.5,1.0\n"] + [
+        # node 30 of N=64 lies in omega
+        "x,gamma\n" + "0,1\n" * 30 + f"0,{value}\n" + "0,1\n" * 33
+        for value in ("0", "-0.5", "nan")])
     def test_forward_gamma_from_file(self, tmp_path, capsys, body):
         bad = tmp_path / "gamma.csv"
-        bad.write_text(body)  # one column / not numeric / wrong length
+        # one column / not numeric / wrong length / zero, negative or NaN
+        # on omega
+        bad.write_text(body)
         cfg = write_cfg(tmp_path, "c.json",
                         gamma={"profile": "from-file", "path": str(bad)})
         code = run(["forward", "--config", cfg, "--out", str(tmp_path / "fw")])
@@ -743,7 +788,7 @@ class TestNumericConfigValues:
         ("invert", {"task": dict(INVERT, max_iter="x")}),
         ("invert", {"task": dict(INVERT, max_iter=0)}),
         ("invert", {"task": dict(INVERT, tol="x")}),
-        ("invert", {"task": dict(INVERT, step_damping="x")}),
+        ("invert", {"task": dict(INVERT, reg_lambda=float("nan"))}),
         ("forward", {"task": {"source": {"type": "unit", "node": "x"}}}),
         ("forward", {"task": {"source": {"type": "gaussian", "center": "x"}}}),
         ("forward", {"task": {"source": {"type": "gaussian", "width": "x"}}}),
@@ -770,6 +815,9 @@ class TestNumericConfigValues:
         ("forward", {"gamma": None}),
         ("walk", {"task": {"compare_master": "no"}}),
         ("walk", {"task": {"compare_master": 0}}),
+        ("invert", {"task": dict(INVERT, reg_lambda=float("inf"))}),
+        # node 32 of N=64 lies in omega
+        ("forward", {"task": {"source": {"type": "unit", "node": 32}}}),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)

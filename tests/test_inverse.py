@@ -9,7 +9,6 @@ from fraccond import _blas, forward, inverse
 from fraccond.core import FracParams, Grid
 from fraccond.forward import (
     DnMatrix,
-    Potential,
     SolverError,
     _DnEvaluator,
     assemble_dn,
@@ -97,8 +96,9 @@ class TestConfig:
             InversionConfig(max_iter=0)
         with pytest.raises(ValueError):
             InversionConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            InversionConfig(step_damping=1.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="reg_lambda must be finite"):
+                InversionConfig(reg_lambda=bad)
 
 
 class TestJacobian:
@@ -129,7 +129,7 @@ class TestRecoverPotentialFull:
         observed = assemble_dn_schrodinger(g, fp, np.zeros(g.N), E, E)
         pot = recover_potential_full(observed, g, fp,
                                      InversionConfig(reg_lambda=0.0))
-        assert np.max(np.abs(pot.values)) <= 1e-8
+        assert np.max(np.abs(pot)) <= 1e-8
 
     def test_bump_round_trip(self):
         g = inverse_grid()
@@ -140,7 +140,7 @@ class TestRecoverPotentialFull:
         pot = recover_potential_full(
             observed, g, fp, InversionConfig(reg_lambda=1e-12, tol=1e-12,
                                              max_iter=60))
-        err = np.max(np.abs(pot.values - q_star)) / np.max(np.abs(q_star))
+        err = np.max(np.abs(pot - q_star)) / np.max(np.abs(q_star))
         assert err <= 1e-3
 
     def test_noise_degrades_gracefully(self):
@@ -154,10 +154,10 @@ class TestRecoverPotentialFull:
                          * (1 + 1e-6 * rng.standard_normal(clean.matrix.shape)))
         cfg = InversionConfig(reg_lambda=1e-6, tol=1e-7, max_iter=60)
         pot = recover_potential_full(noisy, g, fp, cfg)
-        out, _ = forward_and_jacobian(g, fp, pot.values[g.interior_idx],
+        out, _ = forward_and_jacobian(g, fp, pot[g.interior_idx],
                                       E, E, None)
         resid = np.linalg.norm(out - noisy.matrix) / np.linalg.norm(noisy.matrix)
-        err = np.max(np.abs(pot.values - q_star)) / np.max(np.abs(q_star))
+        err = np.max(np.abs(pot - q_star)) / np.max(np.abs(q_star))
         assert resid <= 1e-5
         assert err <= 0.05
 
@@ -185,7 +185,7 @@ class TestRecoverPotentialFull:
         q_star = bump_potential(g)
         observed = assemble_dn_schrodinger(g, fp, q_star, W1, W2)
         pot = recover_potential_full(observed, g, fp)
-        out, _ = forward_and_jacobian(g, fp, pot.values[g.interior_idx],
+        out, _ = forward_and_jacobian(g, fp, pot[g.interior_idx],
                                       W1, W2, None)
         resid = np.linalg.norm(out - observed.matrix)
         assert resid <= 1e-6 * np.linalg.norm(observed.matrix)
@@ -194,7 +194,7 @@ class TestRecoverPotentialFull:
 class TestRecoverM:
     def test_zero_potential_zero_m(self):
         g = inverse_grid()
-        m = recover_m_from_q(Potential(np.zeros(g.N)), g, FracParams(0.5))
+        m = recover_m_from_q(np.zeros(g.N), g, FracParams(0.5))
         assert np.max(np.abs(m)) == 0.0
 
     def test_round_trip_from_liouville(self):
@@ -209,9 +209,9 @@ class TestRecoverM:
         g = inverse_grid()
         fp = FracParams(0.5)
         q = bump_potential(g, amp=0.4)
-        m = recover_m_from_q(Potential(q), g, fp)
+        m = recover_m_from_q(q, g, fp)
         I = g.interior_idx
-        A = assemble_laplacian(g, fp).matrix
+        A = assemble_laplacian(g, fp)
         A_II = A[np.ix_(I, I)] + np.diag(q[I])
         ref = scipy.linalg.solve(A_II, -q[I])
         assert np.allclose(m[I], ref, rtol=1e-12, atol=1e-14)
@@ -225,22 +225,22 @@ class TestRecoverM:
         fp = FracParams(s)
         q = bump_potential(g, amp=0.4)
         I = g.interior_idx
-        A_II = assemble_laplacian(g, fp).matrix[np.ix_(I, I)]
+        A_II = assemble_laplacian(g, fp)[np.ix_(I, I)]
         A_II[np.diag_indices_from(A_II)] += q[I]
         ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A_II), -q[I])
-        m = recover_m_from_q(Potential(q), g, fp)
+        m = recover_m_from_q(q, g, fp)
         assert np.array_equal(m[I], ref)
 
     def test_singular_raises_named_error(self):
         g = Grid(L=1.0, N=48, a=-0.3, b=0.3)
         fp = FracParams(0.5)
         I = g.interior_idx
-        L = assemble_laplacian(g, fp).matrix
+        L = assemble_laplacian(g, fp)
         lam0 = np.linalg.eigvalsh(L[np.ix_(I, I)])[0]
         q = np.zeros(g.N)
         q[I] = -lam0
         with pytest.raises(SolverError, match="eigenvalue"):
-            recover_m_from_q(Potential(q), g, fp)
+            recover_m_from_q(q, g, fp)
 
 
 class TestReconstructGamma:
@@ -313,7 +313,7 @@ class TestReconstructGamma:
         fp = FracParams(0.5)
         q = np.zeros(g.N)
         q[g.interior_idx] = -10.5 * bump_m(1.0, 0.0, 0.1)(g.nodes)[g.interior_idx]
-        m_probe = recover_m_from_q(Potential(q), g, fp)
+        m_probe = recover_m_from_q(q, g, fp)
         assert np.min(1.0 + m_probe) <= 0.0
 
     def test_nonpositive_sqrt_rejected(self, monkeypatch):
@@ -361,7 +361,7 @@ class TestMeasurementGeometry:
         fp = FracParams(0.5)
         gam = geometry_gamma(g, profile)
         cond = assemble_dn(g, fp, gam, W1, W2).matrix
-        q = liouville_reduce(g, fp, gam).values
+        q = liouville_reduce(g, fp, gam)
         schr = assemble_dn_schrodinger(g, fp, q, W1, W2).matrix
         assert np.max(np.abs(cond - schr)) <= 1e-13 * np.max(np.abs(cond))
 
@@ -377,12 +377,12 @@ class TestMeasurementGeometry:
         assert base.data_residual <= 1e-6
         moved = observed.matrix + np.where(shared, 1.0, 0.0)
         rep = reconstruct_gamma(DnMatrix(W1, W2, moved), g, fp)
-        assert np.array_equal(rep.q.values, base.q.values)
+        assert np.array_equal(rep.q, base.q)
         one = observed.matrix.copy()
         l, k = np.argwhere(~shared)[7]
         one[l, k] += 1e-3 * abs(one[l, k])
         rep = reconstruct_gamma(DnMatrix(W1, W2, one), g, fp)
-        assert not np.array_equal(rep.q.values, base.q.values)
+        assert not np.array_equal(rep.q, base.q)
 
     def test_set_order_leaves_q_unchanged(self):
         g, W1, W2 = disjoint_geometry(128)
@@ -392,10 +392,10 @@ class TestMeasurementGeometry:
         rng = np.random.default_rng(4)
         p2, p1 = rng.permutation(W2.size), rng.permutation(W1.size)
         rep = reconstruct_gamma(DnMatrix(W1, W2[p2], M[p2]), g, fp)
-        assert np.array_equal(rep.q.values, base.q.values)
+        assert np.array_equal(rep.q, base.q)
         rep = reconstruct_gamma(DnMatrix(W1[p1], W2[p2], M[np.ix_(p2, p1)]),
                                 g, fp)
-        assert np.array_equal(rep.q.values, base.q.values)
+        assert np.array_equal(rep.q, base.q)
 
 
 class TestInjectivityOperator:
@@ -407,8 +407,8 @@ class TestInjectivityOperator:
         fp = FracParams(0.5)
         for amp in (0.3, -0.2):
             gam1 = bump_gamma(g, amp)
-            q1 = liouville_reduce(g, fp, gam1).values
-            L = assemble_laplacian(g, fp).matrix
+            q1 = liouville_reduce(g, fp, gam1)
+            L = assemble_laplacian(g, fp)
             I = g.interior_idx
             T = (1.0 + gam1.m_values)[:, None] * L - np.diag(L @ gam1.m_values)
             T_II = T[np.ix_(I, I)]
@@ -434,7 +434,7 @@ class TestSingleMeasurement:
         rep = single_measurement_fit(gfull, obs, W1, W2, g, fp,
                                      InversionConfig(reg_lambda=0.0))
         assert rep.data_residual <= 1e-12
-        assert np.max(np.abs(rep.q.values)) <= 1e-10
+        assert np.max(np.abs(rep.q)) <= 1e-10
 
     def test_lambda_sweep_reaches_residual_floor(self):
         g, W1, W2, gfull = measurement_geometry()
@@ -458,8 +458,8 @@ class TestSingleMeasurement:
         rep1 = single_measurement_fit(gfull, obs, W1, W2, g, fp, cfg)
         perm = np.random.default_rng(3).permutation(W2.size)
         rep2 = single_measurement_fit(gfull, obs[perm], W1, W2[perm], g, fp, cfg)
-        scale = max(np.max(np.abs(rep1.q.values)), 1e-300)
-        assert np.max(np.abs(rep1.q.values - rep2.q.values)) <= 1e-10 * scale
+        scale = max(np.max(np.abs(rep1.q)), 1e-300)
+        assert np.max(np.abs(rep1.q - rep2.q)) <= 1e-10 * scale
 
     def test_geometry_validation(self):
         g, W1, W2, gfull = measurement_geometry()
@@ -496,7 +496,7 @@ class TestStructuredNormalEquations:
         nI = g.interior_idx.size
         rng = np.random.default_rng(1)
         q0 = 0.3 * rng.standard_normal(nI)
-        data = _DnEvaluator(g, assemble_laplacian(g, fp).matrix, W1, W2, g_W1)
+        data = _DnEvaluator(g, assemble_laplacian(g, fp), W1, W2, g_W1)
         M, U, lu = data.evaluate(q0)
         V = data.observation_block(U, lu)
         R = np.where(mask, rng.standard_normal(M.shape), 0.0)
@@ -655,6 +655,37 @@ class TestInversionReportDiagnostics:
             tracemalloc.stop()
         assert rep.gamma is not None
         assert peak < 10e6, peak / 1e6
+
+
+class TestLineSearch:
+    """A trial whose interior block is singular is rejected like one that
+    does not lower the objective: the step is halved and the search goes on."""
+
+    def test_singular_trial_halves_the_step(self, monkeypatch):
+        # the bump of amplitude 0.1 at N=48 accepts the full first step
+        g = inverse_grid(48)
+        fp = FracParams(0.5)
+        E = g.exterior_idx
+        observed = assemble_dn(g, fp, bump_gamma(g, amp=0.1), E, E)
+        assert reconstruct_gamma(observed, g, fp).iterations[1].trials == 1
+        evaluate = forward._DnEvaluator.evaluate
+        calls = []
+
+        def singular_first_trial(data, q_int):
+            calls.append(q_int)
+            if len(calls) == 2:  # the start is call 1
+                raise SolverError("singular trial")
+            return evaluate(data, q_int)
+
+        monkeypatch.setattr(forward._DnEvaluator, "evaluate",
+                            singular_first_trial)
+        rep = reconstruct_gamma(observed, g, fp)
+        first = rep.iterations[1]
+        assert (first.step_length, first.trials) == (inverse.STEP_DAMPING, 2)
+        assert inverse.STEP_DAMPING == 0.5
+        hist = rep.residual_history
+        assert all(a >= b for a, b in zip(hist, hist[1:]))
+        assert rep.stop_reason == "converged"
 
 
 class TestFactorCount:

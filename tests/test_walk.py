@@ -327,7 +327,7 @@ class TestWalkGeneratorIdentity:
         D = (np.where(on, gs[np.clip(target, 0, N - 1)], 1.0)
              * wp.offset_weights).sum(axis=1)
         m_off = np.where(on, 0.0, wp.offset_weights).sum(axis=1)
-        C = assemble_conductivity(g, fp, gam).matrix
+        C = assemble_conductivity(g, fp, gam)
         lhs = (P - np.eye(N)) / wp.tau
         rhs = (-(C - np.diag(gs * tail_vector(g, fp))) / (fp.cns * gs * D)[:, None]
                - np.diag(m_off / (wp.tau * D)))
