@@ -196,10 +196,14 @@ def build_gamma(cfg: dict, grid: Grid, seed: int) -> Conductivity:
         if "path" not in gblock:
             raise ConfigError("gamma.path is required for profile 'from-file'")
         path = _path(gblock["path"], "gamma.path")
+        gamma = _read_gamma_column(path, grid)
+        off = grid.exterior_idx[gamma[grid.exterior_idx] != 1.0]
+        if off.size:
+            raise ConfigError(f"{path}: gamma must be 1 outside omega, but "
+                              f"node {off[0]} reads {float(gamma[off[0]])!r}")
         # a negative gamma gives a NaN m, which Conductivity rejects
         with np.errstate(invalid="ignore"):
-            m = np.sqrt(_read_gamma_column(path, grid)) - 1.0
-        m[grid.exterior_idx] = 0.0
+            m = np.sqrt(gamma) - 1.0
         try:
             return Conductivity.from_m(grid, m)
         except ValueError as exc:

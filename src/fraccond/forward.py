@@ -7,9 +7,9 @@ DN matrix entries carry the h^n node-pairing weight, i.e. entry (l, k) is
 the bilinear form of the solution for the unit source at node k against the
 unit observation field at node l.
 
-Every DN matrix, and the inversion's forward map, comes from one evaluator
-(_DnEvaluator): it slices an operator's blocks once and returns
-h^n (A_W2,W1 + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
+Every DN matrix, the inversion's forward map and each DN pairing come from
+one evaluator (_DnEvaluator) on an operator's blocks A_II, A_W2,I, A_I,W1
+and D = A_W2,W1: h^n (D + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
 
 The reduction checks never form an N x N matrix.  verify_reduction checks
 both identities, the matrix-level reduction and the DN gap identity, in one
@@ -17,8 +17,8 @@ pass over row blocks (_row_blocks): operators.operator_rows turns each
 kernel block into the same rows of the conductivity matrix and of
 (-Delta)^s, and the pass keeps only running maxima, length-N vectors and
 the |I| x |I| interior blocks.  The reduction residual compares the two
-sides of the identity on the interior rows only; each DN pairing
-<Lambda f, v> comes from one interior solve after the pass instead of a
+sides of the identity on the interior rows only; each DN pairing is one
+evaluation on the blocks the pass kept, one interior solve, instead of a
 DN matrix.  dn_gap returns the gap half of that check; liouville_reduce
 streams the (-Delta)^s rows alone.
 
@@ -98,10 +98,6 @@ class DnMatrix:
     obs_idx: np.ndarray
     matrix: np.ndarray  # shape (|W2|, |W1|)
 
-    def pair(self, f: np.ndarray, v: np.ndarray) -> float:
-        """<Lambda f, v> for f given on W1 and v given on W2."""
-        return float(v @ self.matrix @ f)
-
 
 def _check_exterior_support(grid: Grid, v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -134,38 +130,33 @@ def solve_dirichlet(grid: Grid, A: np.ndarray, g: np.ndarray,
 
 
 class _DnEvaluator:
-    """DN data of A + diag(q) on fixed exterior source and observation sets,
-    as a function of the interior potential q.
-
-    A is a symmetric operator matrix ((-Delta)^s, the conductivity
-    operator); its blocks are sliced once.  An evaluation adds diag(q) to a
-    copy of the interior block and solves against that with numpy's LAPACK
-    (gesv).  With unit sources (g_W1 None) the data is the (|W2|, |W1|) DN
-    matrix; with a fixed source g on W1 it is the (|W2|, 1) response
-    column, i.e. the same map with the one source g @ e_W1.  `context`
-    names the caller in a SolverError.
+    """DN data of a symmetric operator A + diag(q) as a function of the
+    interior potential q, from A's interior block A_II, observation block
+    A_W2,I, source block A_I,W1 and D = A_W2,W1.  Unit sources give the DN
+    matrix; source blocks contracted with g (A_I,W1 g and D g) give the
+    response to g.  An evaluation adds diag(q) to a copy of A_II and solves
+    with numpy's LAPACK (gesv).  V is U when A_W2,I^T equals A_I,W1.
+    `context` names the caller in a SolverError.
     """
 
-    def __init__(self, grid: Grid, A: np.ndarray, W1: np.ndarray,
-                 W2: np.ndarray, g_W1: np.ndarray | None = None,
-                 context: str = "assemble_dn"):
-        W1 = np.asarray(W1, dtype=int)
-        W2 = np.asarray(W2, dtype=int)
+    def __init__(self, A_II: np.ndarray, A_W2I: np.ndarray,
+                 A_IW1: np.ndarray, D: np.ndarray, h: float, context: str):
+        self.A_II, self.A_W2I, self.A_IW1, self.D = A_II, A_W2I, A_IW1, D
+        self.h, self.context = h, context
+        self.neg_S = np.asfortranarray(-A_IW1)
+        self.same = np.array_equal(A_W2I.T, A_IW1)
+
+    @classmethod
+    def from_operator(cls, grid: Grid, A: np.ndarray, W1: np.ndarray,
+                      W2: np.ndarray, context: str) -> "_DnEvaluator":
+        """The blocks of an operator matrix A on unit sources on W1 and
+        observations on W2, both subsets of the exterior."""
         for W, nm in ((W1, "W1"), (W2, "W2")):
             if not np.all(np.isin(W, grid.exterior_idx)):
                 raise ValueError(f"DN map: {nm} must be a subset of exterior_idx")
         I = grid.interior_idx
-        self.W1, self.W2, self.context = W1, W2, context
-        self.h = grid.h
-        self.A_II = A[np.ix_(I, I)]
-        self.A_W2I = A[np.ix_(W2, I)]
-        S = A[np.ix_(I, W1)]
-        self.D = A[np.ix_(W2, W1)]
-        if g_W1 is not None:
-            S = (S @ g_W1)[:, None]
-            self.D = (self.D @ g_W1)[:, None]
-        self.neg_S = np.asfortranarray(-S)
-        self.same = g_W1 is None and np.array_equal(W1, W2)
+        return cls(A[np.ix_(I, I)], A[np.ix_(W2, I)], A[np.ix_(I, W1)],
+                   A[np.ix_(W2, W1)], grid.h, context)
 
     def evaluate(self, q_int):
         """DN data M, the source solution block U = A_II^-1 (-A_I,W1) and
@@ -184,10 +175,6 @@ class _DnEvaluator:
         returned (A is symmetric, so A_I,W2 = A_W2,I^T)."""
         return U if self.same else np.linalg.solve(A_II, -self.A_W2I.T)
 
-    def dn_matrix(self, q_int) -> DnMatrix:
-        """The DN matrix of A + diag(q) for unit sources on W1."""
-        return DnMatrix(self.W1, self.W2, self.evaluate(q_int)[0])
-
 
 def dn_from_operator(grid: Grid, A: np.ndarray, W1: np.ndarray,
                      W2: np.ndarray) -> DnMatrix:
@@ -197,7 +184,9 @@ def dn_from_operator(grid: Grid, A: np.ndarray, W1: np.ndarray,
     node k, then entry (l, k) = h^n * (A u_k)_l for l in W2, which equals
     the bilinear pairing of u_k against the unit observation field.
     """
-    return _DnEvaluator(grid, A, W1, W2).dn_matrix(0.0)
+    W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
+    data = _DnEvaluator.from_operator(grid, A, W1, W2, "assemble_dn")
+    return DnMatrix(W1, W2, data.evaluate(0.0)[0])
 
 
 def assemble_dn(grid: Grid, fp: FracParams, gamma: Conductivity,
@@ -298,22 +287,6 @@ class ReductionCheck:
     workers: int
 
 
-def _dn_pairing(grid: Grid, A_II: np.ndarray, q_I, Af: np.ndarray,
-                Av: np.ndarray, v: np.ndarray) -> float:
-    """<Lambda f, v> of the operator A + diag(q_I) (q_I on interior nodes
-    only) for zero-extended exterior data f and v, from A f, A v and A_II:
-
-        h^n (v_E . (A f)_E + (A v)_I . u_I),   u_I = -(A_II + diag q_I)^{-1} (A f)_I.
-
-    A_II is overwritten.
-    """
-    I = grid.interior_idx
-    E = grid.exterior_idx
-    A_II[np.diag_indices_from(A_II)] += q_I
-    u_I = np.linalg.solve(factor_interior(A_II, "verify_reduction"), -Af[I])
-    return grid.h * float(v[E] @ Af[E] + Av[I] @ u_I)
-
-
 def _reduction_residual(C: np.ndarray, L: np.ndarray, nodes: np.ndarray,
                         g: np.ndarray, q: np.ndarray) -> float:
     """max |C D_{1/g} - D_g (L + diag q)| over the rows C and L of the
@@ -344,9 +317,9 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
         left  = <Lambda_q f, v> - <Lambda_gamma f, v>
         right = h^n sum_{exterior} f_i v_i ((-Delta)^s m)_i
 
-    computed independently: left from two DN pairings, each one solve
-    against its operator's interior block, right from the direct
-    exterior sum.
+    computed independently: left from two DN pairings, each one DN
+    evaluation on its operator's blocks (one solve against its interior
+    block), right from the direct exterior sum.
 
     Each block gives (-Delta)^s m, A f and A v for both operators, the
     rows of C_II and L_II, and the residual of its interior rows, computed
@@ -355,7 +328,8 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
     combined in block order, so the result is bit-identical for any number
     of workers.  The pass keeps the block buffers, running maxima, length-N
     vectors and the two |I| x |I| interior blocks, so memory is
-    O(block N + |I|^2); the buffers are gone before the two interior solves.
+    O(block N + |I|^2); the buffers are gone before the two interior solves,
+    each of which adds one copy of an interior block.
     """
     f = _check_exterior_support(grid, f, "verify_reduction: f")
     v = _check_exterior_support(grid, v, "verify_reduction: v")
@@ -386,9 +360,17 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
     for block_scale, block_resid in maxima:
         scale = max(scale, block_scale)
         resid = max(resid, block_resid)
-    q_I = -lap_m[I] / g[I]
-    pairing_q = _dn_pairing(grid, L_II, q_I, Lf, Lv, v)
-    pairing_gamma = _dn_pairing(grid, C_II, 0.0, Cf, Cv, v)
+
+    def pairing(A_II, Af, Av, q):
+        # <Lambda f, v> of A + diag(q): the DN data of the one source f
+        # observed by v, whose blocks are (A f)_I, (A v)_I and v_E . (A f)_E
+        data = _DnEvaluator(A_II, Av[I][None, :], Af[I][:, None],
+                            np.array([[v[E] @ Af[E]]]), grid.h,
+                            "verify_reduction")
+        return float(data.evaluate(q)[0][0, 0])
+
+    pairing_q = pairing(L_II, Lf, Lv, -lap_m[I] / g[I])
+    pairing_gamma = pairing(C_II, Cf, Cv, 0.0)
     right = grid.h * float(np.sum(f[E] * v[E] * lap_m[E]))
     return ReductionCheck(float(resid / scale), pairing_q - pairing_gamma,
                           right, pairing_q, pairing_gamma, len(maxima),

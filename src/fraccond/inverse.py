@@ -8,12 +8,12 @@ with Tikhonov weight; (2) solve the linear Dirichlet problem
 
 and set gamma = (1 + m)^2.
 
-Step (1) is one private fit, _fit_potential, behind every entry point:
-reconstruct_gamma (conductivity DN data), recover_potential_full
-(Schroedinger DN data) and single_measurement_fit (one source g on W1
-observed on a disjoint W2).  The data's own node sets W1, W2, any subsets
-of the exterior, are the one statement of its geometry: the fit checks the
-data's shape against them and sorts both.  Step (2) is one tail for both
+Step (1) is one private Gauss-Newton loop, _fit_potential, over a forward
+map and the entries it leaves out.  reconstruct_gamma (conductivity data)
+and recover_potential_full (Schroedinger data) build them in _laplacian_data
+from the data's own sets W1, W2, any exterior subsets, sorted once;
+single_measurement_fit (one source g on W1, observed on a disjoint W2)
+contracts the source blocks with g itself.  Step (2) is one tail for both
 gamma entry points; it raises ReconstructionError when 1 + m <= 0 and lets
 SolverError through, so a report always carries gamma.
 
@@ -23,9 +23,9 @@ data_residual and residual_history from its stop_reason and iterations,
 so each fact is stored once.
 
 The forward map q -> Schroedinger DN data is forward._DnEvaluator on the
-Laplacian, assembled once per inversion; an evaluation only adds diag(q)
-to the interior block, checks it (factor_interior) and solves against it
-with numpy's LAPACK (gesv).
+Laplacian's blocks, assembled once per inversion; an evaluation only adds
+diag(q) to the interior block, checks it (factor_interior) and solves
+against it with numpy's LAPACK (gesv).
 
 The Jacobian of the DN data in the interior q values is the Khatri-Rao
 product J[l, k, i] = h U[i, k] V[i, l] of the interior solution blocks for
@@ -54,6 +54,7 @@ from .operators import Conductivity, assemble_laplacian, operator_rows
 DAMPING_FLOOR = 1e-8
 STEP_DAMPING = 0.5  # a rejected line-search trial halves the step
 _SINGULAR_Q = "(-Delta)^s + q has 0 as an eigenvalue on omega"
+_NO_ENTRIES = (np.empty(0, dtype=int),) * 2  # excluded entries of a full fit
 
 
 class ReconstructionError(RuntimeError):
@@ -72,8 +73,8 @@ class InversionConfig:
                              "and >= 0")
         if self.max_iter < 1:
             raise ValueError("InversionConfig: max_iter must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("InversionConfig: tol must be > 0")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("InversionConfig: tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -176,17 +177,13 @@ class _NormalEquations:
         return delta
 
 
-def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
-                   W1: np.ndarray, W2: np.ndarray, observed: np.ndarray,
-                   g_W1: np.ndarray | None = None, schrodinger: bool = False):
+def _fit_potential(grid: Grid, cfg: InversionConfig, data: _DnEvaluator,
+                   observed: np.ndarray, excluded: tuple[np.ndarray, np.ndarray]):
     """Damped Gauss-Newton over interior potential values from q = 0.
 
-    `observed` is DN data on exterior sources W1 and observations W2: the
-    (|W2|, |W1|) matrix of unit sources, or the (|W2|, 1) response to the
-    one source g_W1 on a W1 disjoint from W2.  Both sets are sorted first,
-    so q does not depend on their order.  Conductivity data leave out the
-    entries whose source and observation are one node; Schroedinger data
-    (`schrodinger`) fit every entry.
+    `data` is the forward map, the DN evaluator of the Laplacian, and
+    `observed` the DN data it is fitted to; the entries `excluded` (index
+    arrays, as np.nonzero returns them) are left out of the fit.
 
     reg_lambda is dimensionless: it multiplies the top eigenvalue of the
     initial Gram J^T J (the squared top singular value of J), so the
@@ -206,28 +203,11 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
     iterations, stop_reason and lambda_used in InversionReport's field
     order.
     """
-    W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
-    observed = np.asarray(observed, dtype=float)
-    shape = (W2.size, W1.size if g_W1 is None else 1)
-    if observed.shape != shape:
-        raise ValueError(f"DN data fit: observed has shape {observed.shape}, "
-                         f"but W1 and W2 give {shape}")
-    if g_W1 is not None and np.intersect1d(W1, W2).size:
-        raise ValueError("DN data fit: one source needs W1, W2 disjoint")
-    p1, p2 = np.argsort(W1), np.argsort(W2)
-    W1, W2 = W1[p1], W2[p2]
-    if g_W1 is None:
-        observed = observed[np.ix_(p2, p1)]
-    else:
-        observed, g_W1 = observed[p2], g_W1[p1]
-    keep = np.ones(shape, dtype=bool) if schrodinger or g_W1 is not None \
-        else W2[:, None] != W1[None, :]
+    keep = np.ones(observed.shape, dtype=bool)
+    keep[excluded] = False
     with one_blas_thread():
-        data = _DnEvaluator(grid, assemble_laplacian(grid, fp), W1, W2,
-                            g_W1, _SINGULAR_Q)
         q = np.zeros(grid.interior_idx.size)
         scale = max(float(np.linalg.norm(observed[keep])), 1e-30)
-        excluded = np.nonzero(~keep)
 
         def residual(M):
             M -= observed
@@ -287,13 +267,31 @@ def _fit_potential(grid: Grid, fp: FracParams, cfg: InversionConfig,
     return q_full, iterations, stop_reason, lam
 
 
+def _laplacian_data(grid: Grid, fp: FracParams, observed: DnMatrix):
+    """The Laplacian's DN evaluator on the data's sets W1 and W2, any
+    subsets of the exterior, both sorted so that q does not depend on their
+    order; the data, checked against the sets' shape and permuted to match;
+    and its entries whose source and observation are one node."""
+    W1 = np.asarray(observed.source_idx, dtype=int)
+    W2 = np.asarray(observed.obs_idx, dtype=int)
+    M = np.asarray(observed.matrix, dtype=float)
+    if M.shape != (W2.size, W1.size):
+        raise ValueError(f"DN data fit: observed has shape {M.shape}, "
+                         f"but W1 and W2 give {(W2.size, W1.size)}")
+    p1, p2 = np.argsort(W1), np.argsort(W2)
+    W1, W2 = W1[p1], W2[p2]
+    data = _DnEvaluator.from_operator(grid, assemble_laplacian(grid, fp),
+                                      W1, W2, _SINGULAR_Q)
+    return data, M[np.ix_(p2, p1)], np.nonzero(W2[:, None] == W1[None, :])
+
+
 def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
                            cfg: InversionConfig | None = None) -> np.ndarray:
     """Fit q to every entry of a Schroedinger DN matrix on any exterior sets
     W1 (observed.source_idx) and W2 (observed.obs_idx)."""
-    return _fit_potential(grid, fp, cfg or InversionConfig(),
-                          observed.source_idx, observed.obs_idx,
-                          observed.matrix, schrodinger=True)[0]
+    data, M, _ = _laplacian_data(grid, fp, observed)
+    return _fit_potential(grid, cfg or InversionConfig(), data, M,
+                          _NO_ENTRIES)[0]
 
 
 def recover_m_from_q(q: np.ndarray, grid: Grid, fp: FracParams) -> np.ndarray:
@@ -341,9 +339,9 @@ def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,
     same node, where conductivity and Schroedinger DN data differ by the
     gap identity, are left out; q is fitted to the rest.
     """
+    data, M, shared = _laplacian_data(grid, fp, observed)
     return _gamma_report(grid, fp, *_fit_potential(
-        grid, fp, cfg or InversionConfig(), observed.source_idx,
-        observed.obs_idx, observed.matrix))
+        grid, cfg or InversionConfig(), data, M, shared))
 
 
 def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
@@ -358,13 +356,25 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     response of the reduced potential exactly, so every entry is fitted.
     The problem is heavily underdetermined; judge the result by its residual.
     """
-    W1 = np.asarray(W1, dtype=int)
+    W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
     g = np.asarray(g, dtype=float)
     g_W1 = g[W1] if g.shape == (grid.N,) else g
     if g_W1.shape != W1.shape or not np.any(g_W1):
         raise ValueError("single_measurement_fit: source g must be nonzero "
                          "and given on the lattice or on W1")
-    observed = np.asarray(observed_response, dtype=float)[:, None]
+    observed = np.asarray(observed_response, dtype=float)
+    if observed.shape != W2.shape:
+        raise ValueError(f"DN data fit: observed has shape {observed.shape}, "
+                         f"but W2 gives {W2.shape}")
+    if np.intersect1d(W1, W2).size:
+        raise ValueError("DN data fit: one source needs W1, W2 disjoint")
+    p1, p2 = np.argsort(W1), np.argsort(W2)
+    units = _DnEvaluator.from_operator(grid, assemble_laplacian(grid, fp),
+                                       W1[p1], W2[p2], _SINGULAR_Q)
+    with one_blas_thread():  # the fit's own scope; these are BLAS products
+        data = _DnEvaluator(units.A_II, units.A_W2I,
+                            (units.A_IW1 @ g_W1[p1])[:, None],
+                            (units.D @ g_W1[p1])[:, None], grid.h, _SINGULAR_Q)
     return _gamma_report(grid, fp, *_fit_potential(
-        grid, fp, cfg or InversionConfig(reg_lambda=1e-6), W1, W2, observed,
-        g_W1))
+        grid, cfg or InversionConfig(reg_lambda=1e-6), data,
+        observed[p2][:, None], _NO_ENTRIES))

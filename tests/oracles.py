@@ -66,7 +66,22 @@ def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
     evaluator on the Laplacian with diag(q_I)."""
     lap = assemble_laplacian(grid, fp)
     q_int = np.asarray(q, dtype=float)[grid.interior_idx]
-    return _DnEvaluator(grid, lap, W1, W2).dn_matrix(q_int)
+    data = _DnEvaluator.from_operator(grid, lap, W1, W2, "assemble_dn")
+    return DnMatrix(np.asarray(W1, dtype=int), np.asarray(W2, dtype=int),
+                    data.evaluate(q_int)[0])
+
+
+def laplacian_evaluator(grid: Grid, fp: FracParams, W1: np.ndarray,
+                        W2: np.ndarray, g_W1: np.ndarray | None):
+    """The package's DN evaluator on the Laplacian for unit sources on W1
+    (g_W1 None), or for the one source g on W1: the unit-source blocks
+    contracted with g, as single_measurement_fit contracts them."""
+    data = _DnEvaluator.from_operator(grid, assemble_laplacian(grid, fp),
+                                      W1, W2, "forward_and_jacobian")
+    if g_W1 is None:
+        return data
+    return _DnEvaluator(data.A_II, data.A_W2I, (data.A_IW1 @ g_W1)[:, None],
+                        (data.D @ g_W1)[:, None], data.h, data.context)
 
 
 def forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
@@ -80,8 +95,7 @@ def forward_and_jacobian(grid: Grid, fp: FracParams, q_int: np.ndarray,
     dense oracle the structured normal equations are tested against; the
     inversion never forms J.
     """
-    data = _DnEvaluator(grid, assemble_laplacian(grid, fp), W1, W2,
-                        g_W1, "forward_and_jacobian")
+    data = laplacian_evaluator(grid, fp, W1, W2, g_W1)
     M, U, A_II = data.evaluate(q_int)
     V = data.observation_block(U, A_II)
     J = data.h * np.einsum("il,ik->lki", V, U)

@@ -529,6 +529,24 @@ class TestMalformedInputCsv:
         code = run(["forward", "--config", cfg, "--out", str(tmp_path / "fw")])
         self.assert_rejected(code, capsys, bad)
 
+    @pytest.mark.parametrize("node, value", [(0, "0.5"), (63, "1.0000001"),
+                                             (10, "nan")])
+    def test_gamma_from_file_not_one_outside_omega(self, tmp_path, capsys,
+                                                   node, value):
+        # nodes 0-26 and 37-63 of N=64 lie outside omega
+        rows = ["0,1\n"] * 64
+        rows[node] = f"0,{value}\n"
+        bad = tmp_path / "gamma.csv"
+        bad.write_text("x,gamma\n" + "".join(rows))
+        cfg = write_cfg(tmp_path, "c.json",
+                        gamma={"profile": "from-file", "path": str(bad)})
+        code = run(["dn", "--config", cfg, "--out", str(tmp_path / "dn")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and f"node {node} " in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "dn" / "manifest.json").exists()
+
     def test_invert_observed_dn_not_numeric(self, tmp_path, capsys):
         bad = tmp_path / "dn_matrix.csv"
         bad.write_text("src0,src1\n1.0,abc\n")
@@ -818,6 +836,7 @@ class TestNumericConfigValues:
         ("invert", {"task": dict(INVERT, reg_lambda=float("inf"))}),
         # node 32 of N=64 lies in omega
         ("forward", {"task": {"source": {"type": "unit", "node": 32}}}),
+        ("invert", {"task": dict(INVERT, tol=float("inf"))}),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, overrides):
         cfg = write_cfg(tmp_path, "c.json", **overrides)

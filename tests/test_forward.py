@@ -29,7 +29,7 @@ from fraccond.profiles import (
     random_admissible_m,
 )
 
-from oracles import assemble_dn_schrodinger, dn_pointwise
+from oracles import assemble_dn_schrodinger, dn_pointwise, laplacian_evaluator
 
 
 def grid128():
@@ -370,8 +370,9 @@ class TestReductionRoute:
         assert verify_reduction(g, fp, gam, f, v).residual == dense
 
         E = g.exterior_idx
-        oracle = (assemble_dn_schrodinger(g, fp, q, E, E).pair(f[E], v[E])
-                  - assemble_dn(g, fp, gam, E, E).pair(f[E], v[E]))
+        oracle = (float(v[E] @ assemble_dn_schrodinger(g, fp, q, E, E).matrix
+                        @ f[E])
+                  - float(v[E] @ assemble_dn(g, fp, gam, E, E).matrix @ f[E]))
         left, right = dn_gap(g, fp, gam, f, v)
         assert abs(left - oracle) <= 1e-12 * abs(oracle)
         lap_m = L @ gam.m_values
@@ -598,3 +599,57 @@ class TestDnEvaluator:
         assert np.array_equal(got.matrix, ref.matrix)
         assert np.array_equal(got.source_idx, W1)
         assert np.array_equal(got.obs_idx, W2)
+
+
+class TestDnMapIdentities:
+    """Two identities of the DN map that both of the paper's theorems rest
+    on: Alessandrini's identity, which writes the difference of two
+    Schroedinger DN maps through the solution blocks of the sources (U) and
+    of the observations (V), and the monotonicity of the conductivity DN
+    map in gamma."""
+
+    @staticmethod
+    def alessandrini_data(N, s, sets):
+        g = Grid(L=1.0, N=N, a=-0.15, b=0.15)
+        fp = FracParams(s)
+        E = g.exterior_idx
+        x = g.nodes[E]
+        W1, W2 = E[(x >= -0.9) & (x <= -0.5)], E[(x >= 0.5) & (x <= 0.9)]
+        g_W1 = None
+        if sets == "exterior":
+            W1 = W2 = E
+        elif sets == "one-source":
+            g_W1 = np.random.default_rng(N).uniform(0.5, 1.5, W1.size)
+        return g, laplacian_evaluator(g, fp, W1, W2, g_W1)
+
+    @pytest.mark.parametrize("sets", ["exterior", "disjoint", "one-source"])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("N", [256, 1024])
+    def test_alessandrini_identity(self, N, s, sets):
+        # M(q1) - M(q2) = h V(q1)^T diag(q1 - q2) U(q2)
+        g, data = self.alessandrini_data(N, s, sets)
+        rng = np.random.default_rng(int(10 * s) + N)
+        q1, q2 = rng.uniform(-5.0, 5.0, (2, g.interior_idx.size))
+        M1, U1, A1 = data.evaluate(q1)
+        M2, U2, _ = data.evaluate(q2)
+        V1 = data.observation_block(U1, A1)
+        diff = M1 - M2
+        identity = g.h * (V1.T @ ((q1 - q2)[:, None] * U2))
+        assert np.max(np.abs(diff - identity)) \
+            <= 1e-10 * np.max(np.abs(diff))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dn_map_monotone_in_gamma(self, seed):
+        # gamma1 <= gamma2 gives Lambda_gamma2 - Lambda_gamma1 >= 0
+        g = Grid(L=1.0, N=256, a=-0.15, b=0.15)
+        fp = FracParams(0.5)
+        E = g.exterior_idx
+        gam1 = make_conductivity(g, random_admissible_m(seed, 0.3, width=0.15))
+        rng = np.random.default_rng(seed)
+        bump = bump_m(rng.uniform(0.05, 0.3), rng.uniform(-0.05, 0.05), 0.1)
+        gam2 = Conductivity.from_m(
+            g, np.sqrt(gam1.values + bump(g.nodes)) - 1.0)
+        assert np.all(gam2.values >= gam1.values)
+        diff = assemble_dn(g, fp, gam2, E, E).matrix \
+            - assemble_dn(g, fp, gam1, E, E).matrix
+        assert np.linalg.eigvalsh(0.5 * (diff + diff.T))[0] > 0.0

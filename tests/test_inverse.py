@@ -10,7 +10,6 @@ from fraccond.core import FracParams, Grid
 from fraccond.forward import (
     DnMatrix,
     SolverError,
-    _DnEvaluator,
     assemble_dn,
     liouville_reduce,
 )
@@ -26,7 +25,11 @@ from fraccond.inverse import (
 from fraccond.operators import Conductivity, assemble_laplacian
 from fraccond.profiles import bump_m, make_conductivity, profile_from_name
 
-from oracles import assemble_dn_schrodinger, forward_and_jacobian
+from oracles import (
+    assemble_dn_schrodinger,
+    forward_and_jacobian,
+    laplacian_evaluator,
+)
 
 
 def inverse_grid(N=64):
@@ -99,6 +102,9 @@ class TestConfig:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="reg_lambda must be finite"):
                 InversionConfig(reg_lambda=bad)
+            # an infinite tol would report converged at iteration 0
+            with pytest.raises(ValueError, match="tol must be finite"):
+                InversionConfig(tol=bad)
 
 
 class TestJacobian:
@@ -496,7 +502,7 @@ class TestStructuredNormalEquations:
         nI = g.interior_idx.size
         rng = np.random.default_rng(1)
         q0 = 0.3 * rng.standard_normal(nI)
-        data = _DnEvaluator(g, assemble_laplacian(g, fp), W1, W2, g_W1)
+        data = laplacian_evaluator(g, fp, W1, W2, g_W1)
         M, U, lu = data.evaluate(q0)
         V = data.observation_block(U, lu)
         R = np.where(mask, rng.standard_normal(M.shape), 0.0)
