@@ -296,11 +296,21 @@ def _exterior_set(grid: Grid, selector, name: str) -> np.ndarray:
 # which run() writes; pass/fail checks; and facts about the run that carry
 # no verdict.  A command writes nothing itself.
 
+# the keys each source type reads besides "type"; any other is an error
+_SOURCE_KEYS = {"zero": set(), "unit": {"node"}, "gaussian": {"center", "width"}}
+
+
 def cmd_forward(task, grid, fp, gamma, seed):
     src = task.get("source", {"type": "zero"})
     if not isinstance(src, dict):
         raise ConfigError("task.source must be an object {type, ...}")
     kind = src.get("type", "zero")
+    if not (isinstance(kind, str) and kind in _SOURCE_KEYS):
+        raise ConfigError("task.source.type must be zero | unit | gaussian")
+    unread = set(src) - {"type"} - _SOURCE_KEYS[kind]
+    if unread:
+        raise ConfigError(f"task.source: type {kind!r} does not read "
+                          f"{sorted(unread)}")
     g = np.zeros(grid.N)
     if kind == "unit":
         node = _number(src.get("node", grid.exterior_idx[0]), int,
@@ -317,8 +327,6 @@ def cmd_forward(task, grid, fp, gamma, seed):
             raise ConfigError(f"task.source.width={width} must be > 0")
         prof = gaussian(center, width)
         g[grid.exterior_idx] = prof(grid.nodes[grid.exterior_idx])
-    elif kind != "zero":
-        raise ConfigError("task.source.type must be zero | unit | gaussian")
     A = assemble_conductivity(grid, fp, gamma)
     u = solve_dirichlet(grid, A, g)
     I = grid.interior_idx
@@ -517,6 +525,9 @@ def cmd_limits(task, grid, fp, gamma, seed):
     if not (isinstance(s_list, list) and s_list):
         raise ConfigError("task.s_list must be a non-empty array of orders")
     s_list = [_check_order(s, "task.s_list entry").s for s in s_list]
+    # the checks below read the studies along the list, in s order
+    if any(a >= b for a, b in zip(s_list, s_list[1:])):
+        raise ConfigError(f"task.s_list={s_list} must be strictly increasing")
     if study not in ("grad", "bilinear", "operator", "decay", "all"):
         raise ConfigError("task.study must be grad|bilinear|operator|decay|all")
     tables, checks = {}, {}

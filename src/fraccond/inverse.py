@@ -349,7 +349,7 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
                            grid: Grid, fp: FracParams,
                            cfg: InversionConfig | None = None) -> InversionReport:
     """Fit q from a single exterior source g (on the lattice or on W1)
-    observed on W2.
+    observed on W2; a lattice g must vanish off W1.
 
     Requires W1, W2 and omega pairwise disjoint with g nonzero; under that
     geometry the conductivity response on W2 equals the Schroedinger
@@ -358,7 +358,8 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     """
     W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
     g = np.asarray(g, dtype=float)
-    g_W1 = g[W1] if g.shape == (grid.N,) else g
+    lattice = g.shape == (grid.N,)
+    g_W1 = g[W1] if lattice else g
     if g_W1.shape != W1.shape or not np.any(g_W1):
         raise ValueError("single_measurement_fit: source g must be nonzero "
                          "and given on the lattice or on W1")
@@ -371,6 +372,11 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     p1, p2 = np.argsort(W1), np.argsort(W2)
     units = _DnEvaluator.from_operator(grid, assemble_laplacian(grid, fp),
                                        W1[p1], W2[p2], _SINGULAR_Q)
+    if lattice:  # checked once W1 is known to lie in the exterior
+        off = np.setdiff1d(np.flatnonzero(g), W1)
+        if off.size:
+            raise ValueError(f"single_measurement_fit: lattice source g is "
+                             f"nonzero at node {off[0]}, outside W1")
     with one_blas_thread():  # the fit's own scope; these are BLAS products
         data = _DnEvaluator(units.A_II, units.A_W2I,
                             (units.A_IW1 @ g_W1[p1])[:, None],

@@ -476,6 +476,15 @@ class TestSingleMeasurement:
             single_measurement_fit(np.zeros(g.N), np.zeros(W2.size),
                                    W1, W2, g, fp)
 
+    def test_lattice_source_off_w1_rejected(self):
+        # a lattice g's values off W1 would be dropped without a word
+        g, W1, W2, gfull = measurement_geometry()
+        gfull[W2[3]] = 5.0
+        with pytest.raises(ValueError, match=f"nonzero at node {W2[3]}, "
+                                             "outside W1"):
+            single_measurement_fit(gfull, np.zeros(W2.size), W1, W2, g,
+                                   FracParams(0.5))
+
     def test_nonpositive_sqrt_rejected(self, monkeypatch):
         monkeypatch.setattr("fraccond.inverse.recover_m_from_q",
                             lambda pot, grid, fpar: np.full(grid.N, -1.5))
