@@ -29,8 +29,11 @@ The package needs numpy alone and imports no scipy module.  The interior
 solves run in numpy's LAPACK, so numpy's bundled OpenBLAS runs every BLAS
 call.  run() holds it at one thread for the whole command
 (_blas.one_blas_thread), so no output depends on the host's CPU count;
-the only parallelism is the reduction pass's fixed pool of row-block
-workers (forward.MAX_WORKERS).  limits takes zeta from core._zeta.
+the only parallelism is forward._block_stream's fixed pool of
+forward.MAX_WORKERS threads, which builds the reduction pass's row blocks,
+copies invert's interior block for the deviation solve and walks walk's
+particles in blocks; no output depends on its size.  limits takes zeta
+from core._zeta.
 """
 
 from __future__ import annotations

@@ -31,7 +31,11 @@ block; memory in flight is at most MAX_WORKERS x buffers x BLOCK_BYTES
 (8 MiB for the reduction pass), and the buffers are freed before the
 interior solves.  Each block writes only its own rows' slices and the
 maxima are combined in block order, so the results are bit-identical for
-any worker count.
+any worker count.  _stream_blocks is one run of _block_stream, whose
+pool and buffers can serve several runs.  The same pool copies
+inverse.recover_m_from_q's interior block out of row blocks and builds
+walk.generator_residual's jump band, and walk.simulate runs every step
+over blocks of particles on one stream.
 
 Every interior block is checked by factor_interior and solved with
 np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
@@ -42,6 +46,7 @@ thread count.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,16 +201,19 @@ def assemble_dn(grid: Grid, fp: FracParams, gamma: Conductivity,
                             W1, W2)
 
 
-def _row_blocks(grid: Grid) -> list[tuple[int, int]]:
-    """Row bounds (lo, hi) of the streamed checks' blocks, in order.
+def _row_blocks(grid: Grid, lo: int = 0,
+                hi: int | None = None) -> list[tuple[int, int]]:
+    """Bounds (a, b) of the streamed passes' row blocks over the rows
+    lo..hi (default: all N rows), in order.
 
     The block height is BLOCK_BYTES over the bytes of one row, rounded
     down to a multiple of 8 rows (at least 8).  The rounding keeps BLAS's
     grouping of rows, and so the roundoff of each row of a block matvec,
     the same as in the full-matrix product.
     """
+    hi = grid.N if hi is None else hi
     step = max(BLOCK_BYTES // (8 * grid.N) // 8, 1) * 8
-    return [(lo, min(lo + step, grid.N)) for lo in range(0, grid.N, step)]
+    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
 def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
@@ -214,39 +222,61 @@ def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _stream_blocks(grid: Grid, n_buffers: int, work) -> tuple[list, int]:
-    """work(lo, hi, buffers) for every row block of _row_blocks, on a pool
-    of MAX_WORKERS threads (fewer when there are fewer blocks), so the
-    GIL-free ufuncs of several blocks run at once.  Each worker streams
-    every workers-th block through its own n_buffers (rows, N) arrays,
-    passing their first hi - lo rows, so nothing block-sized is allocated
-    per block; the buffers are freed when the stream ends.  BLAS runs on
-    one thread meanwhile, also for callers outside the CLI's own scope, so
-    workers do not each start BLAS threads.
+@contextmanager
+def _block_stream(buffers: list[tuple], height: int):
+    """A pool of MAX_WORKERS threads, whatever the host's CPU count, for
+    one or more runs over blocks of rows (or items); yields run.
 
-    work must write only its own rows' slices.  Returns its results in
-    block order and the number of workers.
+    run(blocks, work) calls work(lo, hi, views) for every block lo..hi of
+    blocks, at most height tall, so the GIL-free numpy calls of several
+    blocks run at once, and returns work's results in block order and the
+    number of workers (fewer than MAX_WORKERS when there are fewer blocks).
+    Each worker takes the next block no worker has taken, so a worker the
+    host holds up delays only the block it holds.  buffers lists one
+    (dtype, row shape) per buffer: each worker owns one such array, height
+    tall, for the whole stream and passes its first hi - lo rows as views,
+    so nothing block-sized is allocated per block or per run.  BLAS runs
+    on one thread while the stream is open, also for callers outside the
+    CLI's own scope, so workers do not each start BLAS threads.  work must
+    write only its own rows' slices.
     """
-    blocks = _row_blocks(grid)
-    step = blocks[0][1] - blocks[0][0]
-    workers = min(MAX_WORKERS, len(blocks))
-    results = [None] * len(blocks)
+    arrays = [[np.empty((height, *shape), dtype) for dtype, shape in buffers]
+              for _ in range(MAX_WORKERS)]
 
-    def stream(first: int):
-        buffers = [np.empty((step, grid.N)) for _ in range(n_buffers)]
-        for k in range(first, len(blocks), workers):
-            lo, hi = blocks[k]
-            results[k] = work(lo, hi, [buf[:hi - lo] for buf in buffers])
+    def run(blocks, work) -> tuple[list, int]:
+        workers = min(MAX_WORKERS, len(blocks))
+        results = [None] * len(blocks)
+        untaken = iter(range(len(blocks)))
+        lock = threading.Lock()
 
-    # imported here: only the streamed passes (verify_reduction,
-    # liouville_reduce) need it, and at module level the import would add
-    # its ~3 ms to every command's start
-    from concurrent.futures import ThreadPoolExecutor
+        def stream(worker: int):
+            while True:
+                with lock:
+                    k = next(untaken, None)
+                if k is None:
+                    return
+                lo, hi = blocks[k]
+                results[k] = work(lo, hi, [a[:hi - lo] for a in arrays[worker]])
 
-    with one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         # list() re-raises the first exception of a worker
         list(pool.map(stream, range(workers)))
-    return results, workers
+        return results, workers
+
+    # imported here: only the streamed passes need them, and at module
+    # level concurrent.futures would add its ~3 ms to every command's start
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    with one_blas_thread(), ThreadPoolExecutor(MAX_WORKERS) as pool:
+        yield run
+
+
+def _stream_blocks(blocks: list[tuple[int, int]], buffers: list[tuple],
+                   work) -> tuple[list, int]:
+    """One run of _block_stream over blocks: work(lo, hi, views) for every
+    block, its results in block order and the number of workers."""
+    with _block_stream(buffers, max(hi - lo for lo, hi in blocks)) as run:
+        return run(blocks, work)
 
 
 def liouville_reduce(grid: Grid, fp: FracParams,
@@ -267,7 +297,7 @@ def liouville_reduce(grid: Grid, fp: FracParams,
         lap_m[lo:hi] = operator_rows(grid, fp, lo, hi, None, out=out)[0] \
             @ gamma.m_values
 
-    _stream_blocks(grid, 1, block)
+    _stream_blocks(_row_blocks(grid), [(float, (grid.N,))], block)
     return -lap_m / gamma.sqrt
 
 
@@ -355,7 +385,8 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
         q = -lap_m[I[a:b]] / g[I[a:b]]
         return scale, _reduction_residual(C[rows], L[rows], I[a:b], g, q)
 
-    maxima, workers = _stream_blocks(grid, 2, block)
+    maxima, workers = _stream_blocks(_row_blocks(grid),
+                                     [(float, (grid.N,))] * 2, block)
     resid = scale = 0.0
     for block_scale, block_resid in maxima:
         scale = max(scale, block_scale)

@@ -48,7 +48,8 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .core import FracParams, Grid
-from .forward import DnMatrix, SolverError, _DnEvaluator, factor_interior
+from .forward import (DnMatrix, SolverError, _DnEvaluator, _row_blocks,
+                      _stream_blocks, factor_interior)
 from .operators import Conductivity, assemble_laplacian, operator_rows
 
 DAMPING_FLOOR = 1e-8
@@ -300,13 +301,20 @@ def recover_m_from_q(q: np.ndarray, grid: Grid, fp: FracParams) -> np.ndarray:
     ((-Delta)^s + q) m = -q on interior nodes, m = 0 on exterior nodes;
     q is a nodal array, and only its interior values are read.
     The pair (m, q) produced by the reduction satisfies this identically,
-    so recovering m from the true q is a single linear solve.  A_II comes
-    from the interior rows of (-Delta)^s only (omega's nodes are
-    consecutive), not from the full N x N matrix.
+    so recovering m from the true q is a single linear solve.  A_II is
+    copied out of row blocks of the interior rows of (-Delta)^s
+    (forward._stream_blocks; omega's nodes are consecutive): each block
+    holds full rows, so its diagonal row sums are those of the full matrix,
+    and memory is O(block N + |I|^2).
     """
     I = grid.interior_idx
     lo, hi = int(I[0]), int(I[-1]) + 1
-    A_II = operator_rows(grid, fp, lo, hi, None)[0][:, I]
+    A_II = np.empty((I.size, I.size))
+
+    def block(a, b, out):
+        A_II[a - lo:b - lo] = operator_rows(grid, fp, a, b, None, out=out)[0][:, lo:hi]
+
+    _stream_blocks(_row_blocks(grid, lo, hi), [(float, (grid.N,))], block)
     q_I = q[I]
     A_II[np.diag_indices_from(A_II)] += q_I
     factor_interior(A_II, "recover_m_from_q: 0 is an eigenvalue of "

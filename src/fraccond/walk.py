@@ -21,7 +21,10 @@ banded (N, 2K) table.  simulate turns its cdf rows into an exact bucket
 lands on the entry stored for bucket floor(d BUCKETS) of row y, one lookup
 per particle step.  A bucket that one of the row's cdf entries splits is
 marked ambiguous, and only the particles that draw it (about 3 % at K=16)
-are resolved by a branchless binary search of their cdf row.
+are resolved by a branchless binary search of their cdf row.  Each step
+walks the particles in blocks of CHUNK on forward._block_stream's worker
+pool, with the same draws, landings and absorptions for any worker count
+and CHUNK.
 
 Walk-generator identity: with g = gamma^{1/2}, the kernel-matrix
 conductivity operator C_gamma, D_i the incoming row sum and m_off,i the
@@ -31,7 +34,8 @@ jump mass leaving the lattice from site i, the incoming master step P obeys
     tau^{-1} (P_ii - 1) = -m_off,i / (tau D_i) - sum_{j != i} tau^{-1} P_ij,
 
 exactly; generator_residual checks it against the conductivity rows of
-operators.operator_rows.  It also compares the difference quotient with
+operators.operator_rows, built in row blocks (forward._stream_blocks), so
+memory is O(block N).  It also compares the difference quotient with
 the continuum kernel integral over not-a-knot cubic splines of u and
 gamma^{1/2}, built and integrated in numpy: exactly on the first jump
 cell, by Gauss-Legendre on the others.
@@ -51,6 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FracParams, Grid, _zeta
+from .forward import _block_stream, _row_blocks, _stream_blocks
 from .operators import Conductivity, operator_rows
 
 
@@ -177,18 +182,37 @@ def _spline_taylor(y: np.ndarray, h: float) -> np.ndarray:
 
     T[0, k, n] and T[1, k, n] are the z^k coefficients of spline(x_n + z)
     and spline(x_n - z), 0 <= z <= h, for 0 < n < N - 1; the end nodes'
-    entries are not filled.  The nodal second derivatives M come from one
-    linear solve; the slope at x_n is the one both adjacent pieces share.
+    entries are not filled.  The nodal second derivatives M solve the
+    spline system (M_{n-1} + 4 M_n + M_{n+1}) / 6 = r_n, 0 < n < N - 1,
+    with the not-a-knot ends M_0 - 2 M_1 + M_2 = 0 = M_{N-3} - 2 M_{N-2} +
+    M_{N-1} (u''' continuous at x_1 and x_{N-2}).  Those turn rows 1 and
+    N - 2 into M_1 = r_1 and M_{N-2} = r_{N-2}, and leave a tridiagonal
+    system in M_2..M_{N-3}, diagonally dominant, so elimination without
+    pivoting solves it in O(N).  The slope at x_n is the one both adjacent
+    pieces share.
     """
     N = y.shape[0]
-    A = np.zeros((N, N))
-    i = np.arange(1, N - 1)
-    A[i, i - 1] = A[i, i + 1] = 1.0 / 6.0
-    A[i, i] = 4.0 / 6.0
-    A[0, :3] = A[-1, -3:] = (1.0, -2.0, 1.0)  # u''' continuous at x_1, x_{N-2}
-    rhs = np.zeros_like(y)
-    rhs[1:-1] = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h**2
-    M = np.linalg.solve(A, rhs)
+    if N < 4:
+        raise ValueError("_spline_taylor: a not-a-knot spline needs 4 nodes")
+    r = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h**2  # r[n - 1] is r_n
+    M = np.empty_like(y)
+    M[1], M[-2] = r[0], r[-1]
+    d = 6.0 * r[1:-1]  # rows 2..N-3, times 6
+    if d.shape[0]:
+        d[0] -= M[1]
+        d[-1] -= M[-2]
+        sup = np.empty(d.shape[0])  # superdiagonal after elimination
+        sup[0] = 0.25
+        d[0] /= 4.0
+        for n in range(1, d.shape[0]):
+            pivot = 4.0 - sup[n - 1]
+            sup[n] = 1.0 / pivot
+            d[n] = (d[n] - d[n - 1]) / pivot
+        for n in range(d.shape[0] - 2, -1, -1):
+            d[n] -= sup[n] * d[n + 1]
+    M[2:-2] = d
+    M[0] = 2.0 * M[1] - M[2]
+    M[-1] = 2.0 * M[-2] - M[-3]
     slope = (y[2:] - y[:-2]) / (2.0 * h) - h * (M[2:] - M[:-2]) / 12.0
     T = np.zeros((2, 4) + y.shape)
     T[:, 0], T[:, 2] = y, M / 2.0
@@ -233,10 +257,12 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     """Compare (master_step(u) - u)/tau against the generator forms.
 
     The lattice form is the walk-generator identity applied to u, with
-    C_gamma from operators.operator_rows.  The continuum reference
-    integrates the kernel against cubic-spline interpolants of u and
-    gamma^{1/2} over the physical jump range R = K h (_continuum_integral),
-    evaluated only at sites no closer than R to the lattice edge.
+    C_gamma's jump band from operators.operator_rows, built in row blocks
+    on forward._stream_blocks, so memory is O(block N).  The continuum
+    reference integrates the kernel against cubic-spline interpolants of u
+    and gamma^{1/2} over the physical jump range R = K h
+    (_continuum_integral), evaluated only at sites no closer than R to the
+    lattice edge.
     """
     u = np.asarray(u, dtype=float)
     N, K = wp.n_sites, wp.K
@@ -254,9 +280,20 @@ def generator_residual(u: np.ndarray, wp: WalkParams, grid: Grid,
     g = wp.gamma_sqrt
     D = _jump_sum(np.pad(g, K, constant_values=1.0), wp)
     m_off = _jump_sum(np.pad(np.zeros(N), K, constant_values=1.0), wp)
-    # C_gamma on the jump band |i - j| <= K (its diagonal meets u_i - u_i = 0)
-    C = np.triu(np.tril(operator_rows(grid, fp, 0, N, g)[0], K), -K)
-    flux = np.sum(C * (u[None, :] - u[:, None]), axis=1)
+    flux = np.empty(N)
+
+    def block(lo, hi, out):
+        # rows lo..hi of C_gamma (u_j - u_i) on the jump band |i - j| <= K
+        # (the diagonal meets u_i - u_i = 0); each row is summed over all N
+        # columns, so flux is what the dense matrix gives, bit for bit
+        C = operator_rows(grid, fp, lo, hi, g, out=out[:1])[0]
+        prod = np.subtract(u[None, :], u[lo:hi, None], out=out[1])
+        prod *= C
+        j, i = np.arange(N), np.arange(lo, hi)[:, None]
+        prod[(j < i - K) | (j > i + K)] = 0.0
+        flux[lo:hi] = prod.sum(axis=1)
+
+    _stream_blocks(_row_blocks(grid), [(float, (N,))] * 2, block)
     lattice_form = -flux / (fp.cns * g * D) - m_off * u / (wp.tau * D)
     lattice_residual = float(np.max(np.abs(dq - lattice_form)))
 
@@ -324,6 +361,11 @@ BUCKETS = 1024
 exact and its integer part is the bucket of the draw d."""
 _AMBIGUOUS = -1  # table entry of a bucket that a cdf entry splits
 _BUILD_CELLS = 1 << 16  # table entries plus cdf entries per block of the build
+
+CHUNK = 1 << 16
+"""Particles per block of simulate's step pass.  A worker's draw, index
+and landing buffers for one block take 20 CHUNK bytes (1.3 MB), so a block
+stays in its core's L2 cache through the step."""
 
 
 def _landings(keys: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -396,7 +438,18 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     searchsorted(cdf[y], d, side="right") does.  Only a draw in an ambiguous
     bucket, about 3 % of them at K = 16, goes through _search.  A key
     outside [0, N * BUCKETS), one unsigned compare, is an absorbed particle.
-    The table takes 4 N BUCKETS bytes; the particles 20 bytes each.
+
+    Each step runs over blocks of CHUNK particles on one
+    forward._block_stream, whose workers and buffers serve every step.  The
+    step's substream is a PCG64 stream, and one double takes one
+    64-bit output, so a block draws its particles' doubles from that stream
+    moved ahead to its first particle (PCG64.advance): every draw, landing
+    and absorption is the same for any worker count and CHUNK.  A block
+    moves its survivors to its front, and the blocks are then joined in
+    order, so the particles keep their order.  The table takes 4 N BUCKETS
+    bytes and the particles 8 bytes each, in the returned positions' array,
+    which holds their keys while they walk; each worker adds 20 CHUNK bytes
+    of buffers.
     """
     N, K = wp.n_sites, wp.K
     if ens.positions.size and (ens.positions.min() < 0 or ens.positions.max() >= N):
@@ -406,37 +459,50 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     cdf = np.cumsum(outgoing_table(wp), axis=1)
     cdf[:, -1] = 1.0  # the last bin takes any draw a roundoff-short row total misses
     table = _bucket_table(cdf).ravel()
+    offsets = wp.offsets
     end = N * BUCKETS
-    n = ens.positions.size
-    key = np.multiply(ens.positions, BUCKETS, out=np.empty(n, np.int32))
-    index = np.empty(n, np.intp)
-    draws = np.empty(n)
-    for step in range(steps):
-        if n == 0:
-            break
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=ens.rng_seed,
-                                   spawn_key=(ens.step_count + step,)))
-        k = key[:n]
+    keys = np.multiply(ens.positions, BUCKETS)
+    n = keys.size
+
+    def walk(lo, hi, buffers):
+        """One step of the particles lo..hi; returns how many stay."""
+        draws, index, landed = buffers
+        k = keys[lo:hi]
+        rng = np.random.Generator(np.random.PCG64(seq).advance(lo))
         # floor(draw * BUCKETS) plus the key; the index buffer then holds
         # row * BUCKETS + bucket for every particle
-        np.multiply(rng.random(out=draws[:n]), BUCKETS, out=index[:n],
-                    casting="unsafe")
-        index[:n] += k
-        table.take(index[:n], out=k, mode="clip")  # in range; "raise" would buffer out
-        flagged = np.flatnonzero(k.view(np.uint32) >= end)  # ambiguous or absorbed
-        amb = flagged[k[flagged] == _AMBIGUOUS]
+        np.multiply(rng.random(out=draws), BUCKETS, out=index, casting="unsafe")
+        index += k
+        table.take(index, out=landed, mode="clip")  # in range; "raise" would buffer out
+        flagged = np.flatnonzero(landed.view(np.uint32) >= end)  # ambiguous or absorbed
+        amb = flagged[landed[flagged] == _AMBIGUOUS]
         if amb.size:
             rows = index[amb] // BUCKETS
-            k[amb] = (rows + wp.offsets[_search(cdf, rows, draws[amb])]) * BUCKETS
-        gone = flagged[k[flagged].view(np.uint32) >= end]
+            landed[amb] = (rows + offsets[_search(cdf, rows, draws[amb])]) * BUCKETS
+        gone = flagged[landed[flagged].view(np.uint32) >= end]
         if gone.size:
-            keep = np.ones(n, dtype=bool)
+            keep = np.ones(hi - lo, dtype=bool)
             keep[gone] = False
-            n -= gone.size
-            key[:n] = k[keep]
-    del draws, index  # freed before the positions are built: the peak stays the loop's
-    pos = key[:n] // BUCKETS
+            landed = landed[keep]
+        k[:landed.size] = landed
+        return landed.size
+
+    with _block_stream([(float, ()), (np.intp, ()), (np.int32, ())],
+                       min(n, CHUNK)) as run:
+        for step in range(steps):
+            if n == 0:
+                break
+            seq = np.random.SeedSequence(entropy=ens.rng_seed,
+                                         spawn_key=(ens.step_count + step,))
+            blocks = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+            kept, _ = run(blocks, walk)
+            n = 0
+            for (lo, _), count in zip(blocks, kept):
+                if n < lo:  # earlier blocks lost particles: close the gap
+                    keys[n:n + count] = keys[lo:lo + count]
+                n += count
+    pos = keys[:n]
+    pos //= BUCKETS
     hist = np.bincount(pos, minlength=N).astype(float) / ens.initial_count
     out = Ensemble(pos, ens.rng_seed, ens.step_count + steps, ens.initial_count)
     return out, hist

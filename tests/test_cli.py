@@ -344,9 +344,11 @@ class TestThreadCapOrdering:
         assert got["loaded"] == []
 
     def test_invert_gauss_newton_scope(self, tmp_path):
+        # the run's scope, the Gauss-Newton fit's and the row-block stream
+        # that copies recover_m_from_q's interior block
         self.assert_every_scope_capped(self.counts(
             ["invert", "--config", invert_config(tmp_path),
-             "--out", str(tmp_path / "inv")]), 2)
+             "--out", str(tmp_path / "inv")]), 3)
 
     def test_forward_threads_scope(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fraccond import forward
 from fraccond.core import FracParams, Grid
 from fraccond.forward import (
     SolverError,
     _row_blocks,
+    _stream_blocks,
     assemble_dn,
     dn_from_operator,
     dn_gap,
@@ -446,6 +448,31 @@ class TestReductionRoute:
 class TestRowBlocks:
     """The row-block stream behind the reduction checks reproduces the
     assembled operators exactly, within a flat memory budget."""
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # more workers than cores, and the interpreter switching threads as
+        # often as it can: the workers share the untaken blocks, and none
+        # may be skipped or taken twice
+        import sys
+
+        monkeypatch.setattr(forward, "MAX_WORKERS", 8)
+        blocks = [(k, k + 1) for k in range(2000)]
+        taken = []
+
+        def work(lo, hi, out):
+            out[0][0] = lo
+            taken.append(lo)
+            return int(out[0][0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results, workers = _stream_blocks(blocks, [(np.int64, ())], work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers == 8
+        assert results == list(range(2000))
+        assert sorted(taken) == list(range(2000))
 
     @pytest.mark.parametrize("N", [64, 257, 1000])
     @pytest.mark.parametrize("profile", ["constant", "random"])

@@ -237,6 +237,21 @@ class TestRecoverM:
         m = recover_m_from_q(q, g, fp)
         assert np.array_equal(m[I], ref)
 
+    def test_peak_memory_in_row_blocks_at_4097(self):
+        # omega's rows across all N columns took 23 MB here; the interior
+        # block is copied out of one (rows, N) buffer per worker instead
+        g = Grid(L=8.0, N=4097, a=-1.0, b=1.0)
+        fp = FracParams(0.5)
+        q = liouville_reduce(g, fp, make_conductivity(g, bump_m(0.3, 0.0, 0.5)))
+        tracemalloc.start()
+        try:
+            recover_m_from_q(q, g, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = g.interior_idx.size**2 * 8
+        assert peak < block + forward.MAX_WORKERS * forward.BLOCK_BYTES + (1 << 20)
+
     def test_singular_raises_named_error(self):
         g = Grid(L=1.0, N=48, a=-0.3, b=0.3)
         fp = FracParams(0.5)

@@ -3,16 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
+from fraccond import forward, walk
 from fraccond.core import FracParams, Grid, tail_vector
-from fraccond.operators import Conductivity, assemble_conductivity
+from fraccond.operators import Conductivity, assemble_conductivity, operator_rows
 from fraccond.profiles import bump_m, make_conductivity
 from fraccond.walk import (
     BUCKETS,
+    CHUNK,
     Ensemble,
     WalkParams,
     _AMBIGUOUS,
     _bucket_table,
     _continuum_integral,
+    _spline_taylor,
     default_jump_cutoff,
     full_weight_sum,
     generator_residual,
@@ -142,6 +145,44 @@ class TestGeneratorResidual:
             res = generator_residual(np.ones(g.N), wp, g, fp)
         assert res.lattice_residual <= 1e-13
         assert res.continuum_residual <= 1e-10
+
+    @pytest.mark.parametrize("N,K", [(65, 4), (257, 16), (1000, 300)])
+    def test_band_rows_equal_dense_route(self, N, K):
+        # the dense route: the whole N x N conductivity matrix cut to the
+        # jump band, times u_j - u_i, each row summed over all N columns
+        g, fp, gam, wp = walk_setup(N=N, K=K, gamma_amp=0.3)
+        u = np.exp(-2.0 * g.nodes**2)
+        g_sqrt = wp.gamma_sqrt
+        C = np.triu(np.tril(operator_rows(g, fp, 0, N, g_sqrt)[0], K), -K)
+        flux = np.sum(C * (u[None, :] - u[:, None]), axis=1)
+        D = walk._jump_sum(np.pad(g_sqrt, K, constant_values=1.0), wp)
+        m_off = walk._jump_sum(np.pad(np.zeros(N), K, constant_values=1.0), wp)
+        dq = (master_step(u, wp) - u) / wp.tau
+        form = -flux / (fp.cns * g_sqrt * D) - m_off * u / (wp.tau * D)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = generator_residual(u, wp, g, fp).lattice_residual
+        assert got == float(np.max(np.abs(dq - form)))
+
+    def test_peak_memory_in_row_blocks_at_4097(self):
+        # the dense band took 285 MB here; the stream holds two (rows, N)
+        # buffers per worker, 2 MiB each, and the spline solve is O(N)
+        import tracemalloc
+
+        g = Grid(L=8.0, N=4097, a=-1.0, b=1.0)
+        fp = FracParams(0.5)
+        wp = WalkParams.from_grid(g, fp, make_conductivity(
+            g, bump_m(0.3, 0.0, 0.5)), 16)
+        u = np.exp(-g.nodes**2)
+        u[np.abs(g.nodes) > g.L - wp.K * wp.h] = 0.0
+        tracemalloc.start()
+        try:
+            res = generator_residual(u, wp, g, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.lattice_residual <= 1e-12
+        assert peak < 3 * forward.MAX_WORKERS * forward.BLOCK_BYTES
 
     def test_h_refinement_halves_residual(self):
         # physical jump range R = K h held at 3.0 across the refinements
@@ -399,6 +440,31 @@ class TestContinuumIntegral:
         assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
 
 
+def dense_spline_moments(y, h):
+    """The not-a-knot spline's nodal second derivatives from one dense
+    N x N solve."""
+    N = y.shape[0]
+    A = np.zeros((N, N))
+    i = np.arange(1, N - 1)
+    A[i, i - 1] = A[i, i + 1] = 1.0 / 6.0
+    A[i, i] = 4.0 / 6.0
+    A[0, :3] = A[-1, -3:] = (1.0, -2.0, 1.0)
+    rhs = np.zeros_like(y)
+    rhs[1:-1] = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h**2
+    return np.linalg.solve(A, rhs)
+
+
+class TestSplineMoments:
+    @pytest.mark.parametrize("N", [4, 5, 6, 129, 1000])
+    def test_equal_dense_solve(self, N):
+        x = np.linspace(-3.0, 3.0, N)
+        y = np.column_stack([np.exp(-x**2), 1.0 + 0.3 * np.sin(2.0 * x)])
+        h = x[1] - x[0]
+        M = 2.0 * _spline_taylor(y, h)[0, 2]  # the z^2 coefficient is M / 2
+        ref = dense_spline_moments(y, h)
+        assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestFullWeightSum:
     def test_matches_zeta_to_roundoff(self):
         import scipy.special
@@ -447,9 +513,12 @@ class TestSamplerEdges:
         assert np.array_equal(hist, ref_hist)
 
     def test_memory_per_particle(self):
+        # 8 bytes per particle (the returned positions, which hold the keys
+        # while the particles walk) beside the bucket table, each worker's
+        # 20 CHUNK bytes of buffers and 2 MiB for the rest
         import tracemalloc
         g, fp, gam, wp = walk_setup(N=513, K=16, gamma_amp=0.3)
-        n = 200_000
+        n = 1_000_000
         ens = Ensemble.point_source(n, g.N // 2, rng_seed=3)
         tracemalloc.start()
         try:
@@ -457,7 +526,43 @@ class TestSamplerEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * n
+        fixed = 4 * g.N * BUCKETS + forward.MAX_WORKERS * 20 * CHUNK + (2 << 20)
+        assert peak < 8 * n + fixed
+
+
+class TestParticleChunks:
+    """simulate's step pass runs in blocks of CHUNK particles on forward's
+    worker pool; neither the worker count nor CHUNK moves a byte."""
+
+    # absorption at the first end, at the last end, and at both from the
+    # centre with the default K = 2048
+    @pytest.mark.parametrize("K,site", [(3, 0), (5, 128), (2048, 64)])
+    def test_workers_and_chunk_size_move_no_byte(self, monkeypatch, K, site):
+        g, fp, gam, wp = walk_setup(N=129, K=K, gamma_amp=0.3)
+        n = 20_001  # no chunk size below divides it
+        ens = Ensemble.point_source(n, site, rng_seed=K + site)
+        runs = []
+        for workers, chunk in [(1, n), (1, 4096), (2, 4096), (2, 1000), (2, 777)]:
+            monkeypatch.setattr(forward, "MAX_WORKERS", workers)
+            monkeypatch.setattr(walk, "CHUNK", chunk)
+            runs.append(simulate(ens, wp, 8))
+        assert runs[0][0].positions.size < n  # some were absorbed
+        assert K < 2048 or wp.K == default_jump_cutoff(0.5)
+        for out, hist in runs[1:]:
+            assert np.array_equal(out.positions, runs[0][0].positions)
+            assert np.array_equal(hist, runs[0][1])
+            assert out.positions.dtype == np.int64
+
+    def test_chunks_equal_per_site_search(self, monkeypatch):
+        # several chunks per worker, checked against the reference route
+        monkeypatch.setattr(walk, "CHUNK", 3000)
+        g, fp, gam, wp = walk_setup(N=129, K=5, gamma_amp=0.3)
+        ens = Ensemble.point_source(20_000, 0, rng_seed=4)
+        out, hist = simulate(ens, wp, 12)
+        pos, ref_hist = simulate_per_site(ens, wp, 12)
+        assert out.positions.size < ens.positions.size
+        assert np.array_equal(out.positions, pos)
+        assert np.array_equal(hist, ref_hist)
 
 
 def searchsorted_table(cdf):
