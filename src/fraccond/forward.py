@@ -11,16 +11,17 @@ Every DN matrix, the inversion's forward map and each DN pairing come from
 one evaluator (_DnEvaluator) on an operator's blocks A_II, A_W2,I, A_I,W1
 and D = A_W2,W1: h^n (D + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
 
-The reduction checks never form an N x N matrix.  verify_reduction checks
-both identities, the matrix-level reduction and the DN gap identity, in one
-pass over row blocks (_row_blocks): operators.operator_rows turns each
-kernel block into the same rows of the conductivity matrix and of
-(-Delta)^s, and the pass keeps only running maxima, length-N vectors and
-the |I| x |I| interior blocks.  The reduction residual compares the two
-sides of the identity on the interior rows only; each DN pairing is one
-evaluation on the blocks the pass kept, one interior solve, instead of a
-DN matrix.  dn_gap returns the gap half of that check; liouville_reduce
-streams the (-Delta)^s rows alone.
+No DN matrix and no reduction check forms an N x N matrix: a DN matrix's
+blocks are gathered from row blocks (_DnEvaluator.gather), and
+verify_reduction checks both identities, the matrix-level reduction and
+the DN gap identity, in one pass over row blocks (_row_blocks):
+operators.operator_rows turns each kernel block into the same rows of the
+conductivity matrix and of (-Delta)^s, and the pass keeps only running
+maxima, length-N vectors and the |I| x |I| interior blocks.  The reduction
+residual compares the two sides of the identity on the interior rows only;
+each DN pairing is one evaluation on the blocks the pass kept, one
+interior solve, instead of a DN matrix.  dn_gap returns the gap half of
+that check; liouville_reduce streams the (-Delta)^s rows alone.
 
 Both passes run on _stream_blocks: a pool of MAX_WORKERS threads (fewer
 only when there are fewer blocks), whatever the host's CPU count, with
@@ -32,10 +33,9 @@ block; memory in flight is at most MAX_WORKERS x buffers x BLOCK_BYTES
 interior solves.  Each block writes only its own rows' slices and the
 maxima are combined in block order, so the results are bit-identical for
 any worker count.  _stream_blocks is one run of _block_stream, whose
-pool and buffers can serve several runs.  The same pool copies
-inverse.recover_m_from_q's interior block out of row blocks and builds
-walk.generator_residual's jump band, and walk.simulate runs every step
-over blocks of particles on one stream.
+pool and buffers can serve several runs.  The same pool gathers the DN
+evaluator's blocks and builds walk.generator_residual's jump band, and
+walk.simulate runs every step over blocks of particles on one stream.
 
 Every interior block is checked by factor_interior and solved with
 np.linalg.solve (LAPACK gesv, i.e. getrf + getrs, in numpy's own OpenBLAS),
@@ -53,7 +53,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .core import FracParams, Grid
-from .operators import Conductivity, assemble_conductivity, operator_rows
+from .operators import Conductivity, operator_rows
 
 
 # byte budget of one row-block array in the streamed reduction checks
@@ -152,16 +152,35 @@ class _DnEvaluator:
         self.same = np.array_equal(A_W2I.T, A_IW1)
 
     @classmethod
-    def from_operator(cls, grid: Grid, A: np.ndarray, W1: np.ndarray,
-                      W2: np.ndarray, context: str) -> "_DnEvaluator":
-        """The blocks of an operator matrix A on unit sources on W1 and
-        observations on W2, both subsets of the exterior."""
+    def gather(cls, grid: Grid, fp: FracParams, g: np.ndarray | None,
+               W1: np.ndarray, W2: np.ndarray, context: str) -> "_DnEvaluator":
+        """The blocks of the operator of g (gamma^{1/2}, or None for
+        (-Delta)^s) for W1, W2 (int arrays of exterior nodes, any order),
+        copied out of the operator_rows row blocks holding omega's or W2's
+        rows (_stream_blocks): the dense matrix's entries bit for bit, in
+        the four blocks' memory plus the stream's buffers."""
         for W, nm in ((W1, "W1"), (W2, "W2")):
             if not np.all(np.isin(W, grid.exterior_idx)):
                 raise ValueError(f"DN map: {nm} must be a subset of exterior_idx")
         I = grid.interior_idx
-        return cls(A[np.ix_(I, I)], A[np.ix_(W2, I)], A[np.ix_(I, W1)],
-                   A[np.ix_(W2, W1)], grid.h, context)
+        cols = slice(I[0], I[-1] + 1)  # omega's nodes are one contiguous range
+        A_II, A_IW1 = np.empty((I.size, I.size)), np.empty((I.size, W1.size))
+        A_W2I, D = np.empty((W2.size, I.size)), np.empty((W2.size, W1.size))
+
+        def block(lo, hi, out):
+            A = operator_rows(grid, fp, lo, hi, g, out=out)[0]
+            a, b = _interior_rows(grid, lo, hi)
+            rows = A[I[0] + a - lo:I[0] + b - lo]  # empty when a == b
+            A_II[a:b] = rows[:, cols]
+            A_IW1[a:b] = rows[:, W1]
+            k = np.flatnonzero((W2 >= lo) & (W2 < hi))
+            A_W2I[k] = A[W2[k] - lo, cols]
+            D[k] = A[np.ix_(W2[k] - lo, W1)]
+
+        blocks = [(lo, hi) for lo, hi in _row_blocks(grid) if lo <= I[-1]
+                  and I[0] < hi or np.any((W2 >= lo) & (W2 < hi))]
+        _stream_blocks(blocks, [(float, (grid.N,))], block)
+        return cls(A_II, A_W2I, A_IW1, D, grid.h, context)
 
     def evaluate(self, q_int):
         """DN data M, the source solution block U = A_II^-1 (-A_I,W1) and
@@ -181,39 +200,34 @@ class _DnEvaluator:
         return U if self.same else np.linalg.solve(A_II, -self.A_W2I.T)
 
 
-def dn_from_operator(grid: Grid, A: np.ndarray, W1: np.ndarray,
-                     W2: np.ndarray) -> DnMatrix:
-    """Assemble the DN matrix column by column from an operator matrix A.
-
-    Column k: solve the Dirichlet problem with the unit exterior source at
-    node k, then entry (l, k) = h^n * (A u_k)_l for l in W2, which equals
-    the bilinear pairing of u_k against the unit observation field.
-    """
+def dn_from_operator(grid: Grid, fp: FracParams, g: np.ndarray | None,
+                     W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
+    """DN matrix of the operator A of g (gamma^{1/2}, or None for
+    (-Delta)^s), from its gathered blocks: column k solves the Dirichlet
+    problem for the unit source at node k, and entry (l, k) = h^n (A u_k)_l
+    is the pairing of u_k with the unit observation field at l in W2."""
     W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
-    data = _DnEvaluator.from_operator(grid, A, W1, W2, "assemble_dn")
+    data = _DnEvaluator.gather(grid, fp, g, W1, W2, "assemble_dn")
     return DnMatrix(W1, W2, data.evaluate(0.0)[0])
 
 
 def assemble_dn(grid: Grid, fp: FracParams, gamma: Conductivity,
                 W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
     """DN matrix of the conductivity operator."""
-    return dn_from_operator(grid, assemble_conductivity(grid, fp, gamma),
-                            W1, W2)
+    return dn_from_operator(grid, fp, gamma.sqrt, W1, W2)
 
 
-def _row_blocks(grid: Grid, lo: int = 0,
-                hi: int | None = None) -> list[tuple[int, int]]:
-    """Bounds (a, b) of the streamed passes' row blocks over the rows
-    lo..hi (default: all N rows), in order.
+def _row_blocks(grid: Grid) -> list[tuple[int, int]]:
+    """Bounds (a, b) of the streamed passes' row blocks over the N rows, in
+    order.
 
     The block height is BLOCK_BYTES over the bytes of one row, rounded
     down to a multiple of 8 rows (at least 8).  The rounding keeps BLAS's
     grouping of rows, and so the roundoff of each row of a block matvec,
     the same as in the full-matrix product.
     """
-    hi = grid.N if hi is None else hi
     step = max(BLOCK_BYTES // (8 * grid.N) // 8, 1) * 8
-    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+    return [(a, min(a + step, grid.N)) for a in range(0, grid.N, step)]
 
 
 def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:

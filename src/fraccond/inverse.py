@@ -13,9 +13,9 @@ map and the entries it leaves out.  reconstruct_gamma (conductivity data)
 and recover_potential_full (Schroedinger data) build them in _laplacian_data
 from the data's own sets W1, W2, any exterior subsets, sorted once;
 single_measurement_fit (one source g on W1, observed on a disjoint W2)
-contracts the source blocks with g itself.  Step (2) is one tail for both
-gamma entry points; it raises ReconstructionError when 1 + m <= 0 and lets
-SolverError through, so a report always carries gamma.
+contracts the source blocks with g itself.  Step (2), one tail for both
+gamma entry points, solves against the block the fit last checked and
+raises ReconstructionError when 1 + m <= 0: a report always has gamma.
 
 The fit runs on one BLAS thread, as every CLI command does, and records
 one Iterate per accepted step; InversionReport derives converged,
@@ -23,9 +23,9 @@ data_residual and residual_history from its stop_reason and iterations,
 so each fact is stored once.
 
 The forward map q -> Schroedinger DN data is forward._DnEvaluator on the
-Laplacian's blocks, assembled once per inversion; an evaluation only adds
-diag(q) to the interior block, checks it (factor_interior) and solves
-against it with numpy's LAPACK (gesv).
+Laplacian's blocks, gathered once per inversion (_DnEvaluator.gather); an
+evaluation only adds diag(q) to the interior block, checks it
+(factor_interior) and solves against it with numpy's LAPACK (gesv).
 
 The Jacobian of the DN data in the interior q values is the Khatri-Rao
 product J[l, k, i] = h U[i, k] V[i, l] of the interior solution blocks for
@@ -48,14 +48,14 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .core import FracParams, Grid
-from .forward import (DnMatrix, SolverError, _DnEvaluator, _row_blocks,
-                      _stream_blocks, factor_interior)
-from .operators import Conductivity, assemble_laplacian, operator_rows
+from .forward import DnMatrix, SolverError, _DnEvaluator, factor_interior
+from .operators import Conductivity
 
 DAMPING_FLOOR = 1e-8
 STEP_DAMPING = 0.5  # a rejected line-search trial halves the step
 _SINGULAR_Q = "(-Delta)^s + q has 0 as an eigenvalue on omega"
-_NO_ENTRIES = (np.empty(0, dtype=int),) * 2  # excluded entries of a full fit
+_NO_NODES = np.empty(0, dtype=int)
+_NO_ENTRIES = (_NO_NODES,) * 2  # excluded entries of a full fit
 
 
 class ReconstructionError(RuntimeError):
@@ -200,9 +200,9 @@ def _fit_potential(grid: Grid, cfg: InversionConfig, data: _DnEvaluator,
     CLI command does: its operands have only |I| rows, where OpenBLAS's
     one thread per CPU runs an order of magnitude slower.
 
-    Returns the fitted potential (a nodal array, zero outside omega), then
-    iterations, stop_reason and lambda_used in InversionReport's field
-    order.
+    Returns the fitted potential (a nodal array, zero outside omega), its
+    checked block A_II + diag(q), then iterations, stop_reason and
+    lambda_used in InversionReport's field order.
     """
     keep = np.ones(observed.shape, dtype=bool)
     keep[excluded] = False
@@ -265,7 +265,7 @@ def _fit_potential(grid: Grid, cfg: InversionConfig, data: _DnEvaluator,
                 stop_reason = "converged"
     q_full = np.zeros(grid.N)
     q_full[grid.interior_idx] = q
-    return q_full, iterations, stop_reason, lam
+    return q_full, A_II, iterations, stop_reason, lam
 
 
 def _laplacian_data(grid: Grid, fp: FracParams, observed: DnMatrix):
@@ -281,8 +281,7 @@ def _laplacian_data(grid: Grid, fp: FracParams, observed: DnMatrix):
                          f"but W1 and W2 give {(W2.size, W1.size)}")
     p1, p2 = np.argsort(W1), np.argsort(W2)
     W1, W2 = W1[p1], W2[p2]
-    data = _DnEvaluator.from_operator(grid, assemble_laplacian(grid, fp),
-                                      W1, W2, _SINGULAR_Q)
+    data = _DnEvaluator.gather(grid, fp, None, W1, W2, _SINGULAR_Q)
     return data, M[np.ix_(p2, p1)], np.nonzero(W2[:, None] == W1[None, :])
 
 
@@ -301,36 +300,31 @@ def recover_m_from_q(q: np.ndarray, grid: Grid, fp: FracParams) -> np.ndarray:
     ((-Delta)^s + q) m = -q on interior nodes, m = 0 on exterior nodes;
     q is a nodal array, and only its interior values are read.
     The pair (m, q) produced by the reduction satisfies this identically,
-    so recovering m from the true q is a single linear solve.  A_II is
-    copied out of row blocks of the interior rows of (-Delta)^s
-    (forward._stream_blocks; omega's nodes are consecutive): each block
-    holds full rows, so its diagonal row sums are those of the full matrix,
-    and memory is O(block N + |I|^2).
+    so recovering m from the true q is a single linear solve against
+    A_II, gathered with no sources or observations and shifted in place,
+    so memory is O(block N + |I|^2).
     """
-    I = grid.interior_idx
-    lo, hi = int(I[0]), int(I[-1]) + 1
-    A_II = np.empty((I.size, I.size))
+    context = "recover_m_from_q: 0 is an eigenvalue of (-Delta)^s + q on omega"
+    A_II = _DnEvaluator.gather(grid, fp, None, _NO_NODES, _NO_NODES,
+                               context).A_II
+    A_II[np.diag_indices_from(A_II)] += q[grid.interior_idx]
+    return _deviation(grid, q, factor_interior(A_II, context))
 
-    def block(a, b, out):
-        A_II[a - lo:b - lo] = operator_rows(grid, fp, a, b, None, out=out)[0][:, lo:hi]
 
-    _stream_blocks(_row_blocks(grid, lo, hi), [(float, (grid.N,))], block)
-    q_I = q[I]
-    A_II[np.diag_indices_from(A_II)] += q_I
-    factor_interior(A_II, "recover_m_from_q: 0 is an eigenvalue of "
-                    "(-Delta)^s + q on omega")
+def _deviation(grid: Grid, q: np.ndarray, A_II: np.ndarray) -> np.ndarray:
+    """m with A_II m_I = -q_I for the checked A_II = L_II + diag(q_I)."""
     m = np.zeros(grid.N)
-    m[I] = np.linalg.solve(A_II, -q_I)
+    m[grid.interior_idx] = np.linalg.solve(A_II, -q[grid.interior_idx])
     return m
 
 
-def _gamma_report(grid: Grid, fp: FracParams, q: np.ndarray,
+def _gamma_report(grid: Grid, q: np.ndarray, A_II: np.ndarray,
                   *fit) -> InversionReport:
-    """The report of a fit, with m from its q and gamma = (1 + m)^2; a
-    singular (-Delta)^s + q raises SolverError, and an m that Conductivity
-    rejects (1 + m <= 0 or NaN) ReconstructionError.
-    """
-    m = recover_m_from_q(q, grid, fp)
+    """The report of a fit: m solved against the block it last checked
+    (recover_m_from_q's matrix bit for bit) and gamma = (1 + m)^2; an m
+    that Conductivity rejects (1 + m <= 0 or NaN) raises
+    ReconstructionError."""
+    m = _deviation(grid, q, A_II)
     try:
         gamma = Conductivity.from_m(grid, m)
     except ValueError as exc:
@@ -348,7 +342,7 @@ def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,
     gap identity, are left out; q is fitted to the rest.
     """
     data, M, shared = _laplacian_data(grid, fp, observed)
-    return _gamma_report(grid, fp, *_fit_potential(
+    return _gamma_report(grid, *_fit_potential(
         grid, cfg or InversionConfig(), data, M, shared))
 
 
@@ -378,8 +372,7 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     if np.intersect1d(W1, W2).size:
         raise ValueError("DN data fit: one source needs W1, W2 disjoint")
     p1, p2 = np.argsort(W1), np.argsort(W2)
-    units = _DnEvaluator.from_operator(grid, assemble_laplacian(grid, fp),
-                                       W1[p1], W2[p2], _SINGULAR_Q)
+    units = _DnEvaluator.gather(grid, fp, None, W1[p1], W2[p2], _SINGULAR_Q)
     if lattice:  # checked once W1 is known to lie in the exterior
         off = np.setdiff1d(np.flatnonzero(g), W1)
         if off.size:
@@ -389,6 +382,6 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
         data = _DnEvaluator(units.A_II, units.A_W2I,
                             (units.A_IW1 @ g_W1[p1])[:, None],
                             (units.D @ g_W1[p1])[:, None], grid.h, _SINGULAR_Q)
-    return _gamma_report(grid, fp, *_fit_potential(
+    return _gamma_report(grid, *_fit_potential(
         grid, cfg or InversionConfig(reg_lambda=1e-6), data,
         observed[p2][:, None], _NO_ENTRIES))

@@ -32,7 +32,6 @@ their punctured form is what makes the algebraic identities exact.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,8 +46,6 @@ from .operators import (
     frac_gradient,
 )
 from .profiles import gaussian, make_conductivity
-
-logger = logging.getLogger("fraccond")
 
 EDGE_DECAY = 1e-10
 REFINE_TOL = 0.005
@@ -164,8 +161,9 @@ def local_grad_pairing(grid: Grid, gamma_values: np.ndarray,
 
 def _warn_high_s(s: float):
     if s > 0.95:
-        logger.warning("limit study at s=%g: above 0.95 the kernel constant "
-                       "degenerates; results are indicative only", s)
+        warnings.warn(f"limit study at s={s:g}: above 0.95 the kernel "
+                      "constant degenerates; results are indicative only",
+                      stacklevel=3)
 
 
 def _limit_row(s: float, value: float, reference: float, n_used: int,

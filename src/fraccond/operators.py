@@ -5,8 +5,9 @@ operator (-Delta)^s + q as dense symmetric matrices; provides the two-point
 fractional gradient, its adjoint divergence, and the weighted bilinear form.
 
 operator_rows is the one routine that turns kernel weights into operator
-rows: every dense assembly, the reduction pass, the deviation solve and
-the walk generator check ask it for the rows they need.
+rows: every dense assembly, the reduction pass, the DN block gather
+(forward._DnEvaluator.gather) and the walk generator check ask it for the
+rows they need.
 
 Sign convention: the fractional Laplacian here is the positive-semidefinite
 operator with Fourier symbol |xi|^{2s}.

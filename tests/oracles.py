@@ -9,8 +9,7 @@ import numpy as np
 from fraccond.core import FracParams, Grid
 from fraccond.forward import (DnMatrix, _DnEvaluator,
                               _check_exterior_support, solve_dirichlet)
-from fraccond.operators import (Conductivity, assemble_conductivity,
-                                assemble_laplacian)
+from fraccond.operators import Conductivity, assemble_conductivity
 from fraccond.walk import WalkParams, _band
 
 EDGE_DECAY_TOL = 1e-12
@@ -60,15 +59,31 @@ def dn_pointwise(grid: Grid, fp: FracParams, gamma: Conductivity,
     return (A @ u)[grid.exterior_idx]
 
 
+def dense_evaluator(grid: Grid, A: np.ndarray, W1: np.ndarray,
+                    W2: np.ndarray) -> _DnEvaluator:
+    """The DN evaluator on blocks sliced out of a dense operator matrix A:
+    the reference the gathered blocks (_DnEvaluator.gather) are compared
+    against."""
+    I = grid.interior_idx
+    return _DnEvaluator(A[np.ix_(I, I)], A[np.ix_(W2, I)], A[np.ix_(I, W1)],
+                        A[np.ix_(W2, W1)], grid.h, "dense_evaluator")
+
+
+def dn_from_matrix(grid: Grid, A: np.ndarray, W1: np.ndarray,
+                   W2: np.ndarray) -> DnMatrix:
+    """DN matrix of a dense operator matrix A, from its sliced blocks."""
+    W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
+    return DnMatrix(W1, W2, dense_evaluator(grid, A, W1, W2).evaluate(0.0)[0])
+
+
 def assemble_dn_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray,
                             W1: np.ndarray, W2: np.ndarray) -> DnMatrix:
     """DN matrix of (-Delta)^s + q (potential restricted to omega): the DN
-    evaluator on the Laplacian with diag(q_I)."""
-    lap = assemble_laplacian(grid, fp)
+    evaluator on the Laplacian's gathered blocks with diag(q_I)."""
+    W1, W2 = np.asarray(W1, dtype=int), np.asarray(W2, dtype=int)
     q_int = np.asarray(q, dtype=float)[grid.interior_idx]
-    data = _DnEvaluator.from_operator(grid, lap, W1, W2, "assemble_dn")
-    return DnMatrix(np.asarray(W1, dtype=int), np.asarray(W2, dtype=int),
-                    data.evaluate(q_int)[0])
+    data = _DnEvaluator.gather(grid, fp, None, W1, W2, "assemble_dn")
+    return DnMatrix(W1, W2, data.evaluate(q_int)[0])
 
 
 def laplacian_evaluator(grid: Grid, fp: FracParams, W1: np.ndarray,
@@ -76,8 +91,8 @@ def laplacian_evaluator(grid: Grid, fp: FracParams, W1: np.ndarray,
     """The package's DN evaluator on the Laplacian for unit sources on W1
     (g_W1 None), or for the one source g on W1: the unit-source blocks
     contracted with g, as single_measurement_fit contracts them."""
-    data = _DnEvaluator.from_operator(grid, assemble_laplacian(grid, fp),
-                                      W1, W2, "forward_and_jacobian")
+    data = _DnEvaluator.gather(grid, fp, None, np.asarray(W1, dtype=int),
+                               np.asarray(W2, dtype=int), "forward_and_jacobian")
     if g_W1 is None:
         return data
     return _DnEvaluator(data.A_II, data.A_W2I, (data.A_IW1 @ g_W1)[:, None],

@@ -344,8 +344,8 @@ class TestThreadCapOrdering:
         assert got["loaded"] == []
 
     def test_invert_gauss_newton_scope(self, tmp_path):
-        # the run's scope, the Gauss-Newton fit's and the row-block stream
-        # that copies recover_m_from_q's interior block
+        # the run's scope, the row-block stream that gathers the
+        # Laplacian's blocks and the Gauss-Newton fit's
         self.assert_every_scope_capped(self.counts(
             ["invert", "--config", invert_config(tmp_path),
              "--out", str(tmp_path / "inv")]), 3)
@@ -787,6 +787,28 @@ class TestLimitsCommand:
             name = f"limit_{study}.csv"
             assert (tmp_path / "all" / name).read_bytes() \
                 == (tmp_path / study / name).read_bytes(), name
+
+
+class TestDecayCheck:
+    """decay_halving: the final magnitude at most half the first over an
+    s_list spanning at least 0.35 in s (the default list's span), below the
+    first over a narrower one."""
+
+    @pytest.mark.parametrize("L, s_list, ratio, code", [
+        (12.0, [0.6, 0.61], 0.989, 0),  # exited 4 under the halving rule
+        (12.0, [0.1, 0.2], 1.207, 4),  # the magnitude grows
+        (1.0, [0.6, 0.8, 0.9, 0.95], 0.753, 4),  # below the first, not half
+    ])
+    def test_rule_by_span(self, tmp_path, L, s_list, ratio, code):
+        cfg = write_cfg(tmp_path, "l.json",
+                        grid={"L": L, "N": 64, "omega": [-L / 3, L / 3]},
+                        gamma={"profile": "constant"},
+                        task={"study": "decay", "s_list": s_list})
+        out = tmp_path / "lim"
+        assert run(["limits", "--config", cfg, "--out", str(out)]) == code
+        check = manifest(out)["checks"]["decay_halving"]
+        assert check["pass"] is (code == 0)
+        assert check["value"] == pytest.approx(ratio, abs=1e-3)
 
 
 class TestFractionalOrderRange:

@@ -8,7 +8,6 @@ from fraccond.forward import (
     _row_blocks,
     _stream_blocks,
     assemble_dn,
-    dn_from_operator,
     dn_gap,
     factor_interior,
     liouville_reduce,
@@ -31,7 +30,8 @@ from fraccond.profiles import (
     random_admissible_m,
 )
 
-from oracles import assemble_dn_schrodinger, dn_pointwise, laplacian_evaluator
+from oracles import (assemble_dn_schrodinger, dense_evaluator, dn_from_matrix,
+                     dn_pointwise, laplacian_evaluator)
 
 
 def grid128():
@@ -622,10 +622,69 @@ class TestDnEvaluator:
         q = np.random.default_rng(N).standard_normal(g.N)
         W1, W2 = self.sets(g, which)
         got = assemble_dn_schrodinger(g, fp, q, W1, W2)
-        ref = dn_from_operator(g, assemble_schrodinger(g, fp, q), W1, W2)
+        ref = dn_from_matrix(g, assemble_schrodinger(g, fp, q), W1, W2)
         assert np.array_equal(got.matrix, ref.matrix)
         assert np.array_equal(got.source_idx, W1)
         assert np.array_equal(got.obs_idx, W2)
+
+
+class TestGather:
+    """_DnEvaluator.gather copies the four blocks out of the operator_rows
+    row blocks that hold omega's or W2's rows; the dense matrix's slices
+    (oracles.dense_evaluator) are the reference, bit for bit."""
+
+    @staticmethod
+    def case(N, operator, sets):
+        g = Grid(L=1.0, N=N, a=-0.15, b=0.15)
+        E = g.exterior_idx
+        x = g.nodes[E]
+        W1, W2 = E[x <= -0.5], E[x >= 0.5]
+        if sets == "exterior":
+            W1 = W2 = E
+        elif sets == "unsorted":
+            W2 = np.random.default_rng(N).permutation(np.concatenate((W2, W1[:3])))
+        sqrt = None if operator == "laplacian" else bump_gamma(g).sqrt
+        return g, sqrt, W1, W2
+
+    @pytest.mark.parametrize("sets", ["exterior", "disjoint", "unsorted"])
+    @pytest.mark.parametrize("operator", ["laplacian", "conductivity"])
+    @pytest.mark.parametrize("N", [64, 2048])
+    def test_blocks_equal_dense_slices(self, N, operator, sets):
+        # at N = 2048 the 128-row blocks cut omega (rows 870..1177)
+        g, sqrt, W1, W2 = self.case(N, operator, sets)
+        fp = FracParams(0.5)
+        A = operator_rows(g, fp, 0, g.N, sqrt)[0]
+        ref = dense_evaluator(g, A, W1, W2)
+        got = forward._DnEvaluator.gather(g, fp, sqrt, W1, W2, "gather")
+        for name in ("A_II", "A_W2I", "A_IW1", "D"):
+            block = getattr(got, name)
+            assert block.flags.c_contiguous, name
+            assert np.array_equal(block, getattr(ref, name)), name
+        assert np.array_equal(got.evaluate(0.0)[0], ref.evaluate(0.0)[0])
+        if operator == "conductivity":
+            dn = assemble_dn(g, fp, bump_gamma(g), W1, W2)
+            assert np.array_equal(dn.matrix, ref.evaluate(0.0)[0])
+            assert np.array_equal(dn.obs_idx, W2)
+
+    @pytest.mark.parametrize("sets", ["exterior", "disjoint"])
+    def test_assemble_dn_peak_memory_at_2048(self, sets):
+        # the four blocks, the evaluation's interior copy, -A_I,W1 and its
+        # solution U, the output, and each worker's 2 MiB block buffer; the
+        # dense 2048 x 2048 matrix (33.5 MB) is never formed
+        import tracemalloc
+
+        g, _, W1, W2 = self.case(2048, "conductivity", sets)
+        gam = bump_gamma(g)
+        nI, n1, n2 = g.interior_idx.size, W1.size, W2.size
+        bound = (8 * (2 * nI * nI + n2 * nI + 3 * nI * n1 + 2 * n2 * n1)
+                 + forward.MAX_WORKERS * forward.BLOCK_BYTES + (1 << 20))
+        tracemalloc.start()
+        try:
+            assemble_dn(g, FracParams(0.5), gam, W1, W2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestDnMapIdentities:

@@ -344,10 +344,24 @@ class TestReconstructGamma:
         fp = FracParams(0.5)
         E = g.exterior_idx
         observed = assemble_dn(g, fp, Conductivity.constant(g), E, E)
-        monkeypatch.setattr("fraccond.inverse.recover_m_from_q",
-                            lambda pot, grid, fpar: np.full(grid.N, -1.5))
+        monkeypatch.setattr("fraccond.inverse._deviation",
+                            lambda grid, pot, A_II: np.full(grid.N, -1.5))
         with pytest.raises(ReconstructionError):
             reconstruct_gamma(observed, g, fp)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_m_solved_against_the_fits_block(self, monkeypatch, seed):
+        # the deviation solve reuses the block the fit last built and
+        # checked, which is recover_m_from_q's matrix bit for bit
+        observed, g, fp = panel_data(seed)
+
+        def not_called(*args):
+            raise AssertionError("the pipeline called recover_m_from_q")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(inverse, "recover_m_from_q", not_called)
+            rep = reconstruct_gamma(observed, g, fp)
+        assert np.array_equal(rep.m, recover_m_from_q(rep.q, g, fp))
 
 
 # seed 0 of the random profile stalls on disjoint sets: the fixed-lambda line
@@ -501,18 +515,22 @@ class TestSingleMeasurement:
                                    FracParams(0.5))
 
     def test_nonpositive_sqrt_rejected(self, monkeypatch):
-        monkeypatch.setattr("fraccond.inverse.recover_m_from_q",
-                            lambda pot, grid, fpar: np.full(grid.N, -1.5))
+        monkeypatch.setattr("fraccond.inverse._deviation",
+                            lambda grid, pot, A_II: np.full(grid.N, -1.5))
         with pytest.raises(ReconstructionError, match="1 \\+ m"):
             single_measurement_report()
 
-    def test_singular_deviation_solve_raises(self, monkeypatch):
-        def singular(pot, grid, fpar):
-            raise SolverError("0 is an eigenvalue")
+    def test_m_solved_against_the_fits_block(self, monkeypatch):
+        # the fit has checked the block the deviation solve uses, so that
+        # solve cannot meet a singular block and recover_m_from_q is not run
+        def not_called(*args):
+            raise AssertionError("the pipeline called recover_m_from_q")
 
-        monkeypatch.setattr("fraccond.inverse.recover_m_from_q", singular)
-        with pytest.raises(SolverError):
-            single_measurement_report()
+        with monkeypatch.context() as patch:
+            patch.setattr(inverse, "recover_m_from_q", not_called)
+            rep = single_measurement_report()
+        g = measurement_geometry()[0]
+        assert np.array_equal(rep.m, recover_m_from_q(rep.q, g, FracParams(0.5)))
 
 
 class TestStructuredNormalEquations:
@@ -721,7 +739,8 @@ class TestLineSearch:
 class TestFactorCount:
     """Every forward evaluation checks its interior block once, so a fit
     that stops converged or at max_iter calls factor_interior once for the
-    start, once per line-search trial and once in recover_m_from_q."""
+    start and once per line-search trial; the deviation solve reuses the
+    last accepted block and checks nothing again."""
 
     @pytest.mark.parametrize("seed, stop", [(0, "converged"), (3, "max_iter")])
     def test_one_check_per_evaluation(self, monkeypatch, seed, stop):
@@ -738,8 +757,8 @@ class TestFactorCount:
         rep = reconstruct_gamma(observed, g, fp)
         assert rep.stop_reason == stop
         trials = sum(it.trials for it in rep.iterations)
-        assert len(contexts) == 1 + trials + 1
-        assert contexts[-1].startswith("recover_m_from_q")
+        assert len(contexts) == 1 + trials
+        assert set(contexts) == {inverse._SINGULAR_Q}
 
 
 class TestOneBlasThread:

@@ -114,6 +114,16 @@ class TestGradLimitStudy:
         edge = [w for w in caught if "window edges" in str(w.message)]
         assert len(edge) == 1
 
+    def test_order_above_095_warns(self):
+        with pytest.warns(UserWarning, match="s=0.96: above 0.95"):
+            grad_limit_study(gaussian(0.0, 1.0), [0.96], L=12.0)
+
+    def test_order_095_does_not_warn(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grad_limit_study(gaussian(0.0, 1.0), [0.95], L=12.0)
+        assert not [w for w in caught if "above 0.95" in str(w.message)]
+
     def test_constant_field_all_zero(self):
         # constant over the whole window is not edge-decaying; use a flat
         # bump instead: value and reference both vanish for constants only
