@@ -237,9 +237,10 @@ def _interior_rows(grid: Grid, lo: int, hi: int) -> tuple[int, int]:
 
 
 @contextmanager
-def _block_stream(buffers: list[tuple], height: int):
+def _block_stream(buffers: list[tuple], height: int, max_blocks: int):
     """A pool of MAX_WORKERS threads, whatever the host's CPU count, for
-    one or more runs over blocks of rows (or items); yields run.
+    one or more runs over blocks of rows (or items), none of more than
+    max_blocks blocks; yields run.
 
     run(blocks, work) calls work(lo, hi, views) for every block lo..hi of
     blocks, at most height tall, so the GIL-free numpy calls of several
@@ -247,7 +248,8 @@ def _block_stream(buffers: list[tuple], height: int):
     number of workers (fewer than MAX_WORKERS when there are fewer blocks).
     Each worker takes the next block no worker has taken, so a worker the
     host holds up delays only the block it holds.  buffers lists one
-    (dtype, row shape) per buffer: each worker owns one such array, height
+    (dtype, row shape) per buffer: each of the min(MAX_WORKERS,
+    max_blocks) workers that can get a block owns one such array, height
     tall, for the whole stream and passes its first hi - lo rows as views,
     so nothing block-sized is allocated per block or per run.  BLAS runs
     on one thread while the stream is open, also for callers outside the
@@ -255,10 +257,10 @@ def _block_stream(buffers: list[tuple], height: int):
     write only its own rows' slices.
     """
     arrays = [[np.empty((height, *shape), dtype) for dtype, shape in buffers]
-              for _ in range(MAX_WORKERS)]
+              for _ in range(min(MAX_WORKERS, max_blocks))]
 
     def run(blocks, work) -> tuple[list, int]:
-        workers = min(MAX_WORKERS, len(blocks))
+        workers = min(len(arrays), len(blocks))
         results = [None] * len(blocks)
         untaken = iter(range(len(blocks)))
         lock = threading.Lock()
@@ -289,7 +291,8 @@ def _stream_blocks(blocks: list[tuple[int, int]], buffers: list[tuple],
                    work) -> tuple[list, int]:
     """One run of _block_stream over blocks: work(lo, hi, views) for every
     block, its results in block order and the number of workers."""
-    with _block_stream(buffers, max(hi - lo for lo, hi in blocks)) as run:
+    with _block_stream(buffers, max(hi - lo for lo, hi in blocks),
+                       len(blocks)) as run:
         return run(blocks, work)
 
 

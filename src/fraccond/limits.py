@@ -298,8 +298,12 @@ def gradient_distributional_decay(u_fn, t_fn, s_list, L: float = 6.0,
     u = np.asarray(u_fn(x), dtype=float)
     T = t_fn(x[:, None], x[None, :])
     np.fill_diagonal(T, 0.0)
-    out = []
-    for s in s_list:
-        pf = frac_gradient(g, FracParams(s), u)
-        out.append(float(np.sum(pf.values * T)) * g.h**2)
-    return np.array(out)
+
+    def pairing(s):
+        # in place: the pair field is this call's own, and it is freed
+        # before the next order's is built
+        prod = frac_gradient(g, FracParams(s), u).values
+        prod *= T
+        return float(np.sum(prod)) * g.h**2
+
+    return np.array([pairing(s) for s in s_list])

@@ -123,8 +123,10 @@ def frac_gradient(grid: Grid, fp: FracParams, u: np.ndarray) -> PairField:
     """
     u = np.asarray(u, dtype=float)
     c = np.sqrt(fp.cns / 2.0)
-    du = u[None, :] - u[:, None]  # u_j - u_i
-    vals = -c * du * _halfkernel(grid, fp)
+    # in place, so the field takes one N x N array beside the half kernel
+    vals = np.subtract(u[None, :], u[:, None])  # u_j - u_i
+    vals *= -c
+    vals *= _halfkernel(grid, fp)
     return PairField(vals, u.copy())
 
 

@@ -353,7 +353,11 @@ class Ensemble:
 
     @classmethod
     def point_source(cls, n_particles: int, site: int, rng_seed: int) -> "Ensemble":
-        return cls(np.full(n_particles, site, dtype=np.int64), rng_seed)
+        """n_particles at one site.  The positions are a read-only view of
+        that one int64 site with stride 0, so a point source takes no
+        memory per particle and writing into its positions raises;
+        simulate only reads them, into keys of its own."""
+        return cls(np.broadcast_to(np.int64(site), (n_particles,)), rng_seed)
 
 
 BUCKETS = 1024
@@ -449,7 +453,8 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     order, so the particles keep their order.  The table takes 4 N BUCKETS
     bytes and the particles 8 bytes each, in the returned positions' array,
     which holds their keys while they walk; each worker adds 20 CHUNK bytes
-    of buffers.
+    of buffers.  ens.positions is only read, so a point source
+    (Ensemble.point_source, a stride-0 view) adds nothing per particle.
     """
     N, K = wp.n_sites, wp.K
     if ens.positions.size and (ens.positions.min() < 0 or ens.positions.max() >= N):
@@ -488,7 +493,7 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
         return landed.size
 
     with _block_stream([(float, ()), (np.intp, ()), (np.int32, ())],
-                       min(n, CHUNK)) as run:
+                       min(n, CHUNK), -(-n // CHUNK)) as run:
         for step in range(steps):
             if n == 0:
                 break

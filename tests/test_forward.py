@@ -686,6 +686,28 @@ class TestGather:
             tracemalloc.stop()
         assert peak < bound
 
+    @pytest.mark.parametrize("sets", ["exterior", "disjoint"])
+    def test_one_block_gather_allocates_one_buffer_set(self, sets):
+        # N = 256 is one 256-row block, so one worker gets it: the four
+        # blocks, a fancy-index copy of each on its way in, one 0.5 MB block
+        # buffer and 128 KiB for the rest; a second worker's buffer would
+        # not fit
+        import tracemalloc
+
+        g, _, W1, W2 = self.case(256, "laplacian", sets)
+        fp = FracParams(0.5)
+        assert len(_row_blocks(g)) == 1
+        nI, n1, n2 = g.interior_idx.size, W1.size, W2.size
+        blocks = 8 * (nI * nI + n2 * nI + nI * n1 + n2 * n1)
+        bound = 2 * blocks + 8 * g.N * g.N + (128 << 10)
+        tracemalloc.start()
+        try:
+            forward._DnEvaluator.gather(g, fp, None, W1, W2, "gather")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
 
 class TestDnMapIdentities:
     """Two identities of the DN map that both of the paper's theorems rest

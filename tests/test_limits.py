@@ -279,3 +279,19 @@ class TestDistributionalDecay:
         v1 = gradient_distributional_decay(u, t, [0.7], L=6.0, N=512)
         v2 = gradient_distributional_decay(u, t_swapped, [0.7], L=6.0, N=512)
         assert v1[0] == pytest.approx(-v2[0], rel=1e-12)
+
+    def test_peak_memory_three_pair_arrays_at_768(self):
+        # the test field, one order's pair field and the half kernel it is
+        # multiplied by, plus 1 MiB: no product temporary, and no order's
+        # pair field outlives its pairing
+        import tracemalloc
+
+        u, t = self.u_and_t()
+        N = 768
+        tracemalloc.start()
+        try:
+            gradient_distributional_decay(u, t, [0.6, 0.8], L=6.0, N=N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * N * N + (1 << 20)

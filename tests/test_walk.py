@@ -220,6 +220,16 @@ class TestOutgoingAndSimulate:
         assert np.array_equal(hist, expect)
         assert np.array_equal(out.positions, ens.positions)
 
+    def test_point_source_is_a_read_only_stride_0_view(self):
+        ens = Ensemble.point_source(1000, 7, rng_seed=1)
+        pos = ens.positions
+        assert pos.dtype == np.int64 and pos.size == 1000
+        assert pos.strides == (0,)
+        assert not pos.flags.writeable
+        assert ens.initial_count == 1000 and np.all(pos == 7)
+        with pytest.raises(ValueError):
+            pos[0] = 3
+
     def test_seed_determinism(self):
         g, fp, gam, wp = walk_setup(gamma_amp=0.3, K=16)
         _, h1 = simulate(Ensemble.point_source(20000, 128, rng_seed=99), wp, 8)
@@ -514,14 +524,15 @@ class TestSamplerEdges:
 
     def test_memory_per_particle(self):
         # 8 bytes per particle (the returned positions, which hold the keys
-        # while the particles walk) beside the bucket table, each worker's
-        # 20 CHUNK bytes of buffers and 2 MiB for the rest
+        # while the particles walk; the point source's start positions take
+        # none) beside the bucket table, each worker's 20 CHUNK bytes of
+        # buffers and 2 MiB for the rest
         import tracemalloc
         g, fp, gam, wp = walk_setup(N=513, K=16, gamma_amp=0.3)
         n = 1_000_000
-        ens = Ensemble.point_source(n, g.N // 2, rng_seed=3)
         tracemalloc.start()
         try:
+            ens = Ensemble.point_source(n, g.N // 2, rng_seed=3)
             simulate(ens, wp, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -541,11 +552,13 @@ class TestParticleChunks:
         g, fp, gam, wp = walk_setup(N=129, K=K, gamma_amp=0.3)
         n = 20_001  # no chunk size below divides it
         ens = Ensemble.point_source(n, site, rng_seed=K + site)
+        # the same start materialised: the stride-0 view moves no byte either
+        full = Ensemble(np.full(n, site, dtype=np.int64), rng_seed=K + site)
         runs = []
         for workers, chunk in [(1, n), (1, 4096), (2, 4096), (2, 1000), (2, 777)]:
             monkeypatch.setattr(forward, "MAX_WORKERS", workers)
             monkeypatch.setattr(walk, "CHUNK", chunk)
-            runs.append(simulate(ens, wp, 8))
+            runs += [simulate(ens, wp, 8), simulate(full, wp, 8)]
         assert runs[0][0].positions.size < n  # some were absorbed
         assert K < 2048 or wp.K == default_jump_cutoff(0.5)
         for out, hist in runs[1:]:
