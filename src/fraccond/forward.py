@@ -158,7 +158,9 @@ class _DnEvaluator:
         (-Delta)^s) for W1, W2 (int arrays of exterior nodes, any order),
         copied out of the operator_rows row blocks holding omega's or W2's
         rows (_stream_blocks): the dense matrix's entries bit for bit, in
-        the four blocks' memory plus the stream's buffers."""
+        the four blocks' memory plus the stream's buffers.  Entries are
+        copied straight into the blocks' slices (np.take with out=), a W2
+        row at a time, so no block passes through a fancy-index copy."""
         for W, nm in ((W1, "W1"), (W2, "W2")):
             if not np.all(np.isin(W, grid.exterior_idx)):
                 raise ValueError(f"DN map: {nm} must be a subset of exterior_idx")
@@ -172,10 +174,12 @@ class _DnEvaluator:
             a, b = _interior_rows(grid, lo, hi)
             rows = A[I[0] + a - lo:I[0] + b - lo]  # empty when a == b
             A_II[a:b] = rows[:, cols]
-            A_IW1[a:b] = rows[:, W1]
-            k = np.flatnonzero((W2 >= lo) & (W2 < hi))
-            A_W2I[k] = A[W2[k] - lo, cols]
-            D[k] = A[np.ix_(W2[k] - lo, W1)]
+            # mode="raise" would copy through a buffer; W1 is checked above
+            rows.take(W1, axis=1, out=A_IW1[a:b], mode="clip")
+            for i in np.flatnonzero((W2 >= lo) & (W2 < hi)):  # W2's rows here
+                r = W2[i] - lo
+                A_W2I[i] = A[r, cols]
+                A[r].take(W1, out=D[i], mode="clip")
 
         blocks = [(lo, hi) for lo, hi in _row_blocks(grid) if lo <= I[-1]
                   and I[0] < hi or np.any((W2 >= lo) & (W2 < hi))]

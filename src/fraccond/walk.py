@@ -17,14 +17,16 @@ padded nodal vector over each site's jump targets x_i + hk, 0 < |k| <= K:
 a correlation with the offset weights, so the master steps need O(N)
 memory.  Only the outgoing kernel that simulate samples is built as a
 banded (N, 2K) table.  simulate turns its cdf rows into an exact bucket
-("guide") table, N x BUCKETS int32 (2 MB at N=513): a draw d from site y
-lands on the entry stored for bucket floor(d BUCKETS) of row y, one lookup
-per particle step.  A bucket that one of the row's cdf entries splits is
-marked ambiguous, and only the particles that draw it (about 3 % at K=16)
-are resolved by a branchless binary search of their cdf row.  Each step
-walks the particles in blocks of CHUNK on forward._block_stream's worker
-pool, with the same draws, landings and absorptions for any worker count
-and CHUNK.
+("guide") table of N x BUCKETS landing sites (1 MB at N=513): a draw d from
+site y lands on the site stored for bucket floor(d BUCKETS) of row y, one
+lookup per particle step.  A bucket that one of the row's cdf entries
+splits is marked ambiguous, and only the particles that draw it (about 3 %
+at K=16) are resolved by a branchless binary search of their cdf row.
+Particles and table entries are sites in the smallest unsigned type that
+holds every site, jump target and the ambiguous mark: 2 bytes each up to
+N + 2K + 1 = 65536 sites.  Each step walks the particles in blocks of CHUNK
+on forward._block_stream's worker pool, with the same draws, landings and
+absorptions for any worker count and CHUNK.
 
 Walk-generator identity: with g = gamma^{1/2}, the kernel-matrix
 conductivity operator C_gamma, D_i the incoming row sum and m_off,i the
@@ -339,15 +341,22 @@ def q_master_step(u: np.ndarray, wp: WalkParams) -> np.ndarray:
 class Ensemble:
     """Particle positions (site indices), seed, and the absolute step counter
     used to derive per-step random substreams.  Absorbed particles are
-    removed; `initial_count` keeps the normalization of histograms."""
+    removed; `initial_count` keeps the normalization of histograms.  The
+    positions keep the integer dtype they are given, and simulate returns
+    them unsigned (_site_dtype), so a difference of sites such as a
+    displacement wraps around unless they are widened first:
+    positions.astype(np.int64) - site."""
 
-    positions: np.ndarray
+    positions: np.ndarray  # integer sites, in the dtype given
     rng_seed: int
     step_count: int = 0
     initial_count: int | None = None
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.int64)
+        self.positions = np.asarray(self.positions)
+        if not np.issubdtype(self.positions.dtype, np.integer):
+            raise ValueError("Ensemble: positions must be integer site "
+                             f"indices, not {self.positions.dtype}")
         if self.initial_count is None:
             self.initial_count = int(self.positions.size)
 
@@ -356,36 +365,56 @@ class Ensemble:
         """n_particles at one site.  The positions are a read-only view of
         that one int64 site with stride 0, so a point source takes no
         memory per particle and writing into its positions raises;
-        simulate only reads them, into keys of its own."""
+        simulate only reads them, into positions of its own."""
         return cls(np.broadcast_to(np.int64(site), (n_particles,)), rng_seed)
 
 
 BUCKETS = 1024
 """Buckets per site in simulate's table.  A power of two, so d * BUCKETS is
 exact and its integer part is the bucket of the draw d."""
-_AMBIGUOUS = -1  # table entry of a bucket that a cdf entry splits
+_UINT16_SITES = 1 << 16
+"""Values a uint16 holds: simulate keeps sites in uint16 while the N sites,
+their 2K jump targets off the lattice and the ambiguous mark fit in them,
+N + 2K + 1 <= _UINT16_SITES, and in uint32 beyond (_site_dtype)."""
+_MAX_SPAN = (2**31 - 1) // BUCKETS
+"""Largest N + K that simulate takes, so every bucket index site * BUCKETS +
+bucket fits an int32.  outgoing_table's time and memory grow like N K, so
+longer jump ranges are refused before anything is built."""
 _BUILD_CELLS = 1 << 16  # table entries plus cdf entries per block of the build
 
 CHUNK = 1 << 16
 """Particles per block of simulate's step pass.  A worker's draw, index
-and landing buffers for one block take 20 CHUNK bytes (1.3 MB), so a block
+and landing buffers for one block take 18 CHUNK bytes (1.2 MB), so a block
 stays in its core's L2 cache through the step."""
 
 
-def _landings(keys: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """keys[y, a] repeated over the buckets first[y, a - 1] <= b < first[y, a]
-    of row y, flat, with first clipped to BUCKETS and first[y, -1] taken as
-    0: BUCKETS entries per row when each row's last first is BUCKETS."""
+def _site_dtype(N: int, K: int) -> np.dtype:
+    """The smallest unsigned type that holds the sites 0..N-1, the jump
+    targets -K..N+K-1 and the ambiguous mark N + K: uint32 holds them for
+    every N + K <= _MAX_SPAN.  Cast to it, a target off the lattice wraps to
+    a value >= N, distinct from the mark."""
+    if N + K > _MAX_SPAN:
+        raise ValueError(f"simulate: lattice plus jump range N + K = {N + K} "
+                         f"too long (at most {_MAX_SPAN})")
+    return np.dtype(np.uint16 if N + 2 * K + 1 <= _UINT16_SITES else np.uint32)
+
+
+def _landings(targets: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """targets[y, a] repeated over the buckets first[y, a - 1] <= b <
+    first[y, a] of row y, flat, with first clipped to BUCKETS and
+    first[y, -1] taken as 0: BUCKETS entries per row when each row's last
+    first is BUCKETS."""
     np.minimum(first, BUCKETS, out=first)
     counts = np.diff(first, axis=1, prepend=0.0).astype(np.intp)
-    return np.repeat(keys, counts.ravel())
+    return np.repeat(targets, counts.ravel())
 
 
 def _bucket_table(cdf: np.ndarray) -> np.ndarray:
     """Indexed search table (Chen & Asau, 1974) for the cdf rows of the
-    2K jump targets of each site: T[y, b] is BUCKETS times the site that
-    every draw d in [b, b + 1) / BUCKETS from site y jumps to, or _AMBIGUOUS
-    if an entry of cdf[y] lies strictly inside that interval.
+    2K jump targets of each site: T[y, b] is the site that every draw d in
+    [b, b + 1) / BUCKETS from site y jumps to, or the ambiguous mark N + K
+    if an entry of cdf[y] lies strictly inside that interval.  The entries
+    are in _site_dtype(N, K), where a target off the lattice is >= N.
 
     Each row must be nondecreasing but for its last entry, which must be
     exactly 1 (round-off may lift the entries before it above 1).  A draw
@@ -398,13 +427,14 @@ def _bucket_table(cdf: np.ndarray) -> np.ndarray:
     """
     N, width = cdf.shape
     K = width // 2
-    table = np.empty((N, BUCKETS), np.int32)
+    dtype = _site_dtype(N, K)
+    table = np.empty((N, BUCKETS), dtype)
     rows = max(1, _BUILD_CELLS // (width + BUCKETS))
     for y in range(0, N, rows):
         c = cdf[y:y + rows] * BUCKETS
-        keys = _band(np.arange(y - K, y + len(c) + K, dtype=np.int32) * BUCKETS, K)
-        lower = _landings(keys, np.ceil(c))
-        lower[lower != _landings(keys, np.floor(c, out=c))] = _AMBIGUOUS
+        targets = _band(np.arange(y - K, y + len(c) + K).astype(dtype), K)
+        lower = _landings(targets, np.ceil(c))
+        lower[lower != _landings(targets, np.floor(c, out=c))] = N + K
         table[y:y + len(c)] = lower.reshape(len(c), BUCKETS)
     return table
 
@@ -436,12 +466,13 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     step index), so equal seeds give bit-identical trajectories and
     simulate(simulate(e, a), b) == simulate(e, a + b).
 
-    A particle at site y carries the key y * BUCKETS.  Each step adds the
-    bucket floor(d * BUCKETS) of its draw d and reads the next key from the
-    bucket table (_bucket_table): one lookup, landing exactly where
-    searchsorted(cdf[y], d, side="right") does.  Only a draw in an ambiguous
-    bucket, about 3 % of them at K = 16, goes through _search.  A key
-    outside [0, N * BUCKETS), one unsigned compare, is an absorbed particle.
+    A particle is its site y.  Each step forms the index y * BUCKETS +
+    floor(d * BUCKETS) of its draw d in a worker's buffer and reads the
+    site it lands on from the bucket table (_bucket_table): one lookup,
+    landing exactly where searchsorted(cdf[y], d, side="right") does.  Only
+    a draw in an ambiguous bucket, about 3 % of them at K = 16, goes through
+    _search.  A landing >= N, one unsigned compare, is ambiguous or an
+    absorbed particle, whose target off the lattice wraps to a value >= N.
 
     Each step runs over blocks of CHUNK particles on one
     forward._block_stream, whose workers and buffers serve every step.  The
@@ -450,49 +481,54 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
     moved ahead to its first particle (PCG64.advance): every draw, landing
     and absorption is the same for any worker count and CHUNK.  A block
     moves its survivors to its front, and the blocks are then joined in
-    order, so the particles keep their order.  The table takes 4 N BUCKETS
-    bytes and the particles 8 bytes each, in the returned positions' array,
-    which holds their keys while they walk; each worker adds 20 CHUNK bytes
-    of buffers.  ens.positions is only read, so a point source
-    (Ensemble.point_source, a stride-0 view) adds nothing per particle.
+    order, so the particles keep their order.  Sites are stored in
+    _site_dtype(N, K), 2 bytes up to N + 2K + 1 = 65536: the table takes
+    N BUCKETS of them and the particles one each, in the returned
+    positions' array, which they walk in; each worker adds 18 CHUNK bytes
+    of buffers, and the histogram is counted a block at a time, so the
+    positions are never widened.  The returned positions are unsigned:
+    widen them before subtracting (see Ensemble).  ens.positions is only
+    read, so a point source (Ensemble.point_source, a stride-0 view) adds
+    nothing per particle.
     """
     N, K = wp.n_sites, wp.K
     if ens.positions.size and (ens.positions.min() < 0 or ens.positions.max() >= N):
         raise ValueError("simulate: particle positions outside the lattice")
-    if (N + K) * BUCKETS > np.iinfo(np.int32).max:
-        raise ValueError("simulate: lattice plus jump range too long for int32 keys")
+    dtype = _site_dtype(N, K)  # raises before anything is built
     cdf = np.cumsum(outgoing_table(wp), axis=1)
     cdf[:, -1] = 1.0  # the last bin takes any draw a roundoff-short row total misses
     table = _bucket_table(cdf).ravel()
     offsets = wp.offsets
-    end = N * BUCKETS
-    keys = np.multiply(ens.positions, BUCKETS)
-    n = keys.size
+    pos = ens.positions.astype(dtype)
+    n = pos.size
 
     def walk(lo, hi, buffers):
         """One step of the particles lo..hi; returns how many stay."""
         draws, index, landed = buffers
-        k = keys[lo:hi]
+        p = pos[lo:hi]
         rng = np.random.Generator(np.random.PCG64(seq).advance(lo))
-        # floor(draw * BUCKETS) plus the key; the index buffer then holds
-        # row * BUCKETS + bucket for every particle
-        np.multiply(rng.random(out=draws), BUCKETS, out=index, casting="unsafe")
-        index += k
+        # the bucket floor(draw * BUCKETS), parked in the landing buffer,
+        # plus site * BUCKETS: the index buffer then holds row * BUCKETS +
+        # bucket for every particle
+        np.multiply(rng.random(out=draws), BUCKETS, out=landed, casting="unsafe")
+        np.multiply(p, BUCKETS, out=index, dtype=np.intp)
+        index += landed
         table.take(index, out=landed, mode="clip")  # in range; "raise" would buffer out
-        flagged = np.flatnonzero(landed.view(np.uint32) >= end)  # ambiguous or absorbed
-        amb = flagged[landed[flagged] == _AMBIGUOUS]
+        flagged = np.flatnonzero(landed >= N)  # ambiguous or absorbed
+        amb = flagged[landed[flagged] == N + K]
         if amb.size:
             rows = index[amb] // BUCKETS
-            landed[amb] = (rows + offsets[_search(cdf, rows, draws[amb])]) * BUCKETS
-        gone = flagged[landed[flagged].view(np.uint32) >= end]
+            # a target off the lattice wraps to a value >= N on the way in
+            landed[amb] = rows + offsets[_search(cdf, rows, draws[amb])]
+        gone = flagged[landed[flagged] >= N]
         if gone.size:
             keep = np.ones(hi - lo, dtype=bool)
             keep[gone] = False
             landed = landed[keep]
-        k[:landed.size] = landed
+        p[:landed.size] = landed
         return landed.size
 
-    with _block_stream([(float, ()), (np.intp, ()), (np.int32, ())],
+    with _block_stream([(float, ()), (np.intp, ()), (dtype, ())],
                        min(n, CHUNK), -(-n // CHUNK)) as run:
         for step in range(steps):
             if n == 0:
@@ -504,10 +540,11 @@ def simulate(ens: Ensemble, wp: WalkParams, steps: int) -> tuple[Ensemble, np.nd
             n = 0
             for (lo, _), count in zip(blocks, kept):
                 if n < lo:  # earlier blocks lost particles: close the gap
-                    keys[n:n + count] = keys[lo:lo + count]
+                    pos[n:n + count] = pos[lo:lo + count]
                 n += count
-    pos = keys[:n]
-    pos //= BUCKETS
-    hist = np.bincount(pos, minlength=N).astype(float) / ens.initial_count
+    pos = pos[:n]
+    counts = np.zeros(N, np.intp)
+    for lo in range(0, n, CHUNK):  # bincount widens its input to intp
+        counts += np.bincount(pos[lo:lo + CHUNK], minlength=N)
     out = Ensemble(pos, ens.rng_seed, ens.step_count + steps, ens.initial_count)
-    return out, hist
+    return out, counts / ens.initial_count

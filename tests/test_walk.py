@@ -12,9 +12,9 @@ from fraccond.walk import (
     CHUNK,
     Ensemble,
     WalkParams,
-    _AMBIGUOUS,
     _bucket_table,
     _continuum_integral,
+    _site_dtype,
     _spline_taylor,
     default_jump_cutoff,
     full_weight_sum,
@@ -229,6 +229,28 @@ class TestOutgoingAndSimulate:
         assert ens.initial_count == 1000 and np.all(pos == 7)
         with pytest.raises(ValueError):
             pos[0] = 3
+
+    def test_positions_keep_their_integer_dtype(self):
+        ens = Ensemble(np.array([3, 7], dtype=np.uint16), rng_seed=1)
+        assert ens.positions.dtype == np.uint16
+
+    def test_displacements_from_widened_positions(self):
+        # simulate returns unsigned sites: a displacement is taken after
+        # widening them, or a jump left would wrap around
+        g, fp, gam, wp = walk_setup(gamma_amp=0.3, K=16)
+        site = g.N // 2
+        out, _ = simulate(Ensemble.point_source(20000, site, rng_seed=5), wp, 1)
+        assert out.positions.dtype.kind == "u"
+        disp = out.positions.astype(np.int64) - site
+        assert disp.min() == -wp.K and disp.max() == wp.K
+        assert 0 not in disp
+
+    @pytest.mark.parametrize("positions", [np.array([3.7]), np.array([3.0]),
+                                           np.array([True])])
+    def test_non_integer_positions_raise(self, positions):
+        # a float site was once cast to int64, so 3.7 walked from site 3
+        with pytest.raises(ValueError, match="integer site"):
+            Ensemble(positions, rng_seed=1)
 
     def test_seed_determinism(self):
         g, fp, gam, wp = walk_setup(gamma_amp=0.3, K=16)
@@ -523,9 +545,9 @@ class TestSamplerEdges:
         assert np.array_equal(hist, ref_hist)
 
     def test_memory_per_particle(self):
-        # 8 bytes per particle (the returned positions, which hold the keys
-        # while the particles walk; the point source's start positions take
-        # none) beside the bucket table, each worker's 20 CHUNK bytes of
+        # 2 bytes per particle (the returned uint16 positions, which the
+        # particles walk in; the point source's start positions take none)
+        # beside the 2-byte bucket table, each worker's 18 CHUNK bytes of
         # buffers and 2 MiB for the rest
         import tracemalloc
         g, fp, gam, wp = walk_setup(N=513, K=16, gamma_amp=0.3)
@@ -537,13 +559,14 @@ class TestSamplerEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        fixed = 4 * g.N * BUCKETS + forward.MAX_WORKERS * 20 * CHUNK + (2 << 20)
-        assert peak < 8 * n + fixed
+        fixed = 2 * g.N * BUCKETS + forward.MAX_WORKERS * 18 * CHUNK + (2 << 20)
+        assert peak < 2 * n + fixed
 
 
 class TestParticleChunks:
     """simulate's step pass runs in blocks of CHUNK particles on forward's
-    worker pool; neither the worker count nor CHUNK moves a byte."""
+    worker pool; neither the worker count nor CHUNK moves a byte, and nor
+    do uint32 sites in place of uint16 ones."""
 
     # absorption at the first end, at the last end, and at both from the
     # centre with the default K = 2048
@@ -555,16 +578,21 @@ class TestParticleChunks:
         # the same start materialised: the stride-0 view moves no byte either
         full = Ensemble(np.full(n, site, dtype=np.int64), rng_seed=K + site)
         runs = []
-        for workers, chunk in [(1, n), (1, 4096), (2, 4096), (2, 1000), (2, 777)]:
+        # a uint16 threshold of 0 makes the sites uint32
+        for workers, chunk, uint16_sites in [
+                (1, n, 1 << 16), (1, 4096, 1 << 16), (2, 4096, 1 << 16),
+                (2, 1000, 1 << 16), (2, 777, 1 << 16), (2, 777, 0)]:
             monkeypatch.setattr(forward, "MAX_WORKERS", workers)
             monkeypatch.setattr(walk, "CHUNK", chunk)
+            monkeypatch.setattr(walk, "_UINT16_SITES", uint16_sites)
             runs += [simulate(ens, wp, 8), simulate(full, wp, 8)]
         assert runs[0][0].positions.size < n  # some were absorbed
         assert K < 2048 or wp.K == default_jump_cutoff(0.5)
         for out, hist in runs[1:]:
             assert np.array_equal(out.positions, runs[0][0].positions)
             assert np.array_equal(hist, runs[0][1])
-            assert out.positions.dtype == np.int64
+        dtypes = [out.positions.dtype for out, _ in runs]
+        assert dtypes == [np.uint16] * 10 + [np.uint32] * 2
 
     def test_chunks_equal_per_site_search(self, monkeypatch):
         # several chunks per worker, checked against the reference route
@@ -578,18 +606,63 @@ class TestParticleChunks:
         assert np.array_equal(hist, ref_hist)
 
 
+class TestSiteDtype:
+    """simulate keeps sites in uint16 while N + 2K + 1 <= 65536 and in
+    uint32 beyond.  The lattices and jump ranges here are far below that,
+    so the uint32 tests lower the threshold (as TestParticleChunks does)."""
+
+    def test_threshold(self):
+        assert _site_dtype(65536 - 2 * 16 - 1, 16) == np.uint16
+        assert _site_dtype(65536 - 2 * 16, 16) == np.uint32
+        # N + K <= (2^31 - 1) // BUCKETS, the walk's int32 key limit, is
+        # kept: outgoing_table's cost grows like N K
+        assert _site_dtype(1, (1 << 21) - 2) == np.uint32
+        with pytest.raises(ValueError, match="too long"):
+            _site_dtype(2, (1 << 21) - 2)
+
+    @pytest.mark.parametrize("threshold", [1 << 16, 0])
+    def test_compact_ensemble_composes(self, monkeypatch, threshold):
+        # simulate(simulate(e, a), b) == simulate(e, a + b) from positions
+        # already in the site dtype
+        monkeypatch.setattr(walk, "_UINT16_SITES", threshold)
+        g, fp, gam, wp = walk_setup(N=129, K=5, gamma_amp=0.3)
+        dtype = _site_dtype(g.N, wp.K)
+        ens = Ensemble(np.full(20_000, 3, dtype=dtype), rng_seed=6)
+        mid, _ = simulate(ens, wp, 4)
+        split, split_hist = simulate(mid, wp, 5)
+        full, full_hist = simulate(ens, wp, 9)
+        assert ens.positions.dtype == mid.positions.dtype == dtype
+        assert full.positions.size < ens.positions.size
+        assert np.array_equal(split.positions, full.positions)
+        assert np.array_equal(split_hist, full_hist)
+
+    def test_largest_uint16_lattice_equals_per_site_search(self):
+        # N + 2K + 1 = 65536: the ambiguous mark N + K sits right below
+        # the farthest jump left, -K, wrapped to 65536 - K
+        N, K = 3, 32766
+        wp = WalkParams(h=0.5, K=K, s=0.3, gamma_sqrt=np.array([1.0, 1.3, 0.8]))
+        ens = Ensemble.point_source(20_000, 1, rng_seed=2)
+        out, hist = simulate(ens, wp, 2)
+        pos, ref_hist = simulate_per_site(ens, wp, 2)
+        assert out.positions.dtype == np.uint16
+        assert 0 < out.positions.size < ens.positions.size
+        assert np.array_equal(out.positions, pos)
+        assert np.array_equal(hist, ref_hist)
+
+
 def searchsorted_table(cdf):
-    """The bucket table from np.searchsorted, row by row: the landing at
-    each bucket's lower edge b / BUCKETS and at the largest double below
-    its upper edge, _AMBIGUOUS where the two differ."""
-    K = cdf.shape[1] // 2
+    """The bucket table from np.searchsorted, row by row: the landing site
+    at each bucket's lower edge b / BUCKETS and at the largest double below
+    its upper edge, mod 2^16, and the ambiguous mark N + K where the two
+    differ."""
+    N, K = cdf.shape[0], cdf.shape[1] // 2
     offsets = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
     edges = np.arange(BUCKETS + 1) / BUCKETS
-    table = np.empty((cdf.shape[0], BUCKETS), dtype=np.int64)
+    table = np.empty((N, BUCKETS), dtype=np.int64)
     for y, row in enumerate(cdf):
         lo = np.searchsorted(row, edges[:-1], side="right")
         hi = np.searchsorted(row, np.nextafter(edges[1:], 0.0), side="right")
-        table[y] = np.where(lo == hi, (y + offsets[lo]) * BUCKETS, _AMBIGUOUS)
+        table[y] = np.where(lo == hi, (y + offsets[lo]) % 2**16, N + K)
     return table
 
 
@@ -600,9 +673,9 @@ class TestBucketTable:
         cdf = np.cumsum(outgoing_table(wp), axis=1)
         cdf[:, -1] = 1.0
         table = _bucket_table(cdf)
-        assert table.dtype == np.int32
+        assert table.dtype == np.uint16
         assert np.array_equal(table, searchsorted_table(cdf))
-        ambiguous = np.mean(table == _AMBIGUOUS)
+        ambiguous = np.mean(table == g.N + K)
         assert 0.0 < ambiguous < 0.5, ambiguous
 
     def test_entries_on_bucket_edges(self):
@@ -617,6 +690,6 @@ class TestBucketTable:
         for y in (0, 1):
             site = y + offsets[[1, 1, 3, 3, 3]]  # entries <= the draw
             got = table[y, [0, 255, 256, 257, 511]]
-            assert np.array_equal(got, site * BUCKETS)
-            assert table[y, 512] == table[y, 767] == _AMBIGUOUS
-            assert table[y, 768] == (y + offsets[6]) * BUCKETS
+            assert np.array_equal(got, site % 2**16)  # off the lattice, >= N
+            assert table[y, 512] == table[y, 767] == 2 + 4  # N + K
+            assert table[y, 768] == y + offsets[6]
