@@ -154,7 +154,10 @@ def _inverse_distance_power(x: np.ndarray, p: float, lo: int = 0,
     """|x_i - x_j|^(-p) for the rows lo <= i < hi and every j, zero where
     i == j; written into out (shape (hi - lo, x.size)) when given."""
     hi = x.size if hi is None else hi
-    K = np.subtract(x[lo:hi, None], x[None, :], out=out)
+    K = np.empty((hi - lo, x.size)) if out is None else out
+    # x_j - x_i a row at a time: numpy buffers a broadcast subtraction
+    for row, xi in zip(K, x[lo:hi]):
+        np.subtract(x, xi, out=row)
     np.abs(K, out=K)  # in place: one block-sized array at any time
     diag = (np.arange(hi - lo), np.arange(lo, hi))
     K[diag] = 1.0  # placeholder, wiped below

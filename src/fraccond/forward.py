@@ -11,8 +11,8 @@ Every DN matrix, the inversion's forward map and each DN pairing come from
 one evaluator (_DnEvaluator) on an operator's blocks A_II, A_W2,I, A_I,W1
 and D = A_W2,W1: h^n (D + A_W2,I U) with U = (A_II + diag q)^-1 (-A_I,W1).
 
-No DN matrix and no reduction check forms an N x N matrix: a DN matrix's
-blocks are gathered from row blocks (_DnEvaluator.gather), and
+No Dirichlet solve, DN matrix or reduction check forms an N x N matrix:
+their blocks are gathered from row blocks (_DnEvaluator.gather), and
 verify_reduction checks both identities, the matrix-level reduction and
 the DN gap identity, in one pass over row blocks (_row_blocks):
 operators.operator_rows turns each kernel block into the same rows of the
@@ -33,8 +33,8 @@ block; memory in flight is at most MAX_WORKERS x buffers x BLOCK_BYTES
 interior solves.  Each block writes only its own rows' slices and the
 maxima are combined in block order, so the results are bit-identical for
 any worker count.  _stream_blocks is one run of _block_stream, whose
-pool and buffers can serve several runs.  The same pool gathers the DN
-evaluator's blocks and builds walk.generator_residual's jump band, and
+pool and buffers can serve several runs.  The same pool gathers those
+blocks and builds walk.generator_residual's jump band, and
 walk.simulate runs every step over blocks of particles on one stream.
 
 Every interior block is checked by factor_interior and solved with
@@ -113,25 +113,26 @@ def _check_exterior_support(grid: Grid, v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def solve_dirichlet(grid: Grid, A: np.ndarray, g: np.ndarray,
-                    F: np.ndarray | None = None) -> np.ndarray:
-    """Solve (A u)_i = F_i on interior nodes with u = g on exterior nodes,
-    for an operator matrix A on the grid's nodes.
-
-    g is the zero-extended exterior datum (full nodal vector); F defaults
-    to zero and only its interior entries are read.  Direct dense solve of
-    A_II u_I = F_I - A_IE g_E.
+def solve_dirichlet(grid: Grid, fp: FracParams, gamma: Conductivity,
+                    g: np.ndarray) -> tuple[np.ndarray, float]:
+    """u with (A u)_i = 0 on interior nodes and u = g (zero-extended) on
+    exterior nodes, A the conductivity operator, and the relative residual
+    max |A_II u_I + A_I,E g_E| / (max diag(A_II) max |u|): an interior
+    row's largest entry is its diagonal.  A_II and A_I,E are gathered from
+    omega's rows (_DnEvaluator.gather with no observation nodes), and
+    u_I = A_II^-1 (0 - A_I,E g_E): the 0 - keeps a zero datum's +0.0.
     """
     g = _check_exterior_support(grid, g, "solve_dirichlet: g")
-    I = grid.interior_idx
-    E = grid.exterior_idx
-    rhs = np.zeros(I.size) if F is None else np.asarray(F, dtype=float)[I]
-    rhs = rhs - A[np.ix_(I, E)] @ g[E]
-    A_II = factor_interior(A[np.ix_(I, I)], "solve_dirichlet")
-    u = np.zeros(grid.N)
-    u[E] = g[E]
+    I, E = grid.interior_idx, grid.exterior_idx
+    blocks = _DnEvaluator.gather(grid, fp, gamma.sqrt, E, E[:0],
+                                 "solve_dirichlet")
+    A_II = factor_interior(blocks.A_II, "solve_dirichlet")
+    rhs = 0.0 - blocks.A_IW1 @ g[E]
+    u = g.copy()
     u[I] = np.linalg.solve(A_II, rhs)
-    return u
+    resid = np.max(np.abs(A_II @ u[I] - rhs))
+    scale = A_II.diagonal().max() * max(np.max(np.abs(u)), 1e-300)
+    return u, float(resid / scale)
 
 
 class _DnEvaluator:
@@ -148,7 +149,6 @@ class _DnEvaluator:
                  A_IW1: np.ndarray, D: np.ndarray, h: float, context: str):
         self.A_II, self.A_W2I, self.A_IW1, self.D = A_II, A_W2I, A_IW1, D
         self.h, self.context = h, context
-        self.neg_S = np.asfortranarray(-A_IW1)
         self.same = np.array_equal(A_W2I.T, A_IW1)
 
     @classmethod
@@ -192,7 +192,7 @@ class _DnEvaluator:
         A_II = self.A_II.copy()
         A_II[np.diag_indices_from(A_II)] += q_int
         A_II = factor_interior(A_II, self.context)
-        U = np.linalg.solve(A_II, self.neg_S)
+        U = np.linalg.solve(A_II, -self.A_IW1)
         M = self.A_W2I @ U
         M += self.D
         M *= self.h

@@ -39,12 +39,7 @@ import numpy as np
 
 from .core import FracParams, Grid, _zeta
 from .forward import solve_dirichlet
-from .operators import (
-    Conductivity,
-    assemble_conductivity,
-    bilinear_form,
-    frac_gradient,
-)
+from .operators import Conductivity, bilinear_form, frac_gradient
 from .profiles import gaussian, make_conductivity
 
 EDGE_DECAY = 1e-10
@@ -258,7 +253,7 @@ def bilinear_limit_study(m_fn, u_fn, v_fn, s_list, L: float = 12.0,
             f[g.interior_idx] = 0.0
             e_g = np.asarray(g_fn(g.nodes), dtype=float)
             e_g[g.interior_idx] = 0.0
-            u_f = solve_dirichlet(g, assemble_conductivity(g, fp, gam), f)
+            u_f = solve_dirichlet(g, fp, gam, f)[0]
             study.rows.append(_limit_row(
                 row.s, corrected_bilinear_form(g, fp, gam, u_f, e_g),
                 local_grad_pairing(g, gam.values, u_f, e_g),

@@ -1,13 +1,12 @@
 """Discrete nonlocal operators on the truncated lattice.
 
-Assembles (-Delta)^s, the conductivity operator, and the Schroedinger
-operator (-Delta)^s + q as dense symmetric matrices; provides the two-point
+Rows of (-Delta)^s and of the conductivity operator, the two-point
 fractional gradient, its adjoint divergence, and the weighted bilinear form.
 
 operator_rows is the one routine that turns kernel weights into operator
-rows: every dense assembly, the reduction pass, the DN block gather
-(forward._DnEvaluator.gather) and the walk generator check ask it for the
-rows they need.
+rows: the reduction pass, every block gather (forward._DnEvaluator.gather)
+and the walk generator check ask it for the rows they need.  No command
+calls the dense assemblies (assemble_*): test references and traced names.
 
 Sign convention: the fractional Laplacian here is the positive-semidefinite
 operator with Fourier symbol |xi|^{2s}.
@@ -212,9 +211,8 @@ def assemble_conductivity(grid: Grid, fp: FracParams,
 def assemble_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray) -> np.ndarray:
     """(-Delta)^s + q with the potential restricted to interior nodes.
 
-    No module in src/ calls it (the DN routes add q to the interior block
-    only); the tests use it as the dense reference, and
-    perfbench/tracing.py wraps it by name.
+    No command calls it (the DN routes add q to the interior block only):
+    a test reference and a traced name.
     """
     A = assemble_laplacian(grid, fp)
     I = grid.interior_idx

@@ -8,7 +8,7 @@ import numpy as np
 
 from fraccond.core import FracParams, Grid
 from fraccond.forward import (DnMatrix, _DnEvaluator,
-                              _check_exterior_support, solve_dirichlet)
+                              _check_exterior_support, factor_interior)
 from fraccond.operators import Conductivity, assemble_conductivity
 from fraccond.walk import WalkParams, _band
 
@@ -48,6 +48,21 @@ def spectral_laplacian_oracle(grid: Grid, fp: FracParams, u: np.ndarray,
     return out[k0:k0 + grid.N]
 
 
+def dirichlet_from_matrix(grid: Grid, A: np.ndarray,
+                          g: np.ndarray) -> np.ndarray:
+    """The Dirichlet solve on a dense operator matrix A: (A u)_i = 0 on
+    interior nodes with u = g on exterior nodes, from A's sliced blocks,
+    u_I = A_II^-1 (0 - A_I,E g_E).  The reference solve_dirichlet's
+    gathered blocks are compared against."""
+    g = _check_exterior_support(grid, g, "dirichlet_from_matrix: g")
+    I, E = grid.interior_idx, grid.exterior_idx
+    A_II = factor_interior(A[np.ix_(I, I)], "dirichlet_from_matrix")
+    u = np.zeros(grid.N)
+    u[E] = g[E]
+    u[I] = np.linalg.solve(A_II, 0.0 - A[np.ix_(I, E)] @ g[E])
+    return u
+
+
 def dn_pointwise(grid: Grid, fp: FracParams, gamma: Conductivity,
                  g: np.ndarray) -> np.ndarray:
     """Pointwise DN route: the conductivity operator applied to the solution,
@@ -55,8 +70,7 @@ def dn_pointwise(grid: Grid, fp: FracParams, gamma: Conductivity,
     DnMatrix entries)."""
     g = _check_exterior_support(grid, g, "dn_pointwise: g")
     A = assemble_conductivity(grid, fp, gamma)
-    u = solve_dirichlet(grid, A, g)
-    return (A @ u)[grid.exterior_idx]
+    return (A @ dirichlet_from_matrix(grid, A, g))[grid.exterior_idx]
 
 
 def dense_evaluator(grid: Grid, A: np.ndarray, W1: np.ndarray,

@@ -23,7 +23,6 @@ from fraccond.limits import grad_limit_study, bilinear_limit_study, \
     grad_norm_sq, gradient_distributional_decay
 from fraccond.operators import (
     Conductivity,
-    assemble_conductivity,
     assemble_laplacian,
     bilinear_form,
     frac_divergence_adjoint,
@@ -134,7 +133,6 @@ def test_criterion_5_dn_map_properties():
     sym = np.max(np.abs(M.matrix - M.matrix.T)) / np.max(np.abs(M.matrix))
     assert sym <= 1e-10
 
-    A = assemble_conductivity(g, fp, gam)
     rng = np.random.default_rng(55)
     # extension independence and reciprocity on random exterior data
     for _ in range(5):
@@ -142,8 +140,8 @@ def test_criterion_5_dn_map_properties():
         hdat = np.zeros(g.N)
         f[E] = rng.standard_normal(E.size)
         hdat[E] = rng.standard_normal(E.size)
-        uf = solve_dirichlet(g, A, f)
-        ug = solve_dirichlet(g, A, hdat)
+        uf = solve_dirichlet(g, fp, gam, f)[0]
+        ug = solve_dirichlet(g, fp, gam, hdat)[0]
         psi = np.zeros(g.N)
         psi[g.interior_idx] = rng.standard_normal(g.interior_idx.size)
         b0 = bilinear_form(g, fp, gam, uf, hdat)

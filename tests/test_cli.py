@@ -9,10 +9,12 @@ import pytest
 from fraccond import _blas, cli
 from fraccond.cli import run
 from fraccond.core import FracParams
-from fraccond.forward import SolverError, assemble_dn, solve_dirichlet
+from fraccond.forward import SolverError, assemble_dn
 from fraccond.operators import assemble_conductivity
 from fraccond.walk import (WalkParams, default_jump_cutoff,
                            truncation_tail_mass)
+
+from oracles import dirichlet_from_matrix
 
 BASE = {
     "schema": "fraccond-config-v1",
@@ -76,12 +78,44 @@ class TestForwardCommand:
         e_node = np.zeros(grid.N)
         e_node[node] = 1.0
         with _blas.one_blas_thread():
-            want = solve_dirichlet(grid, assemble_conductivity(
+            want = dirichlet_from_matrix(grid, assemble_conductivity(
                 grid, FracParams(0.5), gamma), e_node)
         data = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], grid.nodes)
         assert np.array_equal(data[:, 1], want)
         assert manifest(out)["checks"]["interior_residual"]["pass"]
+
+    def test_peak_memory_at_4096(self, tmp_path):
+        # forward gathers omega's rows: A_II and A_I,E, each worker's 2 MiB
+        # block buffer and 4 MiB for the rest (the solve's copy of A_II,
+        # LAPACK's workspace, the solution table); one dense 4096 x 4096
+        # conductivity matrix (134 MB) would not fit
+        import tracemalloc
+
+        from fraccond import forward
+
+        cfg = json.loads(json.dumps(BASE))
+        cfg["grid"]["N"] = 4096
+        cfg["gamma"] = {"profile": "random", "amplitude": 0.3, "width": 0.15}
+        cfg["task"] = {"source": {"type": "gaussian"}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        config = cli.load_config(str(path), "forward")
+        grid = cli.build_grid(config)
+        gamma = cli.build_gamma(config, grid, config["seed"])
+        nI, nE = grid.interior_idx.size, grid.exterior_idx.size
+        bound = (8 * (nI * nI + nI * nE)
+                 + forward.MAX_WORKERS * forward.BLOCK_BYTES + (4 << 20))
+        tracemalloc.start()
+        try:
+            _, checks, _ = cli.cmd_forward(config["task"], grid,
+                                           FracParams(0.5), gamma,
+                                           config["seed"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checks["interior_residual"]["pass"]
+        assert peak < bound
 
     def test_malformed_omega_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", grid={"omega": [0.4, 0.1]})
@@ -351,9 +385,10 @@ class TestThreadCapOrdering:
              "--out", str(tmp_path / "inv")]), 3)
 
     def test_forward_threads_scope(self, tmp_path):
+        # the run's scope and the row-block stream that gathers omega's rows
         cfg = write_cfg(tmp_path, "c.json", gamma={"profile": "constant"})
         self.assert_every_scope_capped(self.counts(
-            ["forward", "--config", cfg, "--out", str(tmp_path / "fw")]), 1)
+            ["forward", "--config", cfg, "--out", str(tmp_path / "fw")]), 2)
 
     def test_reduce_pool_scope(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", grid={"N": 32})

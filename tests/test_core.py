@@ -9,6 +9,7 @@ import scipy.special
 from fraccond.core import (
     FracParams,
     Grid,
+    _inverse_distance_power,
     cns,
     gamma_fn,
     kernel_matrix,
@@ -213,3 +214,25 @@ class TestKernelRows:
         W = kernel_matrix(g, fp)
         for lo, hi in ((0, N), (0, 1), (N - 1, N), (5, 40), (N // 3, N // 2 + 7)):
             assert np.array_equal(kernel_matrix(g, fp, lo, hi), W[lo:hi])
+
+    @pytest.mark.parametrize("N", [256, 1024])
+    def test_block_into_buffer_allocates_no_block(self, N):
+        # into a given buffer a 256-row block allocates only the diagonal's
+        # two index arrays; a whole-block broadcast subtraction x_i - x_j
+        # takes 128 KiB of numpy's ufunc buffers here
+        import tracemalloc
+
+        x = Grid(L=1.0, N=N, a=-0.3, b=0.3).nodes
+        out = np.empty((256, N))
+        ref = np.abs(np.subtract(x[:256, None], x[None, :]))
+        ref[np.arange(256), np.arange(256)] = 1.0
+        ref **= -2.0
+        ref[np.arange(256), np.arange(256)] = 0.0
+        tracemalloc.start()
+        try:
+            _inverse_distance_power(x, 2.0, 0, 256, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, ref)
+        assert peak < 2 * 8 * 256 + (8 << 10)

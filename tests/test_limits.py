@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fraccond import limits
 from fraccond.core import FracParams, Grid, tail_vector
 from fraccond.limits import (
     bilinear_limit_study,
@@ -15,8 +16,11 @@ from fraccond.limits import (
     lattice_defect,
     operator_limit_check,
 )
-from fraccond.operators import Conductivity, bilinear_form
+from fraccond.operators import (Conductivity, assemble_conductivity,
+                                bilinear_form)
 from fraccond.profiles import bump_m, gaussian, make_conductivity
+
+from oracles import dirichlet_from_matrix
 
 SQRT_PI_HALF = math.sqrt(math.pi) / 2.0
 
@@ -177,6 +181,28 @@ class TestBilinearLimitStudy:
         assert len(dn_rows) == 2
         assert all(np.isfinite(r.value) and np.isfinite(r.reference)
                    for r in dn_rows)
+
+
+    def test_dn_rows_solve_equals_dense_solve(self, monkeypatch):
+        # each DN row's solve on gathered blocks equals the dense
+        # matrix's sliced solve (oracles.dirichlet_from_matrix) bit for bit
+        solves = []
+
+        def checked(g, fp, gam, f, solve=limits.solve_dirichlet):
+            u, rel = solve(g, fp, gam, f)
+            ref = dirichlet_from_matrix(g, assemble_conductivity(g, fp, gam),
+                                        f)
+            assert np.array_equal(u.view(np.int64), ref.view(np.int64))
+            solves.append(g.N)
+            return u, rel
+
+        monkeypatch.setattr(limits, "solve_dirichlet", checked)
+        st = bilinear_limit_study(bump_m(0.3, 0.0, 2.0),
+                                  gaussian(-1.0, 1.0), gaussian(1.5, 1.2),
+                                  [0.8], L=12.0, omega=(-4.0, 4.0),
+                                  dn_datum_fns=(gaussian(-7.0, 0.8),
+                                                gaussian(7.0, 0.8)))
+        assert solves == [r.n_used for r in st.rows if r.kind == "dn"]
 
 
 class TestOperatorLimitCheck:
