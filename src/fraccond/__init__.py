@@ -36,7 +36,6 @@ from .inverse import (
     ReconstructionError,
     reconstruct_gamma,
     recover_m_from_q,
-    recover_potential_full,
     single_measurement_fit,
 )
 from .walk import Ensemble, WalkParams, generator_residual, master_step, simulate

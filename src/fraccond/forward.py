@@ -61,6 +61,9 @@ from .operators import Conductivity, operator_rows
 # whatever N is
 BLOCK_BYTES = 2 << 20
 
+# rows of an interior block that factor_interior's certificate reads at once
+CERTIFY_ROWS = 64
+
 # threads a streamed check runs on, whatever the host's CPU count: each
 # holds its own block buffers, so this bounds memory in flight
 # (MAX_WORKERS x buffers x BLOCK_BYTES)
@@ -77,7 +80,8 @@ class SolverError(RuntimeError):
         self.cond = cond
 
 
-def factor_interior(A_II: np.ndarray, context: str) -> np.ndarray:
+def factor_interior(A_II: np.ndarray, context: str,
+                    d: np.ndarray | None = None) -> np.ndarray:
     """Check an interior block before it is solved with np.linalg.solve
     (LAPACK gesv), raising SolverError when it is numerically singular.
 
@@ -85,14 +89,48 @@ def factor_interior(A_II: np.ndarray, context: str) -> np.ndarray:
     conductivity block up to round-off), so its smallest |eigenvalue| is
     its 2-norm distance to a singular matrix: the block is rejected when
     that falls to 1e-12 of the largest |eigenvalue| (or of 1), and cond is
-    their ratio.  Returns the block, which callers solve against.
+    their ratio.  eigvalsh runs only when the row-sum certificate
+    (_certified) cannot show that the block passes; d is a positive
+    scaling under which diag(d) A_II diag(d) is diagonally dominant, if
+    the caller has one.  Returns the block, which callers solve against.
     """
+    if _certified(A_II, d):
+        return A_II
     lam = np.abs(np.linalg.eigvalsh(A_II))
     if lam.min() <= 1e-12 * max(lam.max(), 1.0):
         cond = lam.max() / lam.min() if lam.min() > 0 else np.inf
         raise SolverError(f"{context}: interior block numerically singular",
                           cond=float(cond))
     return A_II
+
+
+def _certified(A: np.ndarray, d: np.ndarray | None) -> bool:
+    """Whether Gershgorin's discs show that the symmetric A passes
+    factor_interior's rule, with no eigenvalue computed.
+
+    With C = diag(d) A diag(d) (C = A without d), lambda_min(A) >=
+    lambda_min(C) / max d^2 >= min_i (c_ii - sum_{j != i} |c_ij|) / max d^2,
+    and |lambda|_max(A) <= max_i sum_j |a_ij|.  The lower bound is reduced
+    by 2 n eps times C's largest absolute row sum, above the (n + 3) eps
+    that evaluating a row's margin can lose, and above the round-off
+    asymmetry of a conductivity block.  A conductivity block is a
+    diagonally dominant M-matrix as it stands; (-Delta)^s + diag q becomes
+    one under d = gamma^{1/2} on omega, where it is D^-1 C_II D^-1.  Rows
+    are read CERTIFY_ROWS at a time, so no n x n temporary is formed.
+    """
+    n = A.shape[0]
+    d = np.ones(n) if d is None else d
+    margin, row_max, upper = np.inf, 0.0, 0.0
+    for lo in range(0, n, CERTIFY_ROWS):
+        rows = np.abs(A[lo:lo + CERTIFY_ROWS])
+        upper = max(upper, rows.sum(axis=1).max())
+        dr = d[lo:lo + CERTIFY_ROWS]
+        c_abs = dr * (rows @ d)  # sum_j |c_ij|
+        c_ii = dr * dr * A.diagonal()[lo:lo + CERTIFY_ROWS]
+        margin = min(margin, np.min(c_ii - (c_abs - np.abs(c_ii))))
+        row_max = max(row_max, c_abs.max())
+    margin -= 2 * n * np.finfo(float).eps * row_max
+    return bool(margin / np.max(d) ** 2 > 1e-12 * max(upper, 1.0))
 
 
 @dataclass
@@ -186,12 +224,12 @@ class _DnEvaluator:
         _stream_blocks(blocks, [(float, (grid.N,))], block)
         return cls(A_II, A_W2I, A_IW1, D, grid.h, context)
 
-    def evaluate(self, q_int):
+    def evaluate(self, q_int, d=None):
         """DN data M, the source solution block U = A_II^-1 (-A_I,W1) and
-        the checked block A_II + diag(q)."""
+        the checked block A_II + diag(q); d is factor_interior's scaling."""
         A_II = self.A_II.copy()
         A_II[np.diag_indices_from(A_II)] += q_int
-        A_II = factor_interior(A_II, self.context)
+        A_II = factor_interior(A_II, self.context, d)
         U = np.linalg.solve(A_II, -self.A_IW1)
         M = self.A_W2I @ U
         M += self.D
@@ -413,15 +451,16 @@ def verify_reduction(grid: Grid, fp: FracParams, gamma: Conductivity,
         scale = max(scale, block_scale)
         resid = max(resid, block_resid)
 
-    def pairing(A_II, Af, Av, q):
+    def pairing(A_II, Af, Av, q, d=None):
         # <Lambda f, v> of A + diag(q): the DN data of the one source f
         # observed by v, whose blocks are (A f)_I, (A v)_I and v_E . (A f)_E
         data = _DnEvaluator(A_II, Av[I][None, :], Af[I][:, None],
                             np.array([[v[E] @ Af[E]]]), grid.h,
                             "verify_reduction")
-        return float(data.evaluate(q)[0][0, 0])
+        return float(data.evaluate(q, d)[0][0, 0])
 
-    pairing_q = pairing(L_II, Lf, Lv, -lap_m[I] / g[I])
+    # L_II + diag q is g_I^-1 C_II g_I^-1: certified under the scaling g_I
+    pairing_q = pairing(L_II, Lf, Lv, -lap_m[I] / g[I], g[I])
     pairing_gamma = pairing(C_II, Cf, Cv, 0.0)
     right = grid.h * float(np.sum(f[E] * v[E] * lap_m[E]))
     return ReductionCheck(float(resid / scale), pairing_q - pairing_gamma,

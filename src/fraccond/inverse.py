@@ -1,21 +1,22 @@
 """Reconstruction of the conductivity from DN data.
 
-Two-step pipeline: (1) recover the Schroedinger potential q from DN
-measurements by damped Gauss-Newton on an output-least-squares objective
-with Tikhonov weight; (2) solve the linear Dirichlet problem
+The unknown is the deviation m = gamma^{1/2} - 1 on omega (m = 0 outside),
+so gamma = (1 + m)^2.  The data are matched through the reduced
+Schroedinger potential, which is a function of m:
 
-    ((-Delta)^s + q) m = -q   in omega,   m = 0 outside,
+    q(m)_I = -(L_II m_I) / (1 + m_I),    L = (-Delta)^s,
 
-and set gamma = (1 + m)^2.
+and (L_II + diag q(m)) = D^-1 C_II D^-1 with D = diag(1 + m_I) and C_II the
+conductivity block, a diagonally dominant M-matrix.  Every m with
+1 + m > 0 is an admissible gamma whose interior block is SPD.
 
-Step (1) is one private Gauss-Newton loop, _fit_potential, over a forward
-map and the entries it leaves out.  reconstruct_gamma (conductivity data)
-and recover_potential_full (Schroedinger data) build them in _laplacian_data
-from the data's own sets W1, W2, any exterior subsets, sorted once;
-single_measurement_fit (one source g on W1, observed on a disjoint W2)
-contracts the source blocks with g itself.  Step (2), one tail for both
-gamma entry points, solves against the block the fit last checked and
-raises ReconstructionError when 1 + m <= 0: a report always has gamma.
+One private damped Gauss-Newton loop, _fit_potential, iterates on m_I from
+m = 0 over a forward map and the entries it leaves out; it minimises
+|r|^2 + lam |q(m)|^2.  reconstruct_gamma (conductivity data) builds them in
+_laplacian_data from the data's own sets W1, W2, any exterior subsets,
+sorted once; single_measurement_fit (one source g on W1, observed on a
+disjoint W2) contracts the source blocks with g itself.  The line search
+never leaves 1 + m > 0, so a report always has gamma.
 
 The fit runs on one BLAS thread, as every CLI command does, and records
 one Iterate per accepted step; InversionReport derives converged,
@@ -25,13 +26,16 @@ so each fact is stored once.
 The forward map q -> Schroedinger DN data is forward._DnEvaluator on the
 Laplacian's blocks, gathered once per inversion (_DnEvaluator.gather); an
 evaluation only adds diag(q) to the interior block, checks it
-(factor_interior) and solves against it with numpy's LAPACK (gesv).
+(factor_interior, certified under the scaling 1 + m) and solves against
+it with numpy's LAPACK (gesv).
 
 The Jacobian of the DN data in the interior q values is the Khatri-Rao
 product J[l, k, i] = h U[i, k] V[i, l] of the interior solution blocks for
 the sources (U) and the observations (V).  The Gauss-Newton normal matrix
 J^T J and gradient J^T r are contracted from those |I|-row blocks directly,
 so no array of order |W1| |W2| |I| is ever formed; see _NormalEquations.
+The chain rule into m is dq/dm = -D^-1 (L_II + diag q), the block the
+evaluation has just checked.
 
 Under the reduction, conductivity and Schroedinger DN data agree on every
 entry whose source and observation nodes differ (the DN gap identity lives
@@ -53,7 +57,7 @@ from .operators import Conductivity
 
 DAMPING_FLOOR = 1e-8
 STEP_DAMPING = 0.5  # a rejected line-search trial halves the step
-_SINGULAR_Q = "(-Delta)^s + q has 0 as an eigenvalue on omega"
+_FIT = "DN data fit"
 _NO_NODES = np.empty(0, dtype=int)
 _NO_ENTRIES = (_NO_NODES,) * 2  # excluded entries of a full fit
 
@@ -90,7 +94,7 @@ class Iterate:
 
 @dataclass
 class InversionReport:
-    q: np.ndarray  # nodal potential, zero outside omega
+    q: np.ndarray  # nodal potential q(m), zero outside omega
     m: np.ndarray
     gamma: Conductivity
     iterations: list[Iterate] = field(default_factory=list)
@@ -141,7 +145,6 @@ class _NormalEquations:
         if not (np.all(np.isfinite(self.G)) and np.all(np.isfinite(self.g))):
             raise ReconstructionError(
                 "Gauss-Newton normal equations are not finite")
-        self.mu, self.Q = np.linalg.eigh(self.G)
 
     def j(self, d: np.ndarray) -> np.ndarray:
         """J d as a (|W2|, |W1|) array, zero on the excluded entries."""
@@ -154,61 +157,70 @@ class _NormalEquations:
         """J^T x for x given as a (|W2|, |W1|) array zero off the mask."""
         return self.h * np.sum(self.V * (self.U @ X.T), axis=1)
 
-    def _solve(self, rhs: np.ndarray, lam: float) -> np.ndarray:
-        """-(G + lam I)^-1 rhs in G's eigenbasis.  Levels mu + lam within
-        |I| eps of the top eigenvalue are round-off of G and are dropped, as
-        lstsq's rcond cutoff drops them."""
-        d = self.mu + lam
-        keep = d > d.size * np.finfo(float).eps * max(self.mu[-1], 0.0)
-        Qk = self.Q[:, keep]
-        return -Qk @ ((Qk.T @ rhs) / d[keep])
+    def step(self, q: np.ndarray, lam: float, P: np.ndarray) -> np.ndarray:
+        """Minimizer delta of |J P delta + r|^2 + lam |q + P delta|^2: the
+        step in coordinates whose Jacobian into q is P (P = I: in q).
 
-    def step(self, q: np.ndarray, lam: float) -> np.ndarray:
-        """Minimizer delta of |J delta + r|^2 + lam |q + delta|^2.
-
-        Forming G squares the condition number of the stacked system
-        [J; sqrt(lam) I].  Refinement sweeps that recompute the normal
-        residual through J itself restore the accuracy of a least-squares
-        solve of the stacked system (corrected semi-normal equations).
+        Its Gram P^T (G + lam I) P is solved in its eigenbasis; levels
+        within |I| eps of the top one are round-off and are dropped, as
+        lstsq's rcond cutoff drops them.  Forming the Gram squares the
+        condition number of the stacked system [J P; sqrt(lam) P].
+        Refinement sweeps that recompute the normal residual through J
+        itself restore the accuracy of a least-squares solve of the
+        stacked system (corrected semi-normal equations).
         """
-        delta = self._solve(self.g + lam * q, lam)
+        H = self.G + lam * np.eye(q.size)
+        mu, Q = np.linalg.eigh(P.T @ H @ P)
+        keep = mu > mu.size * np.finfo(float).eps * max(mu[-1], 0.0)
+        Q, mu = Q[:, keep], mu[keep]
+
+        def solve(rhs):  # -(P^T H P)^-1 P^T rhs
+            return -Q @ ((Q.T @ (P.T @ rhs)) / mu)
+
+        delta = solve(self.g + lam * q)
         for _ in range(self.REFINE_SWEEPS):
-            rho = self.jt(self.j(delta) + self.R) + lam * (q + delta)
-            delta = delta + self._solve(rho, lam)
+            e = P @ delta
+            delta = delta + solve(self.jt(self.j(e) + self.R) + lam * (q + e))
         return delta
 
 
 def _fit_potential(grid: Grid, cfg: InversionConfig, data: _DnEvaluator,
-                   observed: np.ndarray, excluded: tuple[np.ndarray, np.ndarray]):
-    """Damped Gauss-Newton over interior potential values from q = 0.
+                   observed: np.ndarray,
+                   excluded: tuple[np.ndarray, np.ndarray]) -> InversionReport:
+    """Damped Gauss-Newton over the interior deviation m from m = 0.
 
     `data` is the forward map, the DN evaluator of the Laplacian, and
     `observed` the DN data it is fitted to; the entries `excluded` (index
-    arrays, as np.nonzero returns them) are left out of the fit.
+    arrays, as np.nonzero returns them) are left out of the fit.  Each
+    iterate's data are those of the potential q(m) = -(L_II m)/(1 + m),
+    L_II the evaluator's interior block.
 
     reg_lambda is dimensionless: it multiplies the top eigenvalue of the
-    initial Gram J^T J (the squared top singular value of J), so the
-    Tikhonov filter acts at relative singular level sqrt(reg_lambda)
-    regardless of grid scaling.  Each step solves the normal equations
-    (G + lam I) delta = -(g + lam q) of the structured Gram (see
-    _NormalEquations).  Line-search trials evaluate the residual only; G
-    and g are formed once per accepted step.  Acceptance enforces strict
-    decrease of the damped objective, so the residual history (sqrt of
-    the objective per accepted step) is non-increasing by construction.
+    initial Gram J^T J in q (the squared top singular value of J at q = 0),
+    so the Tikhonov filter on q acts at relative singular level
+    sqrt(reg_lambda) regardless of grid scaling.  Each step minimises the
+    linearised objective in m (_NormalEquations.step with the chain rule
+    P = dq/dm = -D^-1 (L_II + diag q), D = diag(1 + m)).  Line-search
+    trials evaluate the residual only; G and g are formed once per accepted
+    step.  A trial with 1 + m <= 0 anywhere is halved without an
+    evaluation.  An admissible one is accepted on strict decrease of the
+    damped objective, so the residual history (sqrt of the objective per
+    accepted step) is non-increasing by construction; its block can still
+    fail factor_interior's rule when 1 + m comes within ~1e-14 of 0 at a
+    node, and such a trial is halved like one that does not decrease.
 
     The loop, interior solves included, runs on one BLAS thread, as every
     CLI command does: its operands have only |I| rows, where OpenBLAS's
     one thread per CPU runs an order of magnitude slower.
-
-    Returns the fitted potential (a nodal array, zero outside omega), its
-    checked block A_II + diag(q), then iterations, stop_reason and
-    lambda_used in InversionReport's field order.
     """
     keep = np.ones(observed.shape, dtype=bool)
     keep[excluded] = False
     with one_blas_thread():
-        q = np.zeros(grid.interior_idx.size)
+        m = np.zeros(grid.interior_idx.size)
         scale = max(float(np.linalg.norm(observed[keep])), 1e-30)
+
+        def potential(mv):
+            return -(data.A_II @ mv) / (1.0 + mv)
 
         def residual(M):
             M -= observed
@@ -219,10 +231,11 @@ def _fit_potential(grid: Grid, cfg: InversionConfig, data: _DnEvaluator,
             return _NormalEquations(data.observation_block(U, A_II), U, R,
                                     excluded, data.h)
 
-        M, U, A_II = data.evaluate(q)
+        q = potential(m)
+        M, U, A_II = data.evaluate(q, 1.0 + m)
         R = residual(M)
         ne = normal_equations(U, A_II, R)
-        lam = cfg.reg_lambda * max(float(ne.mu[-1]), 0.0)
+        lam = cfg.reg_lambda * max(float(np.linalg.eigvalsh(ne.G)[-1]), 0.0)
 
         def objective(Rv, qv):
             return float(np.vdot(Rv, Rv) + lam * qv @ qv)
@@ -241,57 +254,52 @@ def _fit_potential(grid: Grid, cfg: InversionConfig, data: _DnEvaluator,
                 break
             if it:
                 ne = normal_equations(U, A_II, R)
-            delta = ne.step(q, lam)
+            delta = ne.step(q, lam, A_II * (-1.0 / (1.0 + m))[:, None])
             phi0 = objective(R, q)
             t, trials = 1.0, 0
             while t >= DAMPING_FLOOR:
-                trials += 1
-                q_try = q + t * delta
-                try:
-                    M_try, U_try, A_II_try = data.evaluate(q_try)
-                except SolverError:
-                    t *= STEP_DAMPING
-                    continue
-                R_try = residual(M_try)
-                if objective(R_try, q_try) < phi0:
-                    break
+                m_try = m + t * delta
+                if np.all(1.0 + m_try > 0.0):  # an admissible gamma
+                    trials += 1
+                    q_try = potential(m_try)
+                    try:
+                        M_try, U_try, A_II_try = data.evaluate(q_try,
+                                                               1.0 + m_try)
+                    except SolverError:  # 1 + m within ~1e-14 of 0 somewhere
+                        t *= STEP_DAMPING
+                        continue
+                    R_try = residual(M_try)
+                    if objective(R_try, q_try) < phi0:
+                        break
                 t *= STEP_DAMPING
             else:
                 stop_reason = "damping_floor"  # keep the best iterate
                 break
-            q, R, U, A_II = q_try, R_try, U_try, A_II_try
+            m, q, R, U, A_II = m_try, q_try, R_try, U_try, A_II_try
             record(t, trials)
             if iterations[-1].data_residual < cfg.tol:
                 stop_reason = "converged"
-    q_full = np.zeros(grid.N)
-    q_full[grid.interior_idx] = q
-    return q_full, A_II, iterations, stop_reason, lam
+    q_full, m_full = np.zeros(grid.N), np.zeros(grid.N)
+    q_full[grid.interior_idx], m_full[grid.interior_idx] = q, m
+    return InversionReport(q_full, m_full, Conductivity.from_m(grid, m_full),
+                           iterations, stop_reason, lam)
 
 
 def _laplacian_data(grid: Grid, fp: FracParams, observed: DnMatrix):
     """The Laplacian's DN evaluator on the data's sets W1 and W2, any
-    subsets of the exterior, both sorted so that q does not depend on their
-    order; the data, checked against the sets' shape and permuted to match;
-    and its entries whose source and observation are one node."""
+    subsets of the exterior, both sorted so that the fit does not depend
+    on their order; the data, checked against the sets' shape and permuted
+    to match; and its entries whose source and observation are one node."""
     W1 = np.asarray(observed.source_idx, dtype=int)
     W2 = np.asarray(observed.obs_idx, dtype=int)
     M = np.asarray(observed.matrix, dtype=float)
     if M.shape != (W2.size, W1.size):
-        raise ValueError(f"DN data fit: observed has shape {M.shape}, "
+        raise ValueError(f"{_FIT}: observed has shape {M.shape}, "
                          f"but W1 and W2 give {(W2.size, W1.size)}")
     p1, p2 = np.argsort(W1), np.argsort(W2)
     W1, W2 = W1[p1], W2[p2]
-    data = _DnEvaluator.gather(grid, fp, None, W1, W2, _SINGULAR_Q)
+    data = _DnEvaluator.gather(grid, fp, None, W1, W2, _FIT)
     return data, M[np.ix_(p2, p1)], np.nonzero(W2[:, None] == W1[None, :])
-
-
-def recover_potential_full(observed: DnMatrix, grid: Grid, fp: FracParams,
-                           cfg: InversionConfig | None = None) -> np.ndarray:
-    """Fit q to every entry of a Schroedinger DN matrix on any exterior sets
-    W1 (observed.source_idx) and W2 (observed.obs_idx)."""
-    data, M, _ = _laplacian_data(grid, fp, observed)
-    return _fit_potential(grid, cfg or InversionConfig(), data, M,
-                          _NO_ENTRIES)[0]
 
 
 def recover_m_from_q(q: np.ndarray, grid: Grid, fp: FracParams) -> np.ndarray:
@@ -307,29 +315,11 @@ def recover_m_from_q(q: np.ndarray, grid: Grid, fp: FracParams) -> np.ndarray:
     context = "recover_m_from_q: 0 is an eigenvalue of (-Delta)^s + q on omega"
     A_II = _DnEvaluator.gather(grid, fp, None, _NO_NODES, _NO_NODES,
                                context).A_II
-    A_II[np.diag_indices_from(A_II)] += q[grid.interior_idx]
-    return _deviation(grid, q, factor_interior(A_II, context))
-
-
-def _deviation(grid: Grid, q: np.ndarray, A_II: np.ndarray) -> np.ndarray:
-    """m with A_II m_I = -q_I for the checked A_II = L_II + diag(q_I)."""
+    I = grid.interior_idx
+    A_II[np.diag_indices_from(A_II)] += q[I]
     m = np.zeros(grid.N)
-    m[grid.interior_idx] = np.linalg.solve(A_II, -q[grid.interior_idx])
+    m[I] = np.linalg.solve(factor_interior(A_II, context), -q[I])
     return m
-
-
-def _gamma_report(grid: Grid, q: np.ndarray, A_II: np.ndarray,
-                  *fit) -> InversionReport:
-    """The report of a fit: m solved against the block it last checked
-    (recover_m_from_q's matrix bit for bit) and gamma = (1 + m)^2; an m
-    that Conductivity rejects (1 + m <= 0 or NaN) raises
-    ReconstructionError."""
-    m = _deviation(grid, q, A_II)
-    try:
-        gamma = Conductivity.from_m(grid, m)
-    except ValueError as exc:
-        raise ReconstructionError(f"recovered gamma rejected: {exc}") from None
-    return InversionReport(q, m, gamma, *fit)
 
 
 def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,
@@ -339,18 +329,17 @@ def reconstruct_gamma(observed: DnMatrix, grid: Grid, fp: FracParams,
     The data may sit on any exterior sets W1 (observed.source_idx) and W2
     (observed.obs_idx).  The entries whose source and observation are the
     same node, where conductivity and Schroedinger DN data differ by the
-    gap identity, are left out; q is fitted to the rest.
+    gap identity, are left out; m is fitted to the rest.
     """
     data, M, shared = _laplacian_data(grid, fp, observed)
-    return _gamma_report(grid, *_fit_potential(
-        grid, cfg or InversionConfig(), data, M, shared))
+    return _fit_potential(grid, cfg or InversionConfig(), data, M, shared)
 
 
 def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
                            W1: np.ndarray, W2: np.ndarray,
                            grid: Grid, fp: FracParams,
                            cfg: InversionConfig | None = None) -> InversionReport:
-    """Fit q from a single exterior source g (on the lattice or on W1)
+    """Fit m from a single exterior source g (on the lattice or on W1)
     observed on W2; a lattice g must vanish off W1.
 
     Requires W1, W2 and omega pairwise disjoint with g nonzero; under that
@@ -367,12 +356,12 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
                          "and given on the lattice or on W1")
     observed = np.asarray(observed_response, dtype=float)
     if observed.shape != W2.shape:
-        raise ValueError(f"DN data fit: observed has shape {observed.shape}, "
+        raise ValueError(f"{_FIT}: observed has shape {observed.shape}, "
                          f"but W2 gives {W2.shape}")
     if np.intersect1d(W1, W2).size:
-        raise ValueError("DN data fit: one source needs W1, W2 disjoint")
+        raise ValueError(f"{_FIT}: one source needs W1, W2 disjoint")
     p1, p2 = np.argsort(W1), np.argsort(W2)
-    units = _DnEvaluator.gather(grid, fp, None, W1[p1], W2[p2], _SINGULAR_Q)
+    units = _DnEvaluator.gather(grid, fp, None, W1[p1], W2[p2], _FIT)
     if lattice:  # checked once W1 is known to lie in the exterior
         off = np.setdiff1d(np.flatnonzero(g), W1)
         if off.size:
@@ -381,7 +370,6 @@ def single_measurement_fit(g: np.ndarray, observed_response: np.ndarray,
     with one_blas_thread():  # the fit's own scope; these are BLAS products
         data = _DnEvaluator(units.A_II, units.A_W2I,
                             (units.A_IW1 @ g_W1[p1])[:, None],
-                            (units.D @ g_W1[p1])[:, None], grid.h, _SINGULAR_Q)
-    return _gamma_report(grid, *_fit_potential(
-        grid, cfg or InversionConfig(reg_lambda=1e-6), data,
-        observed[p2][:, None], _NO_ENTRIES))
+                            (units.D @ g_W1[p1])[:, None], grid.h, _FIT)
+    return _fit_potential(grid, cfg or InversionConfig(reg_lambda=1e-6), data,
+                          observed[p2][:, None], _NO_ENTRIES)

@@ -179,9 +179,13 @@ def operator_rows(grid: Grid, fp: FracParams, lo: int, hi: int,
             diag = W.sum(axis=1) + tail
             A = np.negative(W, out=dest)
         else:
-            A = np.multiply(W, g[None, :], out=dest)
+            # row by row, as in _outer: no broadcast operand
+            A = np.empty_like(W) if dest is None else dest
+            for W_i, A_i in zip(W, A):
+                np.multiply(W_i, g, out=A_i)
             diag = g[lo:hi] * (A.sum(axis=1) + tail)
-            A *= -g[lo:hi, None]
+            for A_i, c in zip(A, (-g[lo:hi]).tolist()):
+                A_i *= c
         A[np.arange(hi - lo), np.arange(lo, hi)] = diag
         rows.append(A)
     return rows
@@ -218,6 +222,15 @@ def assemble_schrodinger(grid: Grid, fp: FracParams, q: np.ndarray) -> np.ndarra
     I = grid.interior_idx
     A[I, I] += np.asarray(q, dtype=float)[I]
     return A
+
+
+def _outer(op, row: np.ndarray, col: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = op(row, col[i]), row by row: the same values as
+    op(row[None, :], col[:, None]) bit for bit, without the 64 KiB ufunc
+    buffers numpy allocates for a broadcast operand."""
+    for out_i, c in zip(out, col.tolist()):
+        op(row, c, out=out_i)
+    return out
 
 
 def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
@@ -258,10 +271,10 @@ def bilinear_form(grid: Grid, fp: FracParams, gamma: Conductivity,
                                     T_buf[:n * (N - lo)].reshape(shape))
         T[below_i[:n * (n - 1) // 2], below_j[:n * (n - 1) // 2]] = 0.0
         D = D_buf[:T.size].reshape(shape)
-        T *= np.multiply(g[lo:lo + n, None], g[None, lo:], out=D)
-        T *= np.subtract(u[None, lo:], u[lo:lo + n, None], out=D)
+        T *= _outer(np.multiply, g[lo:], g[lo:lo + n], D)  # g_i g_j
+        T *= _outer(np.subtract, u[lo:], u[lo:lo + n], D)  # u_j - u_i
         for k, vk in enumerate(V):
-            np.subtract(vk[None, lo:], vk[lo:lo + n, None], out=D)
+            _outer(np.subtract, vk[lo:], vk[lo:lo + n], D)
             D *= T
             acc[k] += float(D.sum())
     tails = tail_vector(grid, fp)

@@ -23,10 +23,12 @@ from fraccond.operators import (
     node_inner,
     operator_rows,
 )
+from fraccond.inverse import reconstruct_gamma
 from fraccond.profiles import (
     bump_m,
     double_bump_m,
     make_conductivity,
+    profile_from_name,
     random_admissible_m,
 )
 
@@ -182,6 +184,45 @@ class TestFactorInterior:
         assert 0.5e10 < np.linalg.cond(block) < 2e10
         assert factor_interior(block, "test") is block
 
+    @staticmethod
+    def passes(block):
+        """factor_interior's rule, from the eigenvalues."""
+        lam = np.abs(np.linalg.eigvalsh(block))
+        return lam.min() > 1e-12 * max(lam.max(), 1.0)
+
+    @pytest.mark.parametrize("operator", ["laplacian", "conductivity"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_certificate_never_accepts_a_rejected_block(self, operator,
+                                                        scaled):
+        # A = D^-1 C D^-1 for a diagonally dominant C (D = I unscaled),
+        # shifted by c I with c from 0 through A's smallest eigenvalue
+        C = self.interior_block(operator)
+        n = C.shape[0]
+        d = (np.random.default_rng(2).uniform(0.5, 1.5, n) if scaled
+             else np.ones(n))
+        A = C / np.outer(d, d)
+        lam0 = np.linalg.eigvalsh(A)[0]
+        verdicts = []
+        for c in (0.0, 0.5, 0.9, 1 - 1e-6, 1 - 1e-11, 1 - 1e-13, 1.0,
+                  1 + 1e-13, 1.1, 2.0):
+            block = A - c * lam0 * np.eye(n)
+            certified = forward._certified(block, d if scaled else None)
+            if certified:
+                assert self.passes(block), c
+            verdicts.append((certified, self.passes(block)))
+        # the unshifted block is certified, and the family reaches blocks
+        # the rule rejects
+        assert verdicts[0] == (True, True)
+        assert (False, False) in verdicts
+
+    def test_certificate_falls_back_to_eigvalsh(self, monkeypatch):
+        # an uncertified block is still checked, with today's error and cond
+        block = self.shifted(self.interior_block("laplacian"), 0.0)
+        calls = count_eigvalsh(monkeypatch)
+        with pytest.raises(SolverError, match="singular") as err:
+            factor_interior(block, "test")
+        assert len(calls) == 1 and err.value.cond > 1e12
+
     def test_dirichlet_solve_is_numpy_solve(self):
         g = grid128()
         A = assemble_conductivity(g, FracParams(0.5), bump_gamma(g))
@@ -191,6 +232,66 @@ class TestFactorInterior:
         ref = np.linalg.solve(A[np.ix_(I, I)], -(A[np.ix_(I, E)] @ gdat[E]))
         u = solve_dirichlet(g, FracParams(0.5), bump_gamma(g), gdat)[0]
         assert np.array_equal(u[I], ref)
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh to record its calls; returns the record."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape)
+        return eigvalsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestCertificateOnBenchmarkBlocks:
+    """The row-sum certificate accepts every interior block the benchmark's
+    commands check, so none of them calls eigvalsh: the dn-1024 block, the
+    reduce-4096 pairings and every evaluation of the invert-256 fits, on the
+    CLI's random profile (the panel seeds 0-3 for invert)."""
+
+    @staticmethod
+    def panel_gamma(g, seed):
+        return make_conductivity(g, profile_from_name(
+            "random", seed=seed, amplitude=0.3, width=0.15))
+
+    def test_dn_1024(self, monkeypatch):
+        g = Grid(L=1.0, N=1024, a=-0.15, b=0.15)
+        gam = self.panel_gamma(g, 0)
+        calls = count_eigvalsh(monkeypatch)
+        E = g.exterior_idx
+        assemble_dn(g, FracParams(0.5), gam, E, E)
+        assert calls == []
+
+    def test_reduce_4096(self, monkeypatch):
+        # the plain row sums of (-Delta)^s + diag q fail here, where q < 0;
+        # the scaling g_I makes them those of the conductivity block
+        g = Grid(L=1.0, N=4096, a=-0.15, b=0.15)
+        fp = FracParams(0.5)
+        gam = self.panel_gamma(g, 0)
+        I = g.interior_idx
+        L_II = assemble_laplacian(g, fp)[np.ix_(I, I)]
+        L_II[np.diag_indices_from(L_II)] += liouville_reduce(g, fp, gam)[I]
+        assert not forward._certified(L_II, None)
+        assert forward._certified(L_II, gam.sqrt[I])
+        calls = count_eigvalsh(monkeypatch)
+        verify_reduction(g, fp, gam, *gap_data(g))
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_invert_256(self, monkeypatch, seed):
+        # the one eigvalsh is the fit's own: the top eigenvalue of the
+        # initial Gram, which scales reg_lambda
+        g = Grid(L=1.0, N=256, a=-0.15, b=0.15)
+        fp = FracParams(0.5)
+        E = g.exterior_idx
+        observed = assemble_dn(g, fp, self.panel_gamma(g, seed), E, E)
+        calls = count_eigvalsh(monkeypatch)
+        reconstruct_gamma(observed, g, fp)
+        assert calls == [(g.interior_idx.size,) * 2]
 
 
 class TestAssembleDn:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fraccond.core import FracParams, Grid, tail_vector
+from fraccond.core import FracParams, Grid, kernel_matrix, tail_vector
 from fraccond.operators import (
+    BILINEAR_BLOCK,
     Conductivity,
     PairField,
     assemble_conductivity,
@@ -14,6 +16,7 @@ from fraccond.operators import (
     frac_divergence_adjoint,
     frac_gradient,
     node_inner,
+    operator_rows,
     pair_inner,
 )
 from fraccond.profiles import bump_m, make_conductivity
@@ -356,3 +359,52 @@ class TestBilinearForm:
         u = rng.standard_normal(g.N)
         assert bilinear_form(g, fp, one, u, u) == pytest.approx(
             node_inner(g, u, A @ u), rel=1e-12)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees during call(), after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoBroadcastBuffers:
+    """Row-by-row products: numpy gives every broadcast operand a 64 KiB
+    ufunc buffer, which the rows of the conductivity operator and the
+    pair products of bilinear_form no longer pass through."""
+
+    @staticmethod
+    def case(N=256):
+        g = small_grid(N=N)
+        return g, FracParams(0.5), make_conductivity(g, bump_m(0.3, 0.0, 0.2))
+
+    def test_conductivity_rows_equal_broadcast_products(self):
+        g, fp, gam = self.case()
+        lo, hi, r = 40, 104, gam.sqrt
+        W = kernel_matrix(g, fp, lo, hi)
+        ref = W * r[None, :]
+        diag = r[lo:hi] * (ref.sum(axis=1) + tail_vector(g, fp)[lo:hi])
+        ref *= -r[lo:hi, None]
+        ref[np.arange(hi - lo), np.arange(lo, hi)] = diag
+        assert np.array_equal(operator_rows(g, fp, lo, hi, r)[0], ref)
+
+    def test_conductivity_block_allocates_no_buffer(self):
+        # a 256-row block at N=256 into out= buffers: 73 KiB with the
+        # broadcast column, about 16 KiB row by row
+        g, fp, gam = self.case()
+        out = [np.empty((g.N, g.N)), np.empty((g.N, g.N))]
+        peak = traced_peak(lambda: operator_rows(g, fp, 0, g.N, gam.sqrt,
+                                                 out=out))
+        assert peak < 32 << 10, peak
+
+    def test_bilinear_form_allocates_only_its_blocks(self):
+        # its two (BILINEAR_BLOCK, N) buffers and the block's lower-triangle
+        # indices (32 KiB): 420 KiB with broadcast products, 297 KiB without
+        g, fp, gam = self.case()
+        u, v = np.sin(g.nodes), np.cos(g.nodes)
+        peak = traced_peak(lambda: bilinear_form(g, fp, gam, u, v))
+        assert peak < 2 * BILINEAR_BLOCK * g.N * 8 + (64 << 10), peak
